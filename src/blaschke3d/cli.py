@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import ToolkitError
+from .errors import NewtonDivergence, StepSizeUnderflow, ToolkitError
 from .geometry import (integral_mean_curvature, vector_area_residual, volume)
 from .herisson import herisson_of_mesh
 from .inequalities import (FuzzConfig, brunn_minkowski_check, exponent_check,
@@ -62,16 +62,25 @@ def _load_face_data(path):
     return herisson_of_mesh(fileio.import_off(p.read_text()))
 
 
+def _dump_trace(trace):
+    _dump({"steps_taken": trace.steps_taken,
+           "dt_history": trace.dt_history,
+           "residual_history": trace.residual_history,
+           "final_residual": trace.final_residual,
+           "combinatorial_changes": trace.combinatorial_changes})
+
+
 def _cmd_construct(args):
     herisson = _load_herisson(args.input)
-    _, mesh, trace = continuation_solve(herisson, _solver_config(args))
+    try:
+        _, mesh, trace = continuation_solve(herisson, _solver_config(args))
+    except (StepSizeUnderflow, NewtonDivergence) as exc:
+        if args.trace:
+            _dump_trace(exc.trace)
+        raise
     Path(args.output).write_text(fileio.export_off(mesh))
     if args.trace:
-        _dump({"steps_taken": trace.steps_taken,
-               "dt_history": trace.dt_history,
-               "residual_history": trace.residual_history,
-               "final_residual": trace.final_residual,
-               "combinatorial_changes": trace.combinatorial_changes})
+        _dump_trace(trace)
     return 0
 
 

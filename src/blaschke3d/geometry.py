@@ -3,10 +3,13 @@
 Bounded convex polyhedra appear in two forms: a half-space representation
 (`SupportPolyhedron`: outward unit directions plus support numbers) and an
 explicit boundary complex (`MeshPolyhedron`: vertices, face cycles, areas,
-edge lengths).  `intersect_halfspaces` converts the first into the second by
-enumerating triple plane intersections; `convex_hull` builds the second from
-a point cloud.  All tolerances are relative to the body scale (bounding-box
-diagonal); inputs are assumed desk-scale, no exact predicates.
+edge lengths).  Both conversions go through Qhull (Barber, Dobkin &
+Huhdanpaa 1996).  `convex_hull` builds the boundary complex of a point cloud
+and merges coplanar hull triangles into faces.  `intersect_halfspaces` finds
+the vertices of a half-space intersection as the polar duals of the facets of
+one hull, then builds the complex from those vertices the same way.  All
+tolerances are relative to the body scale (bounding-box diagonal); inputs
+are assumed desk-scale, no exact predicates.
 """
 from __future__ import annotations
 
@@ -14,9 +17,8 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull as _Qhull
-from scipy.spatial import QhullError
+from scipy.spatial import QhullError, cKDTree
 from scipy.spatial.distance import pdist
 
 from .errors import DegenerateBody, DuplicateDirection, UnboundedRegion
@@ -24,10 +26,13 @@ from .errors import DegenerateBody, DuplicateDirection, UnboundedRegion
 # Two directions within this angle (radians; equal to chord length at this
 # magnitude) count as one direction.
 DIRECTION_TOL = 1e-9
-# Vertex dedup and on-plane classification tolerance, times the body scale.
+# Vertices closer than this, times the body scale, are one vertex.
 MERGE_TOL = 1e-9
-# Determinant floor for a usable triple plane intersection.
-_DET_TOL = 1e-12
+# The least-squares point of the planes serves as the centre of the polar
+# hull when its smallest slack is at least this fraction of the median
+# slack; otherwise the Chebyshev centre is found by a linear program.  A
+# small slack puts a polar point far out and costs Qhull precision.
+_CENTRE_SLACK = 0.05
 
 
 def unit(v):
@@ -39,11 +44,12 @@ def unit(v):
     return v / n
 
 
-def _cross3(a, b):
-    # np.cross has heavy call overhead for single 3-vectors
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+def _cross(a, b):
+    """Row-wise cross product of (n, 3) arrays; np.cross has heavy call
+    overhead for the small arrays used here."""
+    return np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                     a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                     a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=1)
 
 
 def as_unit_rows(directions):
@@ -158,10 +164,6 @@ class MeshPolyhedron:
             return 0.0
         return float(pdist(self.vertices).max())
 
-    def edge_length(self, i, j):
-        key = (i, j) if i < j else (j, i)
-        return self.edge_lengths.get(key, 0.0)
-
     def adjacency(self):
         """Face-adjacency graph as a frozenset of index pairs."""
         return frozenset(self.edge_lengths.keys())
@@ -180,182 +182,151 @@ class MeshPolyhedron:
         return dataclasses.replace(self, vertices=self.vertices + t)
 
 
-def _sorted_cycle(vertices, idx, normal):
-    """Order the on-plane vertex indices counterclockwise around `normal`
-    and return (cycle, signed polygon area by the shoelace rule)."""
-    pts = vertices[idx]
-    c = pts.mean(axis=0)
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(normal)))] = 1.0
-    b1 = _cross3(normal, seed)
-    b1 /= np.sqrt(b1 @ b1)
-    b2 = _cross3(normal, b1)
-    rel = pts - c
-    u, v = rel @ b1, rel @ b2
-    order = np.argsort(np.arctan2(v, u), kind="stable")
-    u, v = u[order], v[order]
-    un = np.empty_like(u)
-    un[:-1], un[-1] = u[1:], u[0]
-    vn = np.empty_like(v)
-    vn[:-1], vn[-1] = v[1:], v[0]
-    area = 0.5 * float(u @ vn - v @ un)
-    return [int(i) for i in idx[order]], area
+def _group_sums(group, values, n):
+    """Sums of the rows of an (m, 3) array over n labelled groups."""
+    return np.stack([np.bincount(group, values[:, a], n)
+                     for a in range(3)], axis=1)
 
 
-def _edges_from_cycles(vertices, faces):
-    """Shared-edge lengths keyed by unordered face pairs, from face cycles."""
-    owner = {}
-    lengths = {}
-    for f, cyc in enumerate(faces):
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            key = (a, b) if a < b else (b, a)
-            if key in owner:
-                g = owner.pop(key)
-                fk = (g, f) if g < f else (f, g)
-                lengths[fk] = float(np.linalg.norm(vertices[a] - vertices[b]))
-            else:
-                owner[key] = f
-    return lengths
+def _assemble_faces(verts, tris, label, normals):
+    """Merge hull triangles into faces by label.
+
+    Face f is the union of the triangles labelled f.  Its cycle runs
+    counterclockwise about `normals[f]`, and is empty when no triangle has
+    label f.  Returns the cycles, the area vector of each face (zero when
+    absent) and the shared-edge lengths keyed by face pairs.
+    """
+    m, nf = len(verts), len(normals)
+    face, vid = np.divmod(np.unique(label[:, None] * m + tris), m)
+    count = np.bincount(face, minlength=nf)
+    rel = verts[vid]
+    rel -= (_group_sums(face, rel, nf) / np.maximum(count, 1)[:, None])[face]
+
+    # angle about each face's centroid in a basis right-handed with normal
+    seed = np.zeros((nf, 3))
+    seed[np.arange(nf), np.argmin(np.abs(normals), axis=1)] = 1.0
+    b1 = _cross(normals, seed)
+    b1 /= np.linalg.norm(b1, axis=1)[:, None]
+    b2 = _cross(normals, b1)
+    angle = np.arctan2((rel * b2[face]).sum(axis=1),
+                       (rel * b1[face]).sum(axis=1))
+    order = np.lexsort((angle, face))
+    face, vid, rel = face[order], vid[order], rel[order]
+
+    # successor along each cycle; the last position wraps to the first
+    end = np.cumsum(count)
+    live = count > 0
+    nxt = np.arange(1, len(vid) + 1)
+    nxt[end[live] - 1] = (end - count)[live]
+    area_vecs = 0.5 * _group_sums(face, _cross(rel, rel[nxt]), nf)
+
+    ids = vid.tolist()
+    cycles = [ids[e - c:e] for e, c in zip(end.tolist(), count.tolist())]
+
+    # a convex surface has each vertex pair of an edge in exactly two cycles
+    a, b = vid, vid[nxt]
+    key = np.minimum(a, b) * m + np.maximum(a, b)
+    srt = np.argsort(key, kind="stable")
+    pair = np.flatnonzero(key[srt[1:]] == key[srt[:-1]])
+    p, q = srt[pair], srt[pair + 1]
+    lo, hi = np.minimum(face[p], face[q]), np.maximum(face[p], face[q])
+    length = np.linalg.norm(verts[a[p]] - verts[b[p]], axis=1)
+    edges = dict(zip(zip(lo.tolist(), hi.tolist()), length.tolist()))
+    return cycles, area_vecs, edges
 
 
-def _dedup_points(points, tol):
-    """Cluster points within `tol` (connected components of the proximity
-    graph, grown breadth-first) and return (component means, label per
-    point).  Clusters are tiny and far apart, so each grows in O(1) rounds."""
-    m = len(points)
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    t2 = tol * tol
-    labels = np.full(m, -1, dtype=int)
-    n = 0
-    for i in range(m):
-        if labels[i] >= 0:
-            continue
-        members = d2[i] <= t2
-        while True:
-            grown = members | (d2[:, members].min(axis=1) <= t2)
-            if (grown == members).all():
-                break
-            members = grown
-        labels[members] = n
-        n += 1
-    sums = np.zeros((n, 3))
-    np.add.at(sums, labels, points)
-    counts = np.bincount(labels, minlength=n).astype(float)
-    return sums / counts[:, None], labels
+def _hull(points):
+    """Qhull of a full-dimensional point set: (extreme points, hull
+    triangles indexing them, facet plane equations, scale)."""
+    pts = np.atleast_2d(np.asarray(points, float))
+    if len(pts) < 4:
+        raise DegenerateBody("need at least 4 points")
+    scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    if scale == 0.0 or sv[2] <= 1e-9 * sv[0]:
+        raise DegenerateBody("points lie within 1e-9*scale of a plane")
+    try:
+        hull = _Qhull(pts)
+    except QhullError as exc:
+        raise DegenerateBody("degenerate point set") from exc
+    index = np.empty(len(pts), dtype=np.intp)
+    index[hull.vertices] = np.arange(len(hull.vertices))
+    return pts[hull.vertices], index[hull.simplices], hull.equations, scale
+
+
+def _merge_close(points, tol):
+    """Means of the clusters of points chained by gaps of at most `tol`."""
+    label = np.arange(len(points))
+    i, j = cKDTree(points).query_pairs(tol, output_type="ndarray").T
+    while not np.array_equal(label[i], label[j]):
+        low = np.minimum(label[i], label[j])
+        np.minimum.at(label, i, low)
+        np.minimum.at(label, j, low)
+    _, label = np.unique(label, return_inverse=True)
+    count = np.bincount(label)
+    return _group_sums(label, points, len(count)) / count[:, None]
+
+
+def _interior_point(D, h):
+    """A point strictly inside {x : D x <= h} and its slack h - D x.
+
+    The least-squares point of the planes is used when its slack is
+    comfortably positive, otherwise the centre of the largest inscribed ball
+    (a linear program, posed about the least-squares point in units of its
+    largest slack so that solver tolerances are relative to the body).
+    """
+    c = np.linalg.lstsq(D, h, rcond=None)[0]
+    slack = h - D @ c
+    median = float(np.median(slack))
+    if median > 0.0 and slack.min() > _CENTRE_SLACK * median:
+        return c, slack
+    unit_len = float(np.abs(slack).max())
+    if unit_len == 0.0:
+        raise DegenerateBody("intersection has empty interior")
+    from scipy.optimize import linprog
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0],
+                  A_ub=np.hstack([D, np.ones((len(D), 1))]),
+                  b_ub=slack / unit_len, bounds=[(None, None)] * 4,
+                  method="highs")
+    if res.status != 0:
+        raise DegenerateBody(f"interior-point LP failed: {res.message}")
+    c = c + unit_len * res.x[:3]
+    slack = h - D @ c
+    if slack.min() <= MERGE_TOL * unit_len:
+        raise DegenerateBody("empty half-space intersection"
+                             if res.x[3] < 0 else
+                             "intersection has empty interior")
+    return c, slack
 
 
 def _intersect_arrays(directions, offsets, *, check_spanning=True):
     """Core half-space intersection on raw arrays.
 
-    For every pair of non-parallel planes, all triple intersections with the
-    remaining planes are computed (Cramer's rule, vectorized); the ones lying
-    on the body are kept, and the two extreme survivors along the pair's line
-    are that pair's shared-edge endpoints.  Vertices are the deduplicated
-    endpoint set; face cycles come from on-plane classification.
+    About an interior point c, the planes n_j . x = h_j become the polar
+    points n_j / (h_j - n_j . c); each facet a . y + b = 0 of their convex
+    hull is the polar of the vertex c - a / b of the body.  Vertices that
+    coplanar polar points split into several copies are merged, and every
+    triangle of their hull is assigned to the direction nearest its normal.
     """
     D = np.asarray(directions, float)
     h = np.asarray(offsets, float)
-    k = len(D)
     if not np.all(np.isfinite(h)):
         raise DegenerateBody("non-finite support numbers")
     if check_spanning:
         check_positive_spanning(D)
-
-    ii, jj = np.triu_indices(k, 1)
-    w = np.cross(D[ii], D[jj])
-    wn = np.linalg.norm(w, axis=1)
-    keep = wn > DIRECTION_TOL
-    ii, jj, w, wn = ii[keep], jj[keep], w[keep], wn[keep]
-    npair = len(ii)
-    if npair == 0:
-        raise DegenerateBody("no transversal plane pairs")
-
-    # x(p, q) solves [n_i; n_j; n_q] x = [h_i; h_j; h_q] by Cramer's rule
-    cjq = np.cross(D[jj][:, None, :], D[None, :, :])
-    cqi = np.cross(D[None, :, :], D[ii][:, None, :])
-    det = w @ D.T
-    num = (h[ii][:, None, None] * cjq + h[jj][:, None, None] * cqi
-           + h[None, :, None] * w[:, None, :])
-    solvable = np.abs(det) > _DET_TOL
-    X = np.zeros_like(num)
-    np.divide(num, det[:, :, None], out=X, where=solvable[:, :, None])
-
-    # worst constraint violation of each candidate point; blocked so the
-    # (pairs, k, k) tensor never exceeds a few MB at large k
-    marg = np.empty((npair, k))
-    block = max(1, 2_000_000 // (k * k))
-    for s in range(0, npair, block):
-        e = min(npair, s + block)
-        dots = np.einsum("pqc,rc->pqr", X[s:e], D)
-        dots -= h[None, None, :]
-        marg[s:e] = dots.max(axis=2)
-
-    # provisional pass to learn the body scale, then the final tolerance
-    coarse = solvable & (marg <= 1e-7 * max(1.0, float(np.abs(h).max())))
-    if not coarse.any():
-        raise DegenerateBody("empty half-space intersection")
-    pts = X[coarse]
-    scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    if scale == 0.0:
-        raise DegenerateBody("intersection has empty interior")
-    tol = MERGE_TOL * scale
-    feas = solvable & (marg <= tol)
-    if not feas.any():
-        raise DegenerateBody("empty half-space intersection")
-
-    # extreme feasible points along each pair's line
-    axis = w / wn[:, None]
-    t = np.einsum("pqc,pc->pq", X, axis)
-    lo_idx = np.argmin(np.where(feas, t, np.inf), axis=1)
-    hi_idx = np.argmax(np.where(feas, t, -np.inf), axis=1)
-    has = feas.any(axis=1)
-    rows = np.arange(npair)
-    lo = X[rows, lo_idx]
-    hi = X[rows, hi_idx]
-    hit = np.where(has)[0]
-    cand = np.concatenate([lo[hit], hi[hit]])
-
-    verts, labels = _dedup_points(cand, tol)
-    if len(verts) < 4:
-        raise DegenerateBody("fewer than 4 distinct vertices")
-    sv = np.linalg.svd(verts - verts.mean(axis=0), compute_uv=False)
-    if sv[2] <= 1e-9 * sv[0]:
-        raise DegenerateBody("intersection has empty interior")
-
-    nh = len(hit)
-    lo_lab, hi_lab = labels[:nh], labels[nh:]
-
-    # faces: on-plane classification against deduplicated vertices
-    plane_gap = np.abs(verts @ D.T - h[None, :])
-    faces = []
-    areas = np.zeros(k)
-    noise_area = 4.0 * tol * scale  # spread of a merely grazing plane
-    for j in range(k):
-        idx = np.where(plane_gap[:, j] <= 3.0 * tol)[0]
-        if len(idx) < 3:
-            faces.append([])
-            continue
-        cyc, area = _sorted_cycle(verts, idx, D[j])
-        if area <= noise_area:
-            faces.append([])
-        else:
-            faces.append(cyc)
-            areas[j] = area
-
-    edge_lengths = {}
-    for pos, p in enumerate(hit):
-        a, b = lo_lab[pos], hi_lab[pos]
-        if a == b:
-            continue
-        fi, fj = int(ii[p]), int(jj[p])
-        if not (faces[fi] and faces[fj]):
-            continue
-        length = float(np.linalg.norm(verts[a] - verts[b]))
-        if length > tol:
-            edge_lengths[(min(fi, fj), max(fi, fj))] = length
-
+    c, slack = _interior_point(D, h)
+    try:
+        polar = _Qhull(D / slack[:, None])
+    except QhullError as exc:
+        raise DegenerateBody("degenerate half-space intersection") from exc
+    corners = c - polar.equations[:, :3] / polar.equations[:, 3:]
+    scale = float(np.linalg.norm(corners.max(axis=0) - corners.min(axis=0)))
+    verts, tris, eqs, _ = _hull(_merge_close(corners, MERGE_TOL * scale))
+    slot = np.argmax(eqs[:, :3] @ D.T, axis=1)
+    faces, area_vecs, edge_lengths = _assemble_faces(verts, tris, slot, D)
     return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
-                          face_areas=areas, edge_lengths=edge_lengths)
+                          face_areas=np.linalg.norm(area_vecs, axis=1),
+                          edge_lengths=edge_lengths)
 
 
 def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
@@ -370,52 +341,21 @@ def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
 
 def convex_hull(points) -> MeshPolyhedron:
     """Convex hull with coplanar facets merged into geometric faces."""
-    pts = np.atleast_2d(np.asarray(points, float))
-    if len(pts) < 4:
-        raise DegenerateBody("need at least 4 points")
-    scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    if scale == 0.0 or sv[2] <= 1e-9 * sv[0]:
-        raise DegenerateBody("points lie within 1e-9*scale of a plane")
-    try:
-        hull = _Qhull(pts)
-    except QhullError as exc:
-        raise DegenerateBody("degenerate point set") from exc
-
-    verts = pts[hull.vertices]
-    remap = {int(old): new for new, old in enumerate(hull.vertices)}
-
-    # merge triangles whose plane equations agree within tolerance
-    eqs = hull.equations
-    order = np.lexsort((eqs[:, 3], eqs[:, 2], eqs[:, 1], eqs[:, 0]))
+    verts, tris, eqs, scale = _hull(points)
+    # triangles whose plane equations agree within tolerance, chained along
+    # the lexsorted equations, form one face
+    order = np.lexsort(eqs.T[::-1])
     tolvec = np.array([1e-9, 1e-9, 1e-9, 1e-9 * max(1.0, scale)])
-    groups = []
-    for t in order:
-        if groups and np.all(np.abs(eqs[t] - eqs[groups[-1][-1]]) <= tolvec):
-            groups[-1].append(t)
-        else:
-            groups.append([t])
-
-    faces = []
-    normals = []
-    areas = []
-    for members in groups:
-        vids = np.unique(hull.simplices[members])
-        idx = np.array([remap[int(v)] for v in vids])
-        n_hint = eqs[members[0], :3]
-        cyc, area = _sorted_cycle(verts, idx, n_hint)
-        if area < 0:
-            cyc = cyc[::-1]
-        ring = verts[cyc]
-        area_vec = 0.5 * np.cross(ring, np.roll(ring, -1, axis=0)).sum(axis=0)
-        faces.append(cyc)
-        normals.append(unit(area_vec))
-        areas.append(float(np.linalg.norm(area_vec)))
-
+    step = np.concatenate(
+        ([True], (np.abs(np.diff(eqs[order], axis=0)) > tolvec).any(axis=1)))
+    group = np.empty(len(eqs), dtype=np.intp)
+    group[order] = np.cumsum(step) - 1
+    faces, area_vecs, edge_lengths = _assemble_faces(
+        verts, tris, group, eqs[order[step], :3])
+    areas = np.linalg.norm(area_vecs, axis=1)
     return MeshPolyhedron(vertices=verts, faces=faces,
-                          face_normals=np.array(normals),
-                          face_areas=np.array(areas),
-                          edge_lengths=_edges_from_cycles(verts, faces))
+                          face_normals=area_vecs / areas[:, None],
+                          face_areas=areas, edge_lengths=edge_lengths)
 
 
 def volume(p: MeshPolyhedron) -> float:
@@ -491,6 +431,7 @@ def contains_by_translation(outer: MeshPolyhedron,
     rhs = np.array([h_outer[m] - support_value(inner, normals[m])
                     for m in range(len(live))])
     a_ub = np.hstack([normals, np.ones((len(live), 1))])
+    from scipy.optimize import linprog
     res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=a_ub, b_ub=rhs,
                   bounds=[(None, None)] * 4, method="highs")
     if res.status != 0:

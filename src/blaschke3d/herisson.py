@@ -49,10 +49,6 @@ class Herisson:
     def total_area(self):
         return float(self.areas.sum())
 
-    @property
-    def entries(self):
-        return list(zip(self.directions, self.areas))
-
     def closure_residual(self):
         return self.areas @ self.directions
 

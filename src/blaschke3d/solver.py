@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (DegenerateAngle, DegenerateBody, NewtonDivergence,
                      OracleFailed, StepSizeUnderflow)
@@ -250,6 +249,7 @@ def oracle_solve_small(h: Herisson) -> MeshPolyhedron:
     Jacobian only."""
     if h.k > 8:
         raise ValueError("oracle is limited to k <= 8 faces")
+    from scipy.optimize import least_squares
     directions = h.directions
     target = h.areas
     check_positive_spanning(directions)

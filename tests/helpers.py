@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from blaschke3d.geometry import MeshPolyhedron, SupportPolyhedron, \
-    intersect_halfspaces
+from blaschke3d.errors import DegenerateBody
+from blaschke3d.geometry import DIRECTION_TOL, MERGE_TOL, MeshPolyhedron, \
+    SupportPolyhedron, intersect_halfspaces
 from blaschke3d.herisson import random_herisson
 
 
@@ -53,3 +54,129 @@ def vertex_sets_match(a: MeshPolyhedron, b: MeshPolyhedron, tol) -> bool:
 
 def centered(mesh: MeshPolyhedron) -> MeshPolyhedron:
     return mesh.translate(-mesh.centroid)
+
+
+# -- reference half-space intersection by triple-plane enumeration ----------
+
+# Determinant floor for a usable triple plane intersection.
+_DET_TOL = 1e-12
+
+
+def _sorted_cycle(vertices, idx, normal):
+    """Order the on-plane vertex indices counterclockwise around `normal`
+    and return (cycle, signed polygon area by the shoelace rule)."""
+    pts = vertices[idx]
+    seed = np.zeros(3)
+    seed[int(np.argmin(np.abs(normal)))] = 1.0
+    b1 = np.cross(normal, seed)
+    b1 /= np.linalg.norm(b1)
+    b2 = np.cross(normal, b1)
+    rel = pts - pts.mean(axis=0)
+    u, v = rel @ b1, rel @ b2
+    order = np.argsort(np.arctan2(v, u), kind="stable")
+    u, v = u[order], v[order]
+    area = 0.5 * float(u @ np.roll(v, -1) - v @ np.roll(u, -1))
+    return [int(i) for i in idx[order]], area
+
+
+def _dedup_points(points, tol):
+    """Cluster points within `tol` (connected components of the proximity
+    graph, grown breadth-first) and return (component means, label per
+    point)."""
+    m = len(points)
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    t2 = tol * tol
+    labels = np.full(m, -1, dtype=int)
+    n = 0
+    for i in range(m):
+        if labels[i] >= 0:
+            continue
+        members = d2[i] <= t2
+        while True:
+            grown = members | (d2[:, members].min(axis=1) <= t2)
+            if (grown == members).all():
+                break
+            members = grown
+        labels[members] = n
+        n += 1
+    sums = np.zeros((n, 3))
+    np.add.at(sums, labels, points)
+    counts = np.bincount(labels, minlength=n).astype(float)
+    return sums / counts[:, None], labels
+
+
+def enumerate_intersection(directions, offsets) -> MeshPolyhedron:
+    """Reference half-space intersection, independent of Qhull, in O(k^4).
+
+    For every pair of non-parallel planes, all triple intersections with the
+    remaining planes are computed by Cramer's rule; the ones lying on the
+    body are kept, and the two extreme survivors along the pair's line are
+    that pair's shared-edge endpoints.  Vertices are the deduplicated
+    endpoint set; face cycles come from on-plane classification, and faces
+    below a noise area of 4 * MERGE_TOL * scale^2 count as absent.
+    """
+    D = np.asarray(directions, float)
+    h = np.asarray(offsets, float)
+    k = len(D)
+
+    ii, jj = np.triu_indices(k, 1)
+    w = np.cross(D[ii], D[jj])
+    wn = np.linalg.norm(w, axis=1)
+    keep = wn > DIRECTION_TOL
+    ii, jj, w, wn = ii[keep], jj[keep], w[keep], wn[keep]
+    npair = len(ii)
+
+    # x(p, q) solves [n_i; n_j; n_q] x = [h_i; h_j; h_q] by Cramer's rule
+    cjq = np.cross(D[jj][:, None, :], D[None, :, :])
+    cqi = np.cross(D[None, :, :], D[ii][:, None, :])
+    det = w @ D.T
+    num = (h[ii][:, None, None] * cjq + h[jj][:, None, None] * cqi
+           + h[None, :, None] * w[:, None, :])
+    solvable = np.abs(det) > _DET_TOL
+    X = np.zeros_like(num)
+    np.divide(num, det[:, :, None], out=X, where=solvable[:, :, None])
+    marg = (np.einsum("pqc,rc->pqr", X, D) - h).max(axis=2)
+
+    # provisional pass to learn the body scale, then the final tolerance
+    coarse = solvable & (marg <= 1e-7 * max(1.0, float(np.abs(h).max())))
+    if not coarse.any():
+        raise DegenerateBody("empty half-space intersection")
+    pts = X[coarse]
+    scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    tol = MERGE_TOL * scale
+    feas = solvable & (marg <= tol)
+
+    # extreme feasible points along each pair's line
+    t = np.einsum("pqc,pc->pq", X, w / wn[:, None])
+    lo_idx = np.argmin(np.where(feas, t, np.inf), axis=1)
+    hi_idx = np.argmax(np.where(feas, t, -np.inf), axis=1)
+    hit = np.where(feas.any(axis=1))[0]
+    cand = np.concatenate([X[hit, lo_idx[hit]], X[hit, hi_idx[hit]]])
+    verts, labels = _dedup_points(cand, tol)
+    lo_lab, hi_lab = labels[:len(hit)], labels[len(hit):]
+
+    plane_gap = np.abs(verts @ D.T - h[None, :])
+    faces = []
+    areas = np.zeros(k)
+    for j in range(k):
+        idx = np.where(plane_gap[:, j] <= 3.0 * tol)[0]
+        cyc, area = _sorted_cycle(verts, idx, D[j]) if len(idx) >= 3 \
+            else ([], 0.0)
+        if area <= 4.0 * tol * scale:
+            faces.append([])
+        else:
+            faces.append(cyc)
+            areas[j] = area
+
+    edge_lengths = {}
+    for pos, p in enumerate(hit):
+        a, b = lo_lab[pos], hi_lab[pos]
+        fi, fj = int(ii[p]), int(jj[p])
+        if a == b or not (faces[fi] and faces[fj]):
+            continue
+        length = float(np.linalg.norm(verts[a] - verts[b]))
+        if length > tol:
+            edge_lengths[(fi, fj)] = length
+
+    return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
+                          face_areas=areas, edge_lengths=edge_lengths)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,15 @@ class TestConstruct:
                          "-o", out, "--dt", "0.25", "--tol", "1e-10")
         assert code == 0
         assert import_off(out.read_text()).face_count == 20
+
+    def test_failure_prints_trace_before_error(self, tmp_path, capsys):
+        out = tmp_path / "x.off"
+        code, stdout, err = run(capsys, "construct", DATA / "grunbaum.her",
+                                "-o", out, "--tol", "1e-30", "--trace")
+        assert code == 1
+        assert json.loads(stdout)["steps_taken"] == 0
+        assert err.startswith("error:")
+        assert not out.exists()
 
     def test_bad_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.her"
@@ -175,3 +187,13 @@ class TestReportDeterminism:
         code2, rep2, _ = run(capsys, "report", out)
         assert code1 == code2 == 0
         assert rep1 == rep2
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, blaschke3d; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout.strip() == "False"

@@ -7,12 +7,14 @@ from blaschke3d.bodies import (box_mesh, cube_mesh, icosahedron_directions,
                                icosphere_mesh, tetrahedron_mesh)
 from blaschke3d.errors import DegenerateBody, UnboundedRegion
 from blaschke3d.geometry import (MeshPolyhedron, SupportPolyhedron,
-                                 contains_by_translation, convex_hull,
-                                 integral_mean_curvature,
-                                 intersect_halfspaces, support_value,
+                                 _intersect_arrays, contains_by_translation,
+                                 convex_hull, integral_mean_curvature,
+                                 intersect_halfspaces, support_value, unit,
                                  validate_mesh, vector_area_residual, volume)
 
-from helpers import divergence_volume, random_tangent_mesh, vertex_sets_match
+from blaschke3d.herisson import random_herisson
+from helpers import (divergence_volume, enumerate_intersection,
+                     random_tangent_mesh, vertex_sets_match)
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
@@ -129,6 +131,104 @@ class TestIntersectHalfspaces:
                                                           offsets))
             assert volume(mesh) == pytest.approx(divergence_volume(mesh),
                                                  rel=1e-9)
+
+
+def corner_cases():
+    """Cube plus a diagonal plane that misses it, touches one corner only,
+    and would be outside the least-squares point of the planes."""
+    dirs = np.vstack([AXES[:3], [unit((1, 1, 1))], AXES[3:]])
+    return [(dirs, np.array([1, 1, 1, h, 1, 1, 1], float))
+            for h in (10.0, np.sqrt(3.0), np.sqrt(3.0) - 0.3)]
+
+
+def jittered_case(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(4, 49))
+    return random_herisson(k, seed).directions, rng.uniform(0.8, 1.2, k)
+
+
+def assert_same_mesh(a, b):
+    """Same live face slots, areas, edges and vertex set, to 1e-9."""
+    live = b.face_areas > 0
+    assert np.array_equal(a.face_areas > 0, live)
+    assert [bool(c) for c in a.faces] == live.tolist()
+    np.testing.assert_allclose(a.face_areas, b.face_areas, rtol=1e-9)
+    assert a.edge_lengths.keys() == b.edge_lengths.keys()
+    for key, length in b.edge_lengths.items():
+        assert a.edge_lengths[key] == pytest.approx(length,
+                                                    abs=1e-9 * b.scale)
+    assert vertex_sets_match(a, b, 1e-9 * b.scale)
+
+
+class TestIntersectionAgainstEnumeration:
+    """The Qhull path against the triple-plane enumeration reference."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_jittered_bodies(self, seed):
+        dirs, offsets = jittered_case(seed)
+        assert_same_mesh(_intersect_arrays(dirs, offsets),
+                         enumerate_intersection(dirs, offsets))
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_untouched_and_corner_planes(self, case):
+        dirs, offsets = corner_cases()[case]
+        assert_same_mesh(_intersect_arrays(dirs, offsets),
+                         enumerate_intersection(dirs, offsets))
+
+    def test_vertices_split_by_rounding_are_merged(self):
+        # five planes meet at each vertex; rounding the normals splits each
+        # vertex into nearby copies, as in a .her file written to 10 digits
+        dirs = np.round(icosahedron_directions(), 10)
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        mesh = _intersect_arrays(dirs, np.ones(20))
+        assert (len(mesh.vertices), len(mesh.edge_lengths)) == (12, 30)
+        assert_same_mesh(mesh, enumerate_intersection(dirs, np.ones(20)))
+
+    def test_a_corner_case_needs_the_chebyshev_centre(self):
+        # the least-squares point of the planes lies outside the body
+        dirs, offsets = corner_cases()[0]
+        c = np.linalg.lstsq(dirs, offsets, rcond=None)[0]
+        assert (dirs @ c - offsets).max() > 0
+
+
+class TestIntersectionInvariance:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_translation(self, seed):
+        dirs, offsets = jittered_case(seed)
+        base = _intersect_arrays(dirs, offsets)
+        rng = np.random.default_rng(seed + 500)
+        t = rng.standard_normal(3)
+        t *= rng.uniform(1.0, 10.0) * base.scale / np.linalg.norm(t)
+        moved = _intersect_arrays(dirs, offsets + dirs @ t)
+        assert (offsets + dirs @ t).min() < 0  # origin outside the body
+        np.testing.assert_allclose(moved.face_areas, base.face_areas,
+                                   rtol=1e-9)
+        assert moved.edge_lengths.keys() == base.edge_lengths.keys()
+        assert vertex_sets_match(moved.translate(-t), base, 1e-9 * base.scale)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_permutation(self, seed):
+        dirs, offsets = jittered_case(seed)
+        perm = np.random.default_rng(seed).permutation(len(offsets))
+        base = _intersect_arrays(dirs, offsets)
+        mesh = _intersect_arrays(dirs[perm], offsets[perm])
+        np.testing.assert_allclose(mesh.face_areas, base.face_areas[perm],
+                                   rtol=1e-9)
+        assert [len(c) for c in mesh.faces] == \
+            [len(base.faces[j]) for j in perm]
+        inv = np.argsort(perm)
+        moved = {tuple(sorted((int(inv[i]), int(inv[j]))))
+                 for i, j in base.edge_lengths}
+        assert set(mesh.edge_lengths) == moved
+
+    @pytest.mark.parametrize("lam", [1e-6, 3.7, 1e6])
+    def test_scale(self, lam):
+        dirs, offsets = jittered_case(7)
+        base = _intersect_arrays(dirs, offsets)
+        mesh = _intersect_arrays(dirs, lam * offsets)
+        np.testing.assert_allclose(mesh.face_areas, lam ** 2 * base.face_areas,
+                                   rtol=1e-9)
+        assert mesh.edge_lengths.keys() == base.edge_lengths.keys()
 
 
 class TestConvexHull:

@@ -116,6 +116,13 @@ class TestContinuationSolve:
                                              rel=1e-9)
         validate_mesh(mesh)
 
+    def test_large_k_reconstruction(self):
+        cfg = ContinuationConfig()
+        _, mesh, trace = continuation_solve(random_herisson(192, 1), cfg)
+        assert mesh.face_count == 192
+        assert trace.final_residual <= cfg.newton_tol
+        validate_mesh(mesh)
+
     def test_grunbaum_combinatorial_change(self):
         h = grunbaum_herisson()
         sp, mesh, trace = continuation_solve(h)
