@@ -67,7 +67,9 @@ def _dump_trace(trace):
            "dt_history": trace.dt_history,
            "residual_history": trace.residual_history,
            "final_residual": trace.final_residual,
-           "combinatorial_changes": trace.combinatorial_changes})
+           "combinatorial_changes": trace.combinatorial_changes,
+           "intersections": trace.intersections,
+           "jacobians": trace.jacobians})
 
 
 def _cmd_construct(args):

@@ -3,18 +3,18 @@
 Bounded convex polyhedra appear in two forms: a half-space representation
 (`SupportPolyhedron`: outward unit directions plus support numbers) and an
 explicit boundary complex (`MeshPolyhedron`: vertices, face cycles, areas,
-edge lengths).  Both conversions go through Qhull (Barber, Dobkin &
-Huhdanpaa 1996).  `convex_hull` builds the boundary complex of a point cloud
-and merges coplanar hull triangles into faces.  `intersect_halfspaces` finds
-the vertices of a half-space intersection as the polar duals of the facets of
-one hull, then builds the complex from those vertices the same way.  All
-tolerances are relative to the body scale (bounding-box diagonal); inputs
-are assumed desk-scale, no exact predicates.
+edge lengths).  Each conversion is one Qhull hull (Barber, Dobkin &
+Huhdanpaa 1996).  `convex_hull` merges coplanar hull triangles into faces.
+`intersect_halfspaces` hulls the polar points of the planes and reads the
+face complex off that hull: each facet is a vertex of the body, lying on
+the three planes that span it.  Tolerances are relative to the body scale
+(bounding-box diagonal); inputs are assumed desk-scale, no exact predicates.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import ConvexHull as _Qhull
@@ -170,12 +170,12 @@ class MeshPolyhedron:
 
     def face_support_numbers(self):
         """Per-face plane offsets n_j . x for x on face j (NaN if absent)."""
-        h = np.full(len(self.face_areas), np.nan)
-        for j, cyc in enumerate(self.faces):
-            if cyc:
-                pts = self.vertices[list(cyc)]
-                h[j] = float(pts.mean(axis=0) @ self.face_normals[j])
-        return h
+        count = np.fromiter(map(len, self.faces), np.intp, len(self.faces))
+        face = np.repeat(np.arange(len(count)), count)
+        vid = np.fromiter(chain.from_iterable(self.faces), np.intp, len(face))
+        dots = (self.vertices[vid] * self.face_normals[face]).sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            return np.bincount(face, dots, len(count)) / count
 
     def translate(self, t):
         t = np.asarray(t, float)
@@ -188,17 +188,21 @@ def _group_sums(group, values, n):
                      for a in range(3)], axis=1)
 
 
-def _assemble_faces(verts, tris, label, normals):
-    """Merge hull triangles into faces by label.
+def _assemble_faces(verts, face, vertex, normals):
+    """Build face cycles from (face, vertex) incidence pairs.
 
-    Face f is the union of the triangles labelled f.  Its cycle runs
-    counterclockwise about `normals[f]`, and is empty when no triangle has
-    label f.  Returns the cycles, the area vector of each face (zero when
-    absent) and the shared-edge lengths keyed by face pairs.
+    Face f has the distinct vertices paired with f, in a cycle running
+    counterclockwise about `normals[f]`; with fewer than 3 (a plane that
+    touches the body at most in an edge) the cycle is empty.  Returns the
+    cycles, the area vector of each face (zero when absent) and the
+    shared-edge lengths keyed by face pairs.
     """
     m, nf = len(verts), len(normals)
-    face, vid = np.divmod(np.unique(label[:, None] * m + tris), m)
+    face, vid = np.divmod(np.unique(face * m + vertex), m)
     count = np.bincount(face, minlength=nf)
+    count[count < 3] = 0
+    keep = count[face] > 0
+    face, vid = face[keep], vid[keep]
     rel = verts[vid]
     rel -= (_group_sums(face, rel, nf) / np.maximum(count, 1)[:, None])[face]
 
@@ -235,27 +239,20 @@ def _assemble_faces(verts, tris, label, normals):
     return cycles, area_vecs, edges
 
 
-def _hull(points):
-    """Qhull of a full-dimensional point set: (extreme points, hull
-    triangles indexing them, facet plane equations, scale)."""
-    pts = np.atleast_2d(np.asarray(points, float))
+def _solid_scale(pts):
+    """Bounding-box diagonal of points that must span 3-space."""
     if len(pts) < 4:
         raise DegenerateBody("need at least 4 points")
     scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
     if scale == 0.0 or sv[2] <= 1e-9 * sv[0]:
         raise DegenerateBody("points lie within 1e-9*scale of a plane")
-    try:
-        hull = _Qhull(pts)
-    except QhullError as exc:
-        raise DegenerateBody("degenerate point set") from exc
-    index = np.empty(len(pts), dtype=np.intp)
-    index[hull.vertices] = np.arange(len(hull.vertices))
-    return pts[hull.vertices], index[hull.simplices], hull.equations, scale
+    return scale
 
 
 def _merge_close(points, tol):
-    """Means of the clusters of points chained by gaps of at most `tol`."""
+    """Clusters of points chained by gaps of at most `tol`: their means and
+    the cluster label of every point."""
     label = np.arange(len(points))
     i, j = cKDTree(points).query_pairs(tol, output_type="ndarray").T
     while not np.array_equal(label[i], label[j]):
@@ -264,7 +261,7 @@ def _merge_close(points, tol):
         np.minimum.at(label, j, low)
     _, label = np.unique(label, return_inverse=True)
     count = np.bincount(label)
-    return _group_sums(label, points, len(count)) / count[:, None]
+    return _group_sums(label, points, len(count)) / count[:, None], label
 
 
 def _interior_point(D, h):
@@ -304,9 +301,10 @@ def _intersect_arrays(directions, offsets, *, check_spanning=True):
 
     About an interior point c, the planes n_j . x = h_j become the polar
     points n_j / (h_j - n_j . c); each facet a . y + b = 0 of their convex
-    hull is the polar of the vertex c - a / b of the body.  Vertices that
-    coplanar polar points split into several copies are merged, and every
-    triangle of their hull is assigned to the direction nearest its normal.
+    hull is the polar of the vertex c - a / b of the body, which lies on
+    the three planes spanning the facet.  Vertex copies from coplanar polar
+    points are merged; a plane left with fewer than three distinct vertices
+    has no face.
     """
     D = np.asarray(directions, float)
     h = np.asarray(offsets, float)
@@ -320,10 +318,9 @@ def _intersect_arrays(directions, offsets, *, check_spanning=True):
     except QhullError as exc:
         raise DegenerateBody("degenerate half-space intersection") from exc
     corners = c - polar.equations[:, :3] / polar.equations[:, 3:]
-    scale = float(np.linalg.norm(corners.max(axis=0) - corners.min(axis=0)))
-    verts, tris, eqs, _ = _hull(_merge_close(corners, MERGE_TOL * scale))
-    slot = np.argmax(eqs[:, :3] @ D.T, axis=1)
-    faces, area_vecs, edge_lengths = _assemble_faces(verts, tris, slot, D)
+    verts, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
+    faces, area_vecs, edge_lengths = _assemble_faces(
+        verts, polar.simplices.ravel(), np.repeat(label, 3), D)
     return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
                           face_areas=np.linalg.norm(area_vecs, axis=1),
                           edge_lengths=edge_lengths)
@@ -341,7 +338,16 @@ def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
 
 def convex_hull(points) -> MeshPolyhedron:
     """Convex hull with coplanar facets merged into geometric faces."""
-    verts, tris, eqs, scale = _hull(points)
+    pts = np.atleast_2d(np.asarray(points, float))
+    scale = _solid_scale(pts)
+    try:
+        hull = _Qhull(pts)
+    except QhullError as exc:
+        raise DegenerateBody("degenerate point set") from exc
+    verts, eqs = pts[hull.vertices], hull.equations
+    index = np.empty(len(pts), dtype=np.intp)
+    index[hull.vertices] = np.arange(len(hull.vertices))
+    tris = index[hull.simplices]
     # triangles whose plane equations agree within tolerance, chained along
     # the lexsorted equations, form one face
     order = np.lexsort(eqs.T[::-1])
@@ -351,7 +357,7 @@ def convex_hull(points) -> MeshPolyhedron:
     group = np.empty(len(eqs), dtype=np.intp)
     group[order] = np.cumsum(step) - 1
     faces, area_vecs, edge_lengths = _assemble_faces(
-        verts, tris, group, eqs[order[step], :3])
+        verts, np.repeat(group, 3), tris.ravel(), eqs[order[step], :3])
     areas = np.linalg.norm(area_vecs, axis=1)
     return MeshPolyhedron(vertices=verts, faces=faces,
                           face_normals=area_vecs / areas[:, None],
@@ -362,14 +368,20 @@ def volume(p: MeshPolyhedron) -> float:
     """Volume as one third of the sum of face areas times their signed plane
     distance from an interior reference point (the vertex centroid); the
     choice of reference point does not matter."""
-    ref = p.centroid
-    total = 0.0
-    for j, cyc in enumerate(p.faces):
-        if not cyc:
-            continue
-        point = p.vertices[list(cyc)].mean(axis=0)
-        total += p.face_areas[j] * float((point - ref) @ p.face_normals[j])
-    return float(total) / 3.0
+    h = p.face_support_numbers()
+    live = ~np.isnan(h)
+    dist = h[live] - p.face_normals[live] @ p.centroid
+    return float(p.face_areas[live] @ dist) / 3.0
+
+
+def _support_values(vertices, normals):
+    """Max of n . v over the vertices for each row n; rows go in blocks so
+    the product matrix stays near 1 MB for any mesh size."""
+    out = np.empty(len(normals))
+    block = max(1, (1 << 17) // max(len(vertices), 1))
+    for s in range(0, len(normals), block):
+        out[s:s + block] = (vertices @ normals[s:s + block].T).max(axis=0)
+    return out
 
 
 def support_value(p: MeshPolyhedron, d) -> float:
@@ -428,8 +440,7 @@ def contains_by_translation(outer: MeshPolyhedron,
     live = np.where(outer.face_areas > 0)[0]
     normals = outer.face_normals[live]
     h_outer = outer.face_support_numbers()[live]
-    rhs = np.array([h_outer[m] - support_value(inner, normals[m])
-                    for m in range(len(live))])
+    rhs = h_outer - _support_values(inner.vertices, normals)
     a_ub = np.hstack([normals, np.ones((len(live), 1))])
     from scipy.optimize import linprog
     res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=a_ub, b_ub=rhs,
@@ -456,12 +467,11 @@ def validate_mesh(mesh: MeshPolyhedron) -> MeshPolyhedron:
     """
     tol = 1e-9 * mesh.scale
     h = mesh.face_support_numbers()
-    for j, cyc in enumerate(mesh.faces):
-        if not cyc:
-            continue
-        gap = mesh.vertices @ mesh.face_normals[j] - h[j]
-        if gap.max() > tol:
-            raise ValueError(f"vertex beyond plane of face {j}")
+    live = np.flatnonzero(~np.isnan(h))
+    gap = _support_values(mesh.vertices, mesh.face_normals[live]) - h[live]
+    if np.any(gap > tol):
+        j = live[int(np.argmax(gap > tol))]
+        raise ValueError(f"vertex beyond plane of face {j}")
     v = len(mesh.vertices)
     e = len(mesh.edge_lengths)
     f = mesh.face_count

@@ -52,6 +52,8 @@ class SolveTrace:
 
     `residual_history` holds the relative area residual of every accepted
     step; each entry is below the Newton tolerance by construction.
+    `intersections` and `jacobians` count the half-space intersections and
+    area Jacobians computed, over accepted and rejected steps alike.
     """
 
     steps_taken: int = 0
@@ -59,18 +61,26 @@ class SolveTrace:
     residual_history: list = field(default_factory=list)
     final_residual: float = float("nan")
     combinatorial_changes: int = 0
+    intersections: int = 0
+    jacobians: int = 0
 
 
 def initial_polyhedron(directions):
     """Starting body of the march: all support numbers 1, circumscribing the
     unit sphere, where every face has positive area.  Returns the body and
     its face areas."""
+    sp, mesh = _tangent_body(directions)
+    return sp, mesh.face_areas.copy()
+
+
+def _tangent_body(directions):
+    """The starting body of `initial_polyhedron` and its mesh."""
     sp = SupportPolyhedron(np.asarray(directions, float),
                            np.ones(len(directions)))
     mesh = intersect_halfspaces(sp)
     if mesh.face_areas.min() <= 0:
         raise DegenerateBody("tangent body lost a face; directions too close")
-    return sp, mesh.face_areas.copy()
+    return sp, mesh
 
 
 def area_jacobian(p: MeshPolyhedron) -> np.ndarray:
@@ -111,7 +121,7 @@ def _solve_kernel_free(jac, rhs):
     return sol
 
 
-def _newton_correct(directions, h, target, cfg, total_area):
+def _newton_correct(directions, h, target, cfg, total_area, trace):
     """Newton-iterate the support numbers until the face areas match
     `target`.  Returns (converged, h, mesh, relative residual); any
     non-finite iterate, degenerate body or collapsing face reports failure
@@ -119,6 +129,7 @@ def _newton_correct(directions, h, target, cfg, total_area):
     floor = _COLLAPSE_FRACTION * total_area
     ceiling = target.max()
     for _ in range(cfg.max_newton_iters + 1):
+        trace.intersections += 1
         try:
             mesh = _intersect_arrays(directions, h, check_spanning=False)
         except DegenerateBody:
@@ -129,6 +140,7 @@ def _newton_correct(directions, h, target, cfg, total_area):
         resid = float(np.abs(target - areas).max())
         if resid <= cfg.newton_tol * ceiling:
             return True, h, mesh, resid / ceiling
+        trace.jacobians += 1
         jac = area_jacobian(mesh)
         dh = _solve_kernel_free(jac, target - areas)
         if not np.all(np.isfinite(dh)):
@@ -151,9 +163,10 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     total_area = h.total_area
     trace = SolveTrace()
 
-    start, areas0 = initial_polyhedron(directions)
+    start, mesh = _tangent_body(directions)
+    trace.intersections += 1
+    areas0 = mesh.face_areas
     hvec = start.support_numbers.copy()
-    mesh = _intersect_arrays(directions, hvec, check_spanning=False)
     adjacency = mesh.adjacency()
 
     ceiling = max(target.max(), areas0.max())
@@ -172,12 +185,13 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
         dt = min(dt, 1.0 - t)
         target_t = (1.0 - (t + dt)) * areas0 + (t + dt) * target
 
+        trace.jacobians += 1
         jac = area_jacobian(mesh)
         dh = _solve_kernel_free(jac, dt * (target - areas0))
         ok, h_new, mesh_new, resid = (False, None, None, np.inf)
         if np.all(np.isfinite(dh)):
             ok, h_new, mesh_new, resid = _newton_correct(
-                directions, hvec + dh, target_t, cfg, total_area)
+                directions, hvec + dh, target_t, cfg, total_area, trace)
 
         if ok:
             if mesh_new.adjacency() != adjacency:
@@ -205,28 +219,29 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     # polish: a couple of extra Newton steps push the area residual from the
     # configured tolerance down to rounding level, which the volume based
     # equality verdicts rely on
-    hvec, mesh, trace.final_residual = _polish(
-        directions, hvec, mesh, target, trace.final_residual)
+    hvec, mesh = _polish(directions, hvec, mesh, target, trace)
     return _finish(directions, hvec, mesh, trace)
 
 
-def _polish(directions, hvec, mesh, target, resid):
+def _polish(directions, hvec, mesh, target, trace):
     ceiling = target.max()
     for _ in range(3):
+        trace.jacobians += 1
         jac = area_jacobian(mesh)
         dh = _solve_kernel_free(jac, target - mesh.face_areas)
         if not np.all(np.isfinite(dh)):
             break
+        trace.intersections += 1
         try:
             mesh_new = _intersect_arrays(directions, hvec + dh,
                                          check_spanning=False)
         except DegenerateBody:
             break
         resid_new = float(np.abs(target - mesh_new.face_areas).max()) / ceiling
-        if resid_new >= resid:
+        if resid_new >= trace.final_residual:
             break
-        hvec, mesh, resid = hvec + dh, mesh_new, resid_new
-    return hvec, mesh, resid
+        hvec, mesh, trace.final_residual = hvec + dh, mesh_new, resid_new
+    return hvec, mesh
 
 
 def _finish(directions, hvec, mesh, trace):

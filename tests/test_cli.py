@@ -36,6 +36,14 @@ class TestConstruct:
         mesh = import_off(out.read_text())
         assert mesh.face_count == 10
 
+    def test_trace_reports_solve_counters(self, tmp_path, capsys):
+        code, stdout, _ = run(capsys, "construct", DATA / "cube.her",
+                              "-o", tmp_path / "c.off", "--trace")
+        assert code == 0
+        trace = json.loads(stdout)
+        assert trace["intersections"] >= 1 + trace["steps_taken"]
+        assert trace["jacobians"] >= trace["steps_taken"]
+
     def test_custom_step_and_tolerance(self, tmp_path, capsys):
         out = tmp_path / "ico.off"
         code, _, _ = run(capsys, "construct", DATA / "icosahedron.her",

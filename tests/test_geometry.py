@@ -134,11 +134,18 @@ class TestIntersectHalfspaces:
 
 
 def corner_cases():
-    """Cube plus a diagonal plane that misses it, touches one corner only,
-    and would be outside the least-squares point of the planes."""
-    dirs = np.vstack([AXES[:3], [unit((1, 1, 1))], AXES[3:]])
-    return [(dirs, np.array([1, 1, 1, h, 1, 1, 1], float))
-            for h in (10.0, np.sqrt(3.0), np.sqrt(3.0) - 0.3)]
+    """Cube plus a diagonal plane as face 3: one that misses it, touches one
+    corner only, slices a corner off, touches an edge only, and sits 1e-12
+    inside that edge.  The first would be outside the least-squares point of
+    the planes."""
+    cases = []
+    for normal, offset in [((1, 1, 1), 10.0), ((1, 1, 1), np.sqrt(3.0)),
+                           ((1, 1, 1), np.sqrt(3.0) - 0.3),
+                           ((1, 1, 0), np.sqrt(2.0)),
+                           ((1, 1, 0), np.sqrt(2.0) - 1e-12)]:
+        dirs = np.vstack([AXES[:3], [unit(normal)], AXES[3:]])
+        cases.append((dirs, np.array([1, 1, 1, offset, 1, 1, 1])))
+    return cases
 
 
 def jittered_case(seed):
@@ -169,11 +176,36 @@ class TestIntersectionAgainstEnumeration:
         assert_same_mesh(_intersect_arrays(dirs, offsets),
                          enumerate_intersection(dirs, offsets))
 
-    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("case", range(5))
     def test_untouched_and_corner_planes(self, case):
         dirs, offsets = corner_cases()[case]
         assert_same_mesh(_intersect_arrays(dirs, offsets),
                          enumerate_intersection(dirs, offsets))
+
+    @pytest.mark.parametrize("case", [0, 1, 3, 4])
+    def test_plane_without_a_face_stays_empty(self, case):
+        # a plane that misses the cube, touches it at a vertex or an edge,
+        # or cuts off a sliver below the merge tolerance has no face
+        dirs, offsets = corner_cases()[case]
+        mesh = _intersect_arrays(dirs, offsets)
+        assert mesh.faces[3] == [] and mesh.face_areas[3] == 0.0
+        assert (len(mesh.vertices), len(mesh.edge_lengths),
+                mesh.face_count) == (8, 12, 6)
+        validate_mesh(mesh)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_volume_with_absent_faces(self, case):
+        mesh = _intersect_arrays(*corner_cases()[case])
+        assert volume(mesh) == pytest.approx(divergence_volume(mesh),
+                                             rel=1e-12)
+        h = mesh.face_support_numbers()
+        for j, cyc in enumerate(mesh.faces):
+            if cyc:
+                assert h[j] == pytest.approx(
+                    mesh.vertices[cyc].mean(axis=0) @ mesh.face_normals[j],
+                    rel=1e-12, abs=1e-12 * mesh.scale)
+            else:
+                assert np.isnan(h[j])
 
     def test_vertices_split_by_rounding_are_merged(self):
         # five planes meet at each vertex; rounding the normals splits each

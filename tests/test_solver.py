@@ -105,6 +105,18 @@ class TestContinuationSolve:
         assert np.allclose(mesh.face_areas, 4.0, rtol=1e-12)
         assert volume(mesh) == pytest.approx(8.0, rel=1e-9)
 
+    def test_own_tangent_body_takes_one_intersection(self):
+        _, _, trace = continuation_solve(cube_herisson(4.0))
+        assert (trace.steps_taken, trace.intersections,
+                trace.jacobians) == (0, 1, 0)
+
+    def test_counters_cover_every_step(self):
+        _, _, trace = continuation_solve(grunbaum_herisson())
+        # after the tangent body, each accepted step costs the predictor's
+        # Jacobian and at least one corrector intersection
+        assert trace.jacobians >= trace.steps_taken > 0
+        assert trace.intersections >= trace.steps_taken + 1
+
     def test_icosahedron_reconstruction(self):
         from helpers import divergence_volume
         h = icosahedron_herisson(5.0)
