@@ -11,6 +11,7 @@ validation error, 2 an inequality check failed, 3 unexpected fuzz failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -63,13 +64,7 @@ def _load_face_data(path):
 
 
 def _dump_trace(trace):
-    _dump({"steps_taken": trace.steps_taken,
-           "dt_history": trace.dt_history,
-           "residual_history": trace.residual_history,
-           "final_residual": trace.final_residual,
-           "combinatorial_changes": trace.combinatorial_changes,
-           "intersections": trace.intersections,
-           "jacobians": trace.jacobians})
+    _dump(dataclasses.asdict(trace))
 
 
 def _cmd_construct(args):

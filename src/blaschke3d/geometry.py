@@ -45,8 +45,8 @@ def unit(v):
 
 
 def _cross(a, b):
-    """Row-wise cross product of (n, 3) arrays; np.cross has heavy call
-    overhead for the small arrays used here."""
+    """Row-wise cross product of (n, 3) arrays; NumPy's cross has heavy
+    call overhead for the small arrays used here."""
     return np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
                      a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
                      a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=1)
@@ -267,12 +267,14 @@ def _merge_close(points, tol):
 def _interior_point(D, h):
     """A point strictly inside {x : D x <= h} and its slack h - D x.
 
-    The least-squares point of the planes is used when its slack is
-    comfortably positive, otherwise the centre of the largest inscribed ball
-    (a linear program, posed about the least-squares point in units of its
-    largest slack so that solver tolerances are relative to the body).
+    The least-squares point of the planes (solved from the 3x3 normal
+    equations; D^T D is invertible as the directions span 3-space) is used
+    when its slack is comfortably positive, otherwise the centre of the
+    largest inscribed ball (a linear program, posed about the least-squares
+    point in units of its largest slack so that solver tolerances are
+    relative to the body).
     """
-    c = np.linalg.lstsq(D, h, rcond=None)[0]
+    c = np.linalg.solve(D.T @ D, D.T @ h)
     slack = h - D @ c
     median = float(np.median(slack))
     if median > 0.0 and slack.min() > _CENTRE_SLACK * median:
@@ -395,17 +397,23 @@ def vector_area_residual(p: MeshPolyhedron):
     return (p.face_areas[:, None] * p.face_normals).sum(axis=0)
 
 
+def _edge_arrays(p: MeshPolyhedron):
+    """The edges of `p` as arrays: the face indices i and j of each edge, its
+    length, and the sine and cosine of the angle between the two normals."""
+    n = len(p.edge_lengths)
+    i, j = np.fromiter(chain.from_iterable(p.edge_lengths), np.intp,
+                       2 * n).reshape(n, 2).T
+    lengths = np.fromiter(p.edge_lengths.values(), float, n)
+    ni, nj = p.face_normals[i], p.face_normals[j]
+    sin = np.linalg.norm(_cross(ni, nj), axis=1)
+    cos = (ni * nj).sum(axis=1)
+    return i, j, lengths, sin, cos
+
+
 def integral_mean_curvature(p: MeshPolyhedron) -> float:
     """Half the sum over edges of edge length times exterior dihedral angle
     (which for adjacent outward normals is just the angle between them)."""
-    if not p.edge_lengths:
-        return 0.0
-    pairs = np.array(list(p.edge_lengths.keys()))
-    lengths = np.array(list(p.edge_lengths.values()))
-    ni = p.face_normals[pairs[:, 0]]
-    nj = p.face_normals[pairs[:, 1]]
-    sin = np.linalg.norm(np.cross(ni, nj), axis=1)
-    cos = (ni * nj).sum(axis=1)
+    _, _, lengths, sin, cos = _edge_arrays(p)
     return 0.5 * float(lengths @ np.arctan2(sin, cos))
 
 

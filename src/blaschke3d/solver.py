@@ -5,9 +5,11 @@ easy instance (all support numbers 1, a body circumscribing the unit sphere)
 to the prescribed areas.  Each step predicts a support-number update through
 the area Jacobian and corrects it with Newton iterations on the same matrix;
 the boundary complex is recomputed from scratch after every update, so faces
-and edges may appear or disappear freely along the way.  The linear systems
-have a three-dimensional translation kernel; minimum-norm least-squares
-solutions keep the updates orthogonal to it.
+and edges may appear or disappear freely along the way.  The area Jacobian
+is symmetric, and wherever every face has positive area its kernel is
+exactly the three-dimensional space of translations (Alexandrov's
+mixed-volume lemma); one LU solve of the Jacobian plus a term that pins that
+kernel gives the update orthogonal to it.
 """
 from __future__ import annotations
 
@@ -17,13 +19,11 @@ import numpy as np
 
 from .errors import (DegenerateAngle, DegenerateBody, NewtonDivergence,
                      OracleFailed, StepSizeUnderflow)
-from .geometry import (MeshPolyhedron, SupportPolyhedron, _intersect_arrays,
-                       check_positive_spanning, intersect_halfspaces)
+from .geometry import (MeshPolyhedron, SupportPolyhedron, _edge_arrays,
+                       _intersect_arrays, check_positive_spanning,
+                       intersect_halfspaces)
 from .herisson import Herisson
 
-# Singular values below this fraction of the largest are treated as the
-# translation kernel (or a combinatorial-transition null direction).
-_LSTSQ_RCOND = 1e-10
 # A face whose area drops below this fraction of the total target area is
 # treated as collapsing; the step is retried at half size.
 _COLLAPSE_FRACTION = 1e-12
@@ -54,6 +54,10 @@ class SolveTrace:
     step; each entry is below the Newton tolerance by construction.
     `intersections` and `jacobians` count the half-space intersections and
     area Jacobians computed, over accepted and rejected steps alike.
+    `rejections` counts the rejected step attempts by cause: "diverged" (a
+    non-finite update), "stalled" (no convergence within the iteration
+    budget), "collapse" (a face area below the collapse floor) and
+    "degenerate" (the intersection lost its interior).
     """
 
     steps_taken: int = 0
@@ -63,6 +67,8 @@ class SolveTrace:
     combinatorial_changes: int = 0
     intersections: int = 0
     jacobians: int = 0
+    rejections: dict = field(default_factory=lambda: dict.fromkeys(
+        ("diverged", "stalled", "collapse", "degenerate"), 0))
 
 
 def initial_polyhedron(directions):
@@ -98,34 +104,40 @@ def area_jacobian(p: MeshPolyhedron) -> np.ndarray:
     jac = np.zeros((k, k))
     if not p.edge_lengths:
         return jac
-    pairs = np.array(list(p.edge_lengths.keys()))
-    lengths = np.array(list(p.edge_lengths.values()))
-    i, j = pairs[:, 0], pairs[:, 1]
-    ni, nj = p.face_normals[i], p.face_normals[j]
-    sin = np.linalg.norm(np.cross(ni, nj), axis=1)
+    i, j, lengths, sin, cos = _edge_arrays(p)
     if sin.min() < 1e-9:
         worst = int(np.argmin(sin))
         raise DegenerateAngle(f"adjacent faces {i[worst]},{j[worst]} are "
                               "parallel within 1e-9 rad")
-    cos = (ni * nj).sum(axis=1)
     jac[i, j] = lengths / sin
     jac[j, i] = lengths / sin
-    np.subtract.at(jac, (i, i), lengths * cos / sin)
-    np.subtract.at(jac, (j, j), lengths * cos / sin)
+    diag = lengths * cos / sin
+    jac.flat[::k + 1] = -(np.bincount(i, diag, k) + np.bincount(j, diag, k))
     return jac
 
 
-def _solve_kernel_free(jac, rhs):
-    """Minimum-norm least-squares solution, orthogonal to the kernel."""
-    sol, _, _, _ = np.linalg.lstsq(jac, rhs, rcond=_LSTSQ_RCOND)
-    return sol
+def _solve_kernel_free(jac, rhs, directions):
+    """The solution of jac x = rhs orthogonal to the translations D v.
+
+    `jac` is an area Jacobian with every face present, so its kernel is
+    exactly the translations.  The term s D D^T acts only on that kernel and
+    makes the matrix invertible; for a closed right-hand side (D^T rhs = 0)
+    the solution of the sum is the minimum-norm least-squares solution of
+    jac x = rhs.  s = max |jac| keeps the solve scale-equivariant.  A
+    singular sum gives NaN, which the callers reject as a diverged update.
+    """
+    pinned = jac + np.abs(jac).max() * (directions @ directions.T)
+    try:
+        return np.linalg.solve(pinned, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(len(rhs), np.nan)
 
 
 def _newton_correct(directions, h, target, cfg, total_area, trace):
     """Newton-iterate the support numbers until the face areas match
-    `target`.  Returns (converged, h, mesh, relative residual); any
-    non-finite iterate, degenerate body or collapsing face reports failure
-    so the caller can shrink the step."""
+    `target`.  Returns (cause, h, mesh, relative residual): cause is None on
+    convergence, otherwise why the caller should shrink the step, one of
+    the `SolveTrace.rejections` keys."""
     floor = _COLLAPSE_FRACTION * total_area
     ceiling = target.max()
     for _ in range(cfg.max_newton_iters + 1):
@@ -133,20 +145,20 @@ def _newton_correct(directions, h, target, cfg, total_area, trace):
         try:
             mesh = _intersect_arrays(directions, h, check_spanning=False)
         except DegenerateBody:
-            return False, h, None, np.inf
+            return "degenerate", h, None, np.inf
         areas = mesh.face_areas
         if areas.min() < floor:
-            return False, h, mesh, np.inf
+            return "collapse", h, mesh, np.inf
         resid = float(np.abs(target - areas).max())
         if resid <= cfg.newton_tol * ceiling:
-            return True, h, mesh, resid / ceiling
+            return None, h, mesh, resid / ceiling
         trace.jacobians += 1
         jac = area_jacobian(mesh)
-        dh = _solve_kernel_free(jac, target - areas)
+        dh = _solve_kernel_free(jac, target - areas, directions)
         if not np.all(np.isfinite(dh)):
-            return False, h, mesh, np.inf
+            return "diverged", h, mesh, np.inf
         h = h + dh
-    return False, h, mesh, resid / ceiling
+    return "stalled", h, mesh, resid / ceiling
 
 
 def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
@@ -177,7 +189,6 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     t = 0.0
     dt = cfg.dt_initial
     attempts = 0
-    bad_mode = None
     while t < 1.0 - 1e-15:
         attempts += 1
         if attempts > cfg.max_steps:
@@ -187,13 +198,14 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
 
         trace.jacobians += 1
         jac = area_jacobian(mesh)
-        dh = _solve_kernel_free(jac, dt * (target - areas0))
-        ok, h_new, mesh_new, resid = (False, None, None, np.inf)
-        if np.all(np.isfinite(dh)):
-            ok, h_new, mesh_new, resid = _newton_correct(
+        dh = _solve_kernel_free(jac, dt * (target - areas0), directions)
+        predicted = bool(np.all(np.isfinite(dh)))
+        cause = "diverged"
+        if predicted:
+            cause, h_new, mesh_new, resid = _newton_correct(
                 directions, hvec + dh, target_t, cfg, total_area, trace)
 
-        if ok:
+        if cause is None:
             if mesh_new.adjacency() != adjacency:
                 trace.combinatorial_changes += 1
                 adjacency = mesh_new.adjacency()
@@ -206,14 +218,14 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
             # the corrector makes large steps safe once the march is going;
             # halving below still handles the hard stretches
             dt = min(dt * 2.0, max(cfg.dt_initial, 0.125))
-            bad_mode = None
         else:
-            bad_mode = "diverged" if not np.all(np.isfinite(dh)) else "stalled"
+            trace.rejections[cause] += 1
             dt *= 0.5
             if dt < cfg.dt_min:
-                err = (NewtonDivergence if bad_mode == "diverged"
-                       else StepSizeUnderflow)
-                raise err(f"correction {bad_mode} at t={t:.6f} with step "
+                # a failed predictor is a divergence; a failed corrector
+                # means the step is too long
+                err = StepSizeUnderflow if predicted else NewtonDivergence
+                raise err(f"correction {cause} at t={t:.6f} with step "
                           f"below {cfg.dt_min}", trace=trace)
 
     # polish: a couple of extra Newton steps push the area residual from the
@@ -228,7 +240,7 @@ def _polish(directions, hvec, mesh, target, trace):
     for _ in range(3):
         trace.jacobians += 1
         jac = area_jacobian(mesh)
-        dh = _solve_kernel_free(jac, target - mesh.face_areas)
+        dh = _solve_kernel_free(jac, target - mesh.face_areas, directions)
         if not np.all(np.isfinite(dh)):
             break
         trace.intersections += 1

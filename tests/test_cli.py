@@ -43,6 +43,8 @@ class TestConstruct:
         trace = json.loads(stdout)
         assert trace["intersections"] >= 1 + trace["steps_taken"]
         assert trace["jacobians"] >= trace["steps_taken"]
+        assert trace["rejections"] == {"collapse": 0, "degenerate": 0,
+                                       "diverged": 0, "stalled": 0}
 
     def test_custom_step_and_tolerance(self, tmp_path, capsys):
         out = tmp_path / "ico.off"
@@ -161,6 +163,12 @@ class TestFuzz:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_up_to_48_faces(self, capsys):
+        code, stdout, _ = run(capsys, "fuzz", "--trials", "10",
+                              "--faces-max", "48", "--seed", "0")
+        assert code == 0
+        assert json.loads(stdout)["unexpected_failures"] == []
 
     def test_expected_failures_exit_zero(self, capsys):
         code, stdout, _ = run(capsys, "fuzz", "--trials", "2", "--seed", "3",

@@ -7,8 +7,9 @@ from blaschke3d.bodies import (box_mesh, cube_mesh, icosahedron_directions,
                                icosphere_mesh, tetrahedron_mesh)
 from blaschke3d.errors import DegenerateBody, UnboundedRegion
 from blaschke3d.geometry import (MeshPolyhedron, SupportPolyhedron,
-                                 _intersect_arrays, contains_by_translation,
-                                 convex_hull, integral_mean_curvature,
+                                 _interior_point, _intersect_arrays,
+                                 contains_by_translation, convex_hull,
+                                 integral_mean_curvature,
                                  intersect_halfspaces, support_value, unit,
                                  validate_mesh, vector_area_residual, volume)
 
@@ -215,6 +216,17 @@ class TestIntersectionAgainstEnumeration:
         mesh = _intersect_arrays(dirs, np.ones(20))
         assert (len(mesh.vertices), len(mesh.edge_lengths)) == (12, 30)
         assert_same_mesh(mesh, enumerate_intersection(dirs, np.ones(20)))
+
+    def test_centre_is_the_least_squares_point(self):
+        # every case except the untouched plane keeps the least-squares point
+        cases = [jittered_case(seed) for seed in range(30)]
+        cases += corner_cases()[1:]
+        for dirs, offsets in cases:
+            c, slack = _interior_point(dirs, offsets)
+            ref = np.linalg.lstsq(dirs, offsets, rcond=None)[0]
+            scale = _intersect_arrays(dirs, offsets).scale
+            assert np.abs(c - ref).max() <= 1e-12 * scale
+            np.testing.assert_array_equal(slack, offsets - dirs @ c)
 
     def test_a_corner_case_needs_the_chebyshev_centre(self):
         # the least-squares point of the planes lies outside the body

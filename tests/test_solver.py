@@ -9,9 +9,9 @@ from blaschke3d.geometry import (SupportPolyhedron, intersect_halfspaces,
                                  validate_mesh, volume)
 from blaschke3d.herisson import (blaschke_scale, herisson_of_mesh,
                                  random_herisson)
-from blaschke3d.solver import (ContinuationConfig, area_jacobian,
-                               continuation_solve, initial_polyhedron,
-                               oracle_solve_small)
+from blaschke3d.solver import (ContinuationConfig, _solve_kernel_free,
+                               area_jacobian, continuation_solve,
+                               initial_polyhedron, oracle_solve_small)
 
 from helpers import centered, random_tangent_mesh, vertex_sets_match
 
@@ -96,6 +96,43 @@ class TestAreaJacobian:
         shifted = sol + mesh.face_normals @ np.array([0.3, -0.1, 0.7])
         assert np.linalg.norm(jac @ shifted - rhs) <= \
             1e-8 * max(1.0, np.linalg.norm(rhs))
+
+
+def closed_rhs(directions, seed):
+    """A random right-hand side with zero vector sum, sum_j r_j n_j = 0."""
+    r = np.random.default_rng(seed).standard_normal(len(directions))
+    return r - directions @ np.linalg.solve(directions.T @ directions,
+                                            directions.T @ r)
+
+
+class TestSolveKernelFree:
+    @pytest.mark.parametrize("k", [6, 12, 48])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_minimum_norm_least_squares(self, k, seed):
+        mesh = random_tangent_mesh(k, seed, jitter=0.05)
+        jac, d = area_jacobian(mesh), mesh.face_normals
+        rhs = closed_rhs(d, seed)
+        sol = _solve_kernel_free(jac, rhs, d)
+        ref = np.linalg.lstsq(jac, rhs, rcond=1e-10)[0]
+        assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+        # orthogonal to the translations
+        assert np.abs(d.T @ sol).max() <= 1e-12 * np.abs(sol).max()
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+    def test_scale_equivariant(self, s):
+        mesh = random_tangent_mesh(12, 5, jitter=0.05)
+        jac, d = area_jacobian(mesh), mesh.face_normals
+        rhs = closed_rhs(d, 5)
+        sol = _solve_kernel_free(jac, rhs, d)
+        np.testing.assert_allclose(_solve_kernel_free(s * jac, rhs, d),
+                                   sol / s, rtol=1e-12)
+
+    def test_singular_system_gives_nan(self):
+        # a Jacobian with zero rows (here all: a body without edges) leaves
+        # the pinned matrix singular; the caller sees a non-finite update
+        d = random_tangent_mesh(6, 0).face_normals
+        sol = _solve_kernel_free(np.zeros((6, 6)), closed_rhs(d, 0), d)
+        assert sol.shape == (6,) and not np.isfinite(sol).any()
 
 
 class TestContinuationSolve:
@@ -203,6 +240,21 @@ class TestContinuationSolve:
         with pytest.raises(StepSizeUnderflow) as err:
             continuation_solve(random_herisson(8, 71), cfg)
         assert err.value.trace is not None
+
+    def test_rejections_count_every_rejected_attempt(self):
+        # the first attempt fails and halving it drops below dt_min, so
+        # exactly one attempt was rejected, for the cause the error names
+        cfg = ContinuationConfig(dt_initial=1.0, dt_min=1.0,
+                                 max_newton_iters=0)
+        with pytest.raises(StepSizeUnderflow) as err:
+            continuation_solve(random_herisson(8, 71), cfg)
+        trace = err.value.trace
+        assert set(trace.rejections) == {"diverged", "stalled", "collapse",
+                                         "degenerate"}
+        assert sum(trace.rejections.values()) == 1
+        assert trace.steps_taken == 0
+        (cause,) = [c for c, n in trace.rejections.items() if n]
+        assert f"correction {cause} at" in str(err.value)
 
 
 class TestOracle:
