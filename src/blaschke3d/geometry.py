@@ -7,14 +7,18 @@ edge lengths).  Each conversion is one Qhull hull (Barber, Dobkin &
 Huhdanpaa 1996).  `convex_hull` merges coplanar hull triangles into faces.
 `intersect_halfspaces` hulls the polar points of the planes and reads the
 face complex off that hull: each facet is a vertex of the body, lying on
-the three planes that span it.  Tolerances are relative to the body scale
-(bounding-box diagonal); inputs are assumed desk-scale, no exact predicates.
+the three planes that span it.  The same hull also gives the bare edge list
+of the body (`EdgeList`: face pairs and lengths, from adjacent facets),
+which is all the solver's Newton loop reads.  Tolerances are relative to
+the body scale (bounding-box diagonal); inputs are assumed desk-scale, no
+exact predicates.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull as _Qhull
@@ -298,15 +302,14 @@ def _interior_point(D, h):
     return c, slack
 
 
-def _intersect_arrays(directions, offsets, *, check_spanning=True):
-    """Core half-space intersection on raw arrays.
+def _polar_hull(directions, offsets, check_spanning):
+    """The polar hull of the half-spaces about an interior point c.
 
-    About an interior point c, the planes n_j . x = h_j become the polar
-    points n_j / (h_j - n_j . c); each facet a . y + b = 0 of their convex
-    hull is the polar of the vertex c - a / b of the body, which lies on
-    the three planes spanning the facet.  Vertex copies from coplanar polar
-    points are merged; a plane left with fewer than three distinct vertices
-    has no face.
+    The planes n_j . x = h_j become the polar points n_j / (h_j - n_j . c);
+    each facet a . y + b = 0 of their convex hull is the polar of the corner
+    c - a / b of the body, which lies on the three planes spanning the
+    facet.  Returns the directions, the slack h - D c, the hull and the
+    corners, one per facet.
     """
     D = np.asarray(directions, float)
     h = np.asarray(offsets, float)
@@ -320,12 +323,57 @@ def _intersect_arrays(directions, offsets, *, check_spanning=True):
     except QhullError as exc:
         raise DegenerateBody("degenerate half-space intersection") from exc
     corners = c - polar.equations[:, :3] / polar.equations[:, 3:]
+    return D, slack, polar, corners
+
+
+def _intersect_arrays(directions, offsets, *, check_spanning=True):
+    """Core half-space intersection on raw arrays.
+
+    The body's boundary complex read off the polar hull (`_polar_hull`):
+    corner copies from coplanar polar points are merged into one vertex, and
+    the three planes of each facet are the faces through its vertex; a
+    plane left with fewer than three distinct vertices has no face.
+    """
+    D, _, polar, corners = _polar_hull(directions, offsets, check_spanning)
     verts, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
     faces, area_vecs, edge_lengths = _assemble_faces(
         verts, polar.simplices.ravel(), np.repeat(label, 3), D)
     return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
                           face_areas=np.linalg.norm(area_vecs, axis=1),
                           edge_lengths=edge_lengths)
+
+
+class EdgeList(NamedTuple):
+    """The edges of a body as arrays: edge e joins faces i[e] < j[e] and has
+    length lengths[e]; `face_normals` holds the outward normal of every face
+    slot, present or not."""
+
+    face_normals: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    lengths: np.ndarray
+
+
+def _intersect_edges(directions, offsets):
+    """The edges of the half-space intersection, without a boundary complex.
+
+    Adjacent polar facets f and g share a polar edge {a, b}; faces a and b
+    of the body then meet along the segment between the corners of f and g.
+    Segments shorter than `MERGE_TOL` times the body scale are dropped: the
+    coplanar triangles of one polar facet have the same corner.  Returns the
+    edge list and the slack h - D c of the planes about the interior point
+    c, so that the face areas are 1/2 J slack for the area Jacobian J.
+    """
+    D, slack, polar, corners = _polar_hull(directions, offsets, False)
+    f, m = np.nonzero(polar.neighbors > np.arange(len(corners))[:, None])
+    g = polar.neighbors[f, m]
+    a = polar.simplices[f, (m + 1) % 3]
+    b = polar.simplices[f, (m + 2) % 3]
+    lengths = np.linalg.norm(corners[f] - corners[g], axis=1)
+    scale = float(np.linalg.norm(corners.max(axis=0) - corners.min(axis=0)))
+    keep = lengths > MERGE_TOL * scale
+    return EdgeList(D, np.minimum(a, b)[keep], np.maximum(a, b)[keep],
+                    lengths[keep]), slack
 
 
 def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
@@ -397,13 +445,17 @@ def vector_area_residual(p: MeshPolyhedron):
     return (p.face_areas[:, None] * p.face_normals).sum(axis=0)
 
 
-def _edge_arrays(p: MeshPolyhedron):
-    """The edges of `p` as arrays: the face indices i and j of each edge, its
-    length, and the sine and cosine of the angle between the two normals."""
-    n = len(p.edge_lengths)
-    i, j = np.fromiter(chain.from_iterable(p.edge_lengths), np.intp,
-                       2 * n).reshape(n, 2).T
-    lengths = np.fromiter(p.edge_lengths.values(), float, n)
+def _edge_arrays(p):
+    """The edges of a mesh or an `EdgeList` as arrays: the face indices i
+    and j of each edge, its length, and the sine and cosine of the angle
+    between the two normals."""
+    if isinstance(p, MeshPolyhedron):
+        n = len(p.edge_lengths)
+        i, j = np.fromiter(chain.from_iterable(p.edge_lengths), np.intp,
+                           2 * n).reshape(n, 2).T
+        lengths = np.fromiter(p.edge_lengths.values(), float, n)
+    else:
+        _, i, j, lengths = p
     ni, nj = p.face_normals[i], p.face_normals[j]
     sin = np.linalg.norm(_cross(ni, nj), axis=1)
     cos = (ni * nj).sum(axis=1)

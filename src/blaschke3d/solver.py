@@ -3,13 +3,18 @@
 The target face areas are reached by marching a homotopy parameter t from an
 easy instance (all support numbers 1, a body circumscribing the unit sphere)
 to the prescribed areas.  Each step predicts a support-number update through
-the area Jacobian and corrects it with Newton iterations on the same matrix;
-the boundary complex is recomputed from scratch after every update, so faces
-and edges may appear or disappear freely along the way.  The area Jacobian
-is symmetric, and wherever every face has positive area its kernel is
-exactly the three-dimensional space of translations (Alexandrov's
-mixed-volume lemma); one LU solve of the Jacobian plus a term that pins that
-kernel gives the update orthogonal to it.
+the area Jacobian and corrects it with Newton iterations on the same matrix.
+The area Jacobian J needs only the edges (which faces meet, and how long the
+edge is), and every Newton iteration reads them afresh off the polar hull of
+the half-space intersection, so faces and edges may appear or disappear
+freely along the way.  The face areas come from the same matrix: they are
+homogeneous of degree 2 in the support numbers h and J kills translations,
+so A = 1/2 J (h - D c) for any point c (Minkowski's mixed-volume formula).
+The boundary complex (merged vertices, face cycles) is built once per
+solve, for the returned body.  J is symmetric, and wherever every face has
+positive area its kernel is exactly the three-dimensional space of
+translations (Alexandrov's mixed-volume lemma); one LU solve of J plus a
+term that pins that kernel gives the update orthogonal to it.
 """
 from __future__ import annotations
 
@@ -19,9 +24,9 @@ import numpy as np
 
 from .errors import (DegenerateAngle, DegenerateBody, NewtonDivergence,
                      OracleFailed, StepSizeUnderflow)
-from .geometry import (MeshPolyhedron, SupportPolyhedron, _edge_arrays,
-                       _intersect_arrays, check_positive_spanning,
-                       intersect_halfspaces)
+from .geometry import (EdgeList, MeshPolyhedron, SupportPolyhedron,
+                       _edge_arrays, _intersect_arrays, _intersect_edges,
+                       check_positive_spanning, intersect_halfspaces)
 from .herisson import Herisson
 
 # A face whose area drops below this fraction of the total target area is
@@ -52,8 +57,10 @@ class SolveTrace:
 
     `residual_history` holds the relative area residual of every accepted
     step; each entry is below the Newton tolerance by construction.
+    `final_residual` is the relative area residual of the returned mesh.
     `intersections` and `jacobians` count the half-space intersections and
-    area Jacobians computed, over accepted and rejected steps alike.
+    area Jacobians computed, over accepted and rejected steps alike;
+    `intersections` includes the final build of the returned mesh.
     `rejections` counts the rejected step attempts by cause: "diverged" (a
     non-finite update), "stalled" (no convergence within the iteration
     budget), "collapse" (a face area below the collapse floor) and
@@ -89,7 +96,7 @@ def _tangent_body(directions):
     return sp, mesh
 
 
-def area_jacobian(p: MeshPolyhedron) -> np.ndarray:
+def area_jacobian(p: MeshPolyhedron | EdgeList) -> np.ndarray:
     """Derivative of the face areas with respect to the support numbers.
 
     For adjacent faces i != j the entry is l_ij / sin(angle(n_i, n_j)); the
@@ -98,13 +105,13 @@ def area_jacobian(p: MeshPolyhedron) -> np.ndarray:
     -cot(angle(n_j, n_p)) in terms of the normals (pushing a face of a cube
     outward leaves its own area unchanged, hence the zero diagonal there).
     Rows of absent faces are zero.  The matrix kills the three translation
-    vectors u_j = v . n_j.
+    vectors u_j = v . n_j.  `p` is a mesh or the edge list of a body.
     """
-    k = len(p.face_areas)
+    k = len(p.face_normals)
     jac = np.zeros((k, k))
-    if not p.edge_lengths:
-        return jac
     i, j, lengths, sin, cos = _edge_arrays(p)
+    if not len(i):
+        return jac
     if sin.min() < 1e-9:
         worst = int(np.argmin(sin))
         raise DegenerateAngle(f"adjacent faces {i[worst]},{j[worst]} are "
@@ -123,9 +130,13 @@ def _solve_kernel_free(jac, rhs, directions):
     exactly the translations.  The term s D D^T acts only on that kernel and
     makes the matrix invertible; for a closed right-hand side (D^T rhs = 0)
     the solution of the sum is the minimum-norm least-squares solution of
-    jac x = rhs.  s = max |jac| keeps the solve scale-equivariant.  A
-    singular sum gives NaN, which the callers reject as a diverged update.
+    jac x = rhs.  s = max |jac| keeps the solve scale-equivariant.  A face
+    without edges (a zero row) adds a fourth kernel direction, so the sum
+    is singular; that case, like any singular sum LU detects, gives NaN,
+    which the callers reject as a diverged update.
     """
+    if not jac.any(axis=1).all():
+        return np.full(len(rhs), np.nan)
     pinned = jac + np.abs(jac).max() * (directions @ directions.T)
     try:
         return np.linalg.solve(pinned, rhs)
@@ -133,32 +144,43 @@ def _solve_kernel_free(jac, rhs, directions):
         return np.full(len(rhs), np.nan)
 
 
+def _area_state(directions, h, trace):
+    """Edge list, area Jacobian and face areas of the body with support
+    numbers h, from one half-space intersection: the areas are
+    1/2 J (h - D c), as they are homogeneous of degree 2 in h and J kills
+    the translations."""
+    trace.intersections += 1
+    edges, slack = _intersect_edges(directions, h)
+    trace.jacobians += 1
+    jac = area_jacobian(edges)
+    return edges, jac, 0.5 * (jac @ slack)
+
+
 def _newton_correct(directions, h, target, cfg, total_area, trace):
     """Newton-iterate the support numbers until the face areas match
-    `target`.  Returns (cause, h, mesh, relative residual): cause is None on
-    convergence, otherwise why the caller should shrink the step, one of
-    the `SolveTrace.rejections` keys."""
+    `target`.  Every iteration reads the edges off the polar hull and takes
+    the areas as 1/2 J (h - D c) (`_area_state`); no boundary complex is
+    built.  Returns (cause, h, (edges, jac, areas), relative residual):
+    cause is None on convergence, otherwise why the caller should shrink
+    the step, one of the `SolveTrace.rejections` keys."""
     floor = _COLLAPSE_FRACTION * total_area
     ceiling = target.max()
     for _ in range(cfg.max_newton_iters + 1):
-        trace.intersections += 1
         try:
-            mesh = _intersect_arrays(directions, h, check_spanning=False)
+            state = _area_state(directions, h, trace)
         except DegenerateBody:
             return "degenerate", h, None, np.inf
-        areas = mesh.face_areas
+        _, jac, areas = state
         if areas.min() < floor:
-            return "collapse", h, mesh, np.inf
+            return "collapse", h, state, np.inf
         resid = float(np.abs(target - areas).max())
         if resid <= cfg.newton_tol * ceiling:
-            return None, h, mesh, resid / ceiling
-        trace.jacobians += 1
-        jac = area_jacobian(mesh)
+            return None, h, state, resid / ceiling
         dh = _solve_kernel_free(jac, target - areas, directions)
         if not np.all(np.isfinite(dh)):
-            return "diverged", h, mesh, np.inf
+            return "diverged", h, state, np.inf
         h = h + dh
-    return "stalled", h, mesh, resid / ceiling
+    return "stalled", h, state, resid / ceiling
 
 
 def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
@@ -179,13 +201,15 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     trace.intersections += 1
     areas0 = mesh.face_areas
     hvec = start.support_numbers.copy()
-    adjacency = mesh.adjacency()
 
     ceiling = max(target.max(), areas0.max())
     if np.abs(target - areas0).max() <= cfg.newton_tol * ceiling:
         trace.final_residual = float(np.abs(target - areas0).max()) / ceiling
         return _finish(directions, hvec, mesh, trace)
 
+    adjacency = mesh.adjacency()
+    trace.jacobians += 1
+    jac = area_jacobian(mesh)
     t = 0.0
     dt = cfg.dt_initial
     attempts = 0
@@ -196,20 +220,20 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
         dt = min(dt, 1.0 - t)
         target_t = (1.0 - (t + dt)) * areas0 + (t + dt) * target
 
-        trace.jacobians += 1
-        jac = area_jacobian(mesh)
         dh = _solve_kernel_free(jac, dt * (target - areas0), directions)
         predicted = bool(np.all(np.isfinite(dh)))
         cause = "diverged"
         if predicted:
-            cause, h_new, mesh_new, resid = _newton_correct(
+            cause, h_new, state, resid = _newton_correct(
                 directions, hvec + dh, target_t, cfg, total_area, trace)
 
         if cause is None:
-            if mesh_new.adjacency() != adjacency:
+            edges, jac, areas = state
+            adjacency_new = frozenset(zip(edges.i.tolist(), edges.j.tolist()))
+            if adjacency_new != adjacency:
                 trace.combinatorial_changes += 1
-                adjacency = mesh_new.adjacency()
-            hvec, mesh = h_new, mesh_new
+                adjacency = adjacency_new
+            hvec = h_new
             t += dt
             trace.steps_taken += 1
             trace.dt_history.append(dt)
@@ -231,29 +255,37 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     # polish: a couple of extra Newton steps push the area residual from the
     # configured tolerance down to rounding level, which the volume based
     # equality verdicts rely on
-    hvec, mesh = _polish(directions, hvec, mesh, target, trace)
+    hvec = _polish(directions, hvec, jac, areas, target, trace)
+    # the one boundary complex of the march: the returned body's.  Its
+    # vertex merge moves the areas of faces with edges below the merge
+    # tolerance (the edge list drops those edges instead), so the reported
+    # residual is taken from its own areas
+    trace.intersections += 1
+    mesh = _intersect_arrays(directions, hvec, check_spanning=False)
+    trace.final_residual = float(np.abs(target - mesh.face_areas).max()) \
+        / target.max()
     return _finish(directions, hvec, mesh, trace)
 
 
-def _polish(directions, hvec, mesh, target, trace):
-    ceiling = target.max()
+def _polish(directions, hvec, jac, areas, target, trace):
+    """Up to three more Newton steps from the accepted support numbers (with
+    area Jacobian `jac` and face areas `areas`), each kept only if it lowers
+    the residual, on edge lists as in `_newton_correct`.  Returns the final
+    support numbers."""
+    resid = np.abs(target - areas).max()
     for _ in range(3):
-        trace.jacobians += 1
-        jac = area_jacobian(mesh)
-        dh = _solve_kernel_free(jac, target - mesh.face_areas, directions)
+        dh = _solve_kernel_free(jac, target - areas, directions)
         if not np.all(np.isfinite(dh)):
             break
-        trace.intersections += 1
         try:
-            mesh_new = _intersect_arrays(directions, hvec + dh,
-                                         check_spanning=False)
+            _, jac_new, areas_new = _area_state(directions, hvec + dh, trace)
         except DegenerateBody:
             break
-        resid_new = float(np.abs(target - mesh_new.face_areas).max()) / ceiling
-        if resid_new >= trace.final_residual:
+        resid_new = np.abs(target - areas_new).max()
+        if resid_new >= resid:
             break
-        hvec, mesh, trace.final_residual = hvec + dh, mesh_new, resid_new
-    return hvec, mesh
+        hvec, jac, areas, resid = hvec + dh, jac_new, areas_new, resid_new
+    return hvec
 
 
 def _finish(directions, hvec, mesh, trace):

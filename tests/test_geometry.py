@@ -8,12 +8,14 @@ from blaschke3d.bodies import (box_mesh, cube_mesh, icosahedron_directions,
 from blaschke3d.errors import DegenerateBody, UnboundedRegion
 from blaschke3d.geometry import (MeshPolyhedron, SupportPolyhedron,
                                  _interior_point, _intersect_arrays,
+                                 _intersect_edges,
                                  contains_by_translation, convex_hull,
                                  integral_mean_curvature,
                                  intersect_halfspaces, support_value, unit,
                                  validate_mesh, vector_area_residual, volume)
 
 from blaschke3d.herisson import random_herisson
+from blaschke3d.solver import area_jacobian
 from helpers import (divergence_volume, enumerate_intersection,
                      random_tangent_mesh, vertex_sets_match)
 
@@ -233,6 +235,87 @@ class TestIntersectionAgainstEnumeration:
         dirs, offsets = corner_cases()[0]
         c = np.linalg.lstsq(dirs, offsets, rcond=None)[0]
         assert (dirs @ c - offsets).max() > 0
+
+
+class TestAreasFromTheJacobian:
+    """Face areas are homogeneous of degree 2 in the support numbers h and
+    the area Jacobian J kills translations, so A = 1/2 J (h - D c) for any
+    point c; the solver's Newton loop takes its areas from this."""
+
+    @staticmethod
+    def assert_areas_from_jacobian(dirs, offsets):
+        mesh = _intersect_arrays(dirs, offsets)
+        jac = area_jacobian(mesh)
+        inside = _interior_point(dirs, offsets)[0]
+        outside = inside + np.array([0.6, -0.8, 0.0]) * mesh.scale
+        for c in (inside, outside):
+            areas = 0.5 * jac @ (offsets - dirs @ c)
+            assert np.abs(areas - mesh.face_areas).max() <= \
+                1e-12 * mesh.face_areas.max()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_jittered_bodies(self, seed):
+        self.assert_areas_from_jacobian(*jittered_case(seed))
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_corner_cases(self, case):
+        self.assert_areas_from_jacobian(*corner_cases()[case])
+
+    def test_large_tangent_body(self):
+        dirs = random_herisson(192, 4).directions
+        self.assert_areas_from_jacobian(dirs, np.ones(192))
+
+
+class TestPolarEdgeList:
+    """The edge list read off the polar hull against the boundary complex."""
+
+    @staticmethod
+    def assert_edges_match_mesh(dirs, offsets):
+        mesh = _intersect_arrays(dirs, offsets)
+        edges, slack = _intersect_edges(dirs, offsets)
+        got = dict(zip(zip(edges.i.tolist(), edges.j.tolist()),
+                       edges.lengths.tolist()))
+        assert len(got) == len(edges.lengths)
+        assert got.keys() == mesh.edge_lengths.keys()
+        for key, length in mesh.edge_lengths.items():
+            assert abs(got[key] - length) <= 1e-12 * mesh.scale
+        np.testing.assert_array_equal(
+            slack, offsets - dirs @ _interior_point(dirs, offsets)[0])
+        areas = 0.5 * area_jacobian(edges) @ slack
+        assert np.abs(areas - mesh.face_areas).max() <= \
+            1e-12 * mesh.face_areas.max()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_jittered_bodies(self, seed):
+        self.assert_edges_match_mesh(*jittered_case(seed))
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_corner_cases(self, case):
+        self.assert_edges_match_mesh(*corner_cases()[case])
+
+    def test_five_faces_at_every_vertex(self):
+        # each polar facet is a pentagon split into three triangles, whose
+        # two inner edges are body edges of length zero
+        self.assert_edges_match_mesh(icosahedron_directions(), np.ones(20))
+
+    def test_sliver_face_below_the_merge_tolerance(self):
+        # the plane 1e-12 inside the cube edge x = y = 1 cuts off a strip of
+        # length 2 and width w = sqrt(2) (2 - s), s = sqrt(2) h_3.  The
+        # boundary complex merges the strip's corners and drops the face;
+        # the edge list keeps its two long sides but drops its two ends
+        # (shorter than the merge tolerance), and with them the half of the
+        # area 1/2 sum(l d) that the ends carry (l = w, d = 1 each)
+        dirs, offsets = corner_cases()[4]
+        edges, slack = _intersect_edges(dirs, offsets)
+        areas = 0.5 * area_jacobian(edges) @ slack
+        width = np.sqrt(2.0) * (2.0 - np.sqrt(2.0) * offsets[3])
+        assert areas[3] == pytest.approx(width, rel=1e-3)
+        assert _intersect_arrays(dirs, offsets).face_areas[3] == 0.0
+        keys = set(zip(edges.i.tolist(), edges.j.tolist()))
+        assert {(0, 3), (2, 3)} <= keys and (0, 2) not in keys
+        assert not {(3, 5), (3, 6)} & keys
+        # either way the face is below the solver's collapse floor
+        assert 2 * width < 1e-12 * areas.sum()
 
 
 class TestIntersectionInvariance:

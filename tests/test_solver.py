@@ -14,6 +14,7 @@ from blaschke3d.solver import (ContinuationConfig, _solve_kernel_free,
                                initial_polyhedron, oracle_solve_small)
 
 from helpers import centered, random_tangent_mesh, vertex_sets_match
+from test_geometry import corner_cases
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
@@ -135,6 +136,25 @@ class TestSolveKernelFree:
         assert sol.shape == (6,) and not np.isfinite(sol).any()
 
 
+    @pytest.mark.parametrize("case", [0, 1, 3, 4])
+    def test_absent_face_gives_nan(self, case):
+        # a plane without a face has a zero Jacobian row, a fourth kernel
+        # direction the pinning term does not reach
+        from blaschke3d.geometry import _intersect_arrays
+        dirs, offsets = corner_cases()[case]
+        jac = area_jacobian(_intersect_arrays(dirs, offsets))
+        assert not jac[3].any()
+        sol = _solve_kernel_free(jac, closed_rhs(dirs, case), dirs)
+        assert not np.isfinite(sol).any()
+
+    def test_corner_slice_stays_finite(self):
+        from blaschke3d.geometry import _intersect_arrays
+        dirs, offsets = corner_cases()[2]
+        jac = area_jacobian(_intersect_arrays(dirs, offsets))
+        sol = _solve_kernel_free(jac, closed_rhs(dirs, 2), dirs)
+        assert np.isfinite(sol).all()
+
+
 class TestContinuationSolve:
     def test_cube_is_a_fixed_point(self):
         sp, mesh, trace = continuation_solve(cube_herisson(4.0))
@@ -153,6 +173,27 @@ class TestContinuationSolve:
         # Jacobian and at least one corrector intersection
         assert trace.jacobians >= trace.steps_taken > 0
         assert trace.intersections >= trace.steps_taken + 1
+
+    @pytest.mark.parametrize("herisson, gap", [
+        (random_herisson(48, 0), 1e-12), (random_herisson(48, 1), 1e-12),
+        (random_herisson(48, 2), 1e-12), (grunbaum_herisson(), 1e-9)],
+        ids=["k48-s0", "k48-s1", "k48-s2", "grunbaum"])
+    def test_final_residual_matches_the_returned_mesh(self, herisson, gap):
+        # the march reads its areas as 1/2 J (h - D c) off edge lists; the
+        # residual it reports must still be the returned mesh's own
+        from blaschke3d.geometry import _intersect_edges
+        sp, mesh, trace = continuation_solve(herisson)
+        resid = np.abs(herisson.areas - mesh.face_areas).max() \
+            / herisson.areas.max()
+        assert abs(trace.final_residual - resid) <= 1e-12
+        # the two area formulas agree on the solution, up to the edges
+        # below the merge tolerance: the Gruenbaum body has vertices where
+        # four or more faces meet, and the march ends with edges of about
+        # 1e-11 times the scale there, which the mesh merges away
+        edges, slack = _intersect_edges(sp.directions, sp.support_numbers)
+        areas = 0.5 * area_jacobian(edges) @ slack
+        assert np.abs(areas - mesh.face_areas).max() \
+            <= gap * mesh.face_areas.max()
 
     def test_icosahedron_reconstruction(self):
         from helpers import divergence_volume
