@@ -21,9 +21,8 @@ import numpy as np
 from . import fileio
 from .errors import NewtonDivergence, StepSizeUnderflow, ToolkitError
 from .geometry import (integral_mean_curvature, vector_area_residual, volume)
-from .herisson import herisson_of_mesh
-from .inequalities import (FuzzConfig, brunn_minkowski_check, exponent_check,
-                           fuzz_campaign, kneser_suss_check,
+from .inequalities import (FuzzConfig, _Body, brunn_minkowski_check,
+                           exponent_check, fuzz_campaign, kneser_suss_check,
                            monotonicity_check, sum_comparison_check)
 from .solver import ContinuationConfig, continuation_solve
 from .sums import blaschke_sum_bodies, minkowski_sum
@@ -42,25 +41,17 @@ def _solver_config(args):
     return ContinuationConfig(**kw)
 
 
-def _load_herisson(path):
-    return fileio.parse_herisson_file(Path(path).read_text())
+def _load_input(path):
+    """The face data of a .her file or the mesh of an OFF file."""
+    text = Path(path).read_text()
+    if Path(path).suffix.lower() == ".her":
+        return fileio.parse_herisson_file(text)
+    return fileio.import_off(text)
 
 
 def _load_body(path, cfg=None):
     """A mesh from an OFF file, or the reconstruction of a .her file."""
-    p = Path(path)
-    if p.suffix.lower() == ".her":
-        _, mesh, _ = continuation_solve(_load_herisson(p), cfg)
-        return mesh
-    return fileio.import_off(p.read_text())
-
-
-def _load_face_data(path):
-    """A herisson from a .her file or from the faces of an OFF mesh."""
-    p = Path(path)
-    if p.suffix.lower() == ".her":
-        return _load_herisson(p)
-    return herisson_of_mesh(fileio.import_off(p.read_text()))
+    return _Body(_load_input(path), cfg).mesh
 
 
 def _dump_trace(trace):
@@ -68,7 +59,7 @@ def _dump_trace(trace):
 
 
 def _cmd_construct(args):
-    herisson = _load_herisson(args.input)
+    herisson = fileio.parse_herisson_file(Path(args.input).read_text())
     try:
         _, mesh, trace = continuation_solve(herisson, _solver_config(args))
     except (StepSizeUnderflow, NewtonDivergence) as exc:
@@ -95,44 +86,41 @@ def _cmd_msum(args):
     return 0
 
 
+def _one_report(check):
+    def run(p, q, cfg, a):
+        report = check(p, q, cfg=cfg)
+        return report.to_dict(), not report.ok
+    return run
+
+
+def _exponent_reports(p, q, cfg, a):
+    rep4, rep5 = exponent_check(p, q, a, cfg)
+    failed = not (rep4.ok and rep5.ok)
+    return ({"power_minkowski": rep4.to_dict(),
+             "power_blaschke": rep5.to_dict(),
+             "failure_expected": failed and a < 1.0}, failed and a >= 1.0)
+
+
+# kind -> check giving its JSON output and whether it failed
+_CHECKS = {"bm": _one_report(brunn_minkowski_check),
+           "ks": _one_report(kneser_suss_check),
+           "monotone": _one_report(monotonicity_check),
+           "sumcmp": _one_report(sum_comparison_check),
+           "exponent": _exponent_reports}
+
+
 def _cmd_check(args):
-    cfg = _solver_config(args)
-    if args.kind == "bm":
-        report = brunn_minkowski_check(_load_body(args.a, cfg),
-                                       _load_body(args.b, cfg))
-        out, failed = report.to_dict(), not report.ok
-    elif args.kind == "ks":
-        report = kneser_suss_check(_load_body(args.a, cfg),
-                                   _load_body(args.b, cfg), cfg)
-        out, failed = report.to_dict(), not report.ok
-    elif args.kind == "monotone":
-        report = monotonicity_check(_load_face_data(args.a),
-                                    _load_face_data(args.b), cfg)
-        out, failed = report.to_dict(), not report.ok
-    elif args.kind == "sumcmp":
-        report = sum_comparison_check(_load_body(args.a, cfg),
-                                      _load_body(args.b, cfg), cfg)
-        out, failed = report.to_dict(), not report.ok
-    else:  # exponent
-        rep4, rep5 = exponent_check(_load_body(args.a, cfg),
-                                    _load_body(args.b, cfg), args.a_exp, cfg)
-        expected = args.a_exp < 1.0
-        failed = not (rep4.ok and rep5.ok)
-        out = {"power_minkowski": rep4.to_dict(),
-               "power_blaschke": rep5.to_dict(),
-               "failure_expected": expected and failed}
-        if expected:
-            failed = False
+    out, failed = _CHECKS[args.kind](_load_input(args.a), _load_input(args.b),
+                                     _solver_config(args), args.a_exp)
     _dump(out)
     return 2 if failed else 0
 
 
 def _cmd_fuzz(args):
-    checks = tuple(args.checks.split(",")) if args.checks else \
-        ("bm", "ks", "thm71", "thm75", "thm81")
+    checks = args.checks.split(",") if args.checks else FuzzConfig.checks
     cfg = FuzzConfig(trials=args.trials, faces_min=args.faces_min,
                      faces_max=args.faces_max, seed=args.seed,
-                     checks=checks, a=args.a_exp,
+                     checks=tuple(checks), a=args.a_exp,
                      homothetic_pairs=args.homothetic)
     summary = fuzz_campaign(cfg)
     _dump(summary)
@@ -198,8 +186,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_msum)
 
     p = sub.add_parser("check", help="evaluate one inequality")
-    p.add_argument("kind",
-                   choices=["bm", "ks", "monotone", "sumcmp", "exponent"])
+    p.add_argument("kind", choices=list(_CHECKS))
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--a", dest="a_exp", type=float, default=1.0,

@@ -67,16 +67,21 @@ def as_unit_rows(directions):
     return d
 
 
+def match_directions(a, b):
+    """Per row of `a`, the nearest row of `b` within DIRECTION_TOL, or -1."""
+    gap, hit = cKDTree(b).query(a)
+    return np.where(gap <= DIRECTION_TOL, hit, -1)
+
+
 def check_distinct_directions(directions, tol=DIRECTION_TOL):
     """Raise DuplicateDirection if two rows are closer than `tol` radians."""
     d = np.asarray(directions, float)
-    diff = d[:, None, :] - d[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(dist, np.inf)
-    i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
-    if dist[i, j] < tol:
+    i, j = cKDTree(d).query_pairs(tol, output_type="ndarray").T
+    gap = np.linalg.norm(d[i] - d[j], axis=1)
+    if np.any(gap < tol):
+        n = int(np.argmin(gap))
         raise DuplicateDirection(
-            f"directions {i} and {j} coincide within {tol} rad")
+            f"directions {i[n]} and {j[n]} coincide within {tol} rad")
 
 
 def check_positive_spanning(directions):
@@ -302,7 +307,7 @@ def _interior_point(D, h):
     return c, slack
 
 
-def _polar_hull(directions, offsets, check_spanning):
+def _polar_hull(directions, offsets):
     """The polar hull of the half-spaces about an interior point c.
 
     The planes n_j . x = h_j become the polar points n_j / (h_j - n_j . c);
@@ -315,8 +320,6 @@ def _polar_hull(directions, offsets, check_spanning):
     h = np.asarray(offsets, float)
     if not np.all(np.isfinite(h)):
         raise DegenerateBody("non-finite support numbers")
-    if check_spanning:
-        check_positive_spanning(D)
     c, slack = _interior_point(D, h)
     try:
         polar = _Qhull(D / slack[:, None])
@@ -326,15 +329,16 @@ def _polar_hull(directions, offsets, check_spanning):
     return D, slack, polar, corners
 
 
-def _intersect_arrays(directions, offsets, *, check_spanning=True):
-    """Core half-space intersection on raw arrays.
+def _intersect_arrays(directions, offsets):
+    """Core half-space intersection on raw arrays, whose directions must
+    positively span 3-space (as `SupportPolyhedron` checks).
 
     The body's boundary complex read off the polar hull (`_polar_hull`):
     corner copies from coplanar polar points are merged into one vertex, and
     the three planes of each facet are the faces through its vertex; a
     plane left with fewer than three distinct vertices has no face.
     """
-    D, _, polar, corners = _polar_hull(directions, offsets, check_spanning)
+    D, _, polar, corners = _polar_hull(directions, offsets)
     verts, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
     faces, area_vecs, edge_lengths = _assemble_faces(
         verts, polar.simplices.ravel(), np.repeat(label, 3), D)
@@ -364,7 +368,7 @@ def _intersect_edges(directions, offsets):
     edge list and the slack h - D c of the planes about the interior point
     c, so that the face areas are 1/2 J slack for the area Jacobian J.
     """
-    D, slack, polar, corners = _polar_hull(directions, offsets, False)
+    D, slack, polar, corners = _polar_hull(directions, offsets)
     f, m = np.nonzero(polar.neighbors > np.arange(len(corners))[:, None])
     g = polar.neighbors[f, m]
     a = polar.simplices[f, (m + 1) % 3]
@@ -382,8 +386,7 @@ def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
     Planes that do not touch the body keep their index slot with area 0 and
     an empty cycle, so face j always corresponds to direction j.
     """
-    return _intersect_arrays(p.directions, p.support_numbers,
-                             check_spanning=True)
+    return _intersect_arrays(p.directions, p.support_numbers)
 
 
 def convex_hull(points) -> MeshPolyhedron:

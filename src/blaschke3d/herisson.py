@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import (ClosureViolation, GenerationFailed, NonPositiveArea,
                      NonPositiveScale, RankDeficient)
-from .geometry import (DIRECTION_TOL, MeshPolyhedron, as_unit_rows,
-                       check_distinct_directions)
+from .geometry import (MeshPolyhedron, as_unit_rows,
+                       check_distinct_directions, match_directions)
 
 # Residual above this fraction of the total area cannot be repaired.
 CLOSURE_REPAIR_GATE = 1e-4
@@ -80,7 +80,7 @@ def validate_herisson(entries_or_directions, areas=None) -> Herisson:
     dirs = as_unit_rows(dirs)
     if len(dirs) != len(ars):
         raise ValueError("one area per direction required")
-    check_distinct_directions(dirs, DIRECTION_TOL)
+    check_distinct_directions(dirs)
     sv = np.linalg.svd(dirs, compute_uv=False)
     if sv[-1] <= 1e-9 * sv[0]:
         raise RankDeficient("all directions lie in a plane through the origin")
@@ -120,22 +120,11 @@ def herisson_of_mesh(p: MeshPolyhedron) -> Herisson:
 def blaschke_add(a: Herisson, b: Herisson) -> Herisson:
     """Union of the direction sets; directions matching within the merge
     tolerance get the sum of the two areas, the rest keep their own."""
-    dirs = [a.directions]
-    areas = a.areas.copy()
-    extra_dirs = []
-    extra_areas = []
-    for d, f in zip(b.directions, b.areas):
-        gap = np.linalg.norm(a.directions - d, axis=1)
-        hit = int(np.argmin(gap))
-        if gap[hit] <= DIRECTION_TOL:
-            areas[hit] += f
-        else:
-            extra_dirs.append(d)
-            extra_areas.append(f)
-    if extra_dirs:
-        dirs.append(np.array(extra_dirs))
-        areas = np.concatenate([areas, extra_areas])
-    return Herisson(directions=np.vstack(dirs), areas=areas)
+    hit = match_directions(b.directions, a.directions)
+    new = hit < 0
+    areas = a.areas + np.bincount(hit[~new], b.areas[~new], a.k)
+    return Herisson(directions=np.vstack([a.directions, b.directions[new]]),
+                    areas=np.concatenate([areas, b.areas[new]]))
 
 
 def blaschke_scale(h: Herisson, t: float) -> Herisson:

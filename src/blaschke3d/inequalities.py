@@ -1,23 +1,24 @@
 """Volume inequalities for the two additions, as executable checks.
 
-Every check returns an `InequalityReport` whose verdict uses one relative
-tolerance: within the band is `equality`, above it `holds`, below it
-`fails`.  `fuzz_campaign` runs the checks over seeded random body pairs;
-failures are reported as data, never raised.
+Every check takes two bodies, as meshes or face data (herissons), and
+returns an `InequalityReport` whose verdict uses one relative tolerance:
+within the band is `equality`, above it `holds`, below it `fails`.  The
+checks and `fuzz_campaign`, which runs them over seeded random body pairs,
+share one report builder per inequality; failures are data, never raised.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PremiseViolated
-from .geometry import (DIRECTION_TOL, MeshPolyhedron, contains_by_translation,
-                       volume)
+from .geometry import contains_by_translation, match_directions, volume
 from .herisson import (Herisson, blaschke_add, blaschke_scale,
                        herisson_of_mesh, random_herisson)
 from .solver import ContinuationConfig, continuation_solve
-from .sums import blaschke_sum_bodies, minkowski_sum
+from .sums import minkowski_sum
 
 #: single relative tolerance for verdicts; the equality band equals it
 VERDICT_TOL = 1e-9
@@ -67,67 +68,110 @@ def _jsonable(v):
     return v
 
 
-def _bm_report(vol_p, vol_q, vol_mink):
-    return InequalityReport("brunn_minkowski", lhs=vol_mink ** (1.0 / 3.0),
-                            rhs=vol_p ** (1.0 / 3.0) + vol_q ** (1.0 / 3.0))
+class _Body:
+    """A body given by its mesh or by its face data (a herisson).  The other
+    form and the volume are derived on first use: face data are read off
+    the mesh, a mesh is reconstructed with the solver config."""
+
+    def __init__(self, body, cfg=None):
+        self._body, self._cfg = body, cfg
+
+    @cached_property
+    def herisson(self):
+        b = self._body
+        return b if isinstance(b, Herisson) else herisson_of_mesh(b)
+
+    @cached_property
+    def mesh(self):
+        if isinstance(self._body, Herisson):
+            return continuation_solve(self._body, self._cfg)[1]
+        return self._body
+
+    @cached_property
+    def volume(self):
+        return volume(self.mesh)
 
 
-def _ks_report(vol_p, vol_q, vol_blaschke, homothetic, ratio):
-    return InequalityReport(
-        "kneser_suss", lhs=vol_blaschke ** (2.0 / 3.0),
-        rhs=vol_p ** (2.0 / 3.0) + vol_q ** (2.0 / 3.0),
-        diagnosis={"homothetic": homothetic, "area_ratio": ratio})
+class _Pair:
+    """Bodies P and Q, their sums P+Q and P#Q (face data added), and one
+    report builder per inequality.  Each of Vol(P), Vol(Q), Vol(P+Q) and
+    Vol(P#Q) is computed at most once, when a report first reads it."""
+
+    def __init__(self, p, q, cfg=None):
+        self.p, self.q, self.cfg = _Body(p, cfg), _Body(q, cfg), cfg
+
+    @cached_property
+    def minkowski(self):
+        return _Body(minkowski_sum(self.p.mesh, self.q.mesh))
+
+    @cached_property
+    def blaschke(self):
+        return _Body(blaschke_add(self.p.herisson, self.q.herisson), self.cfg)
+
+    def _power(self, name, total, e, **diagnosis):
+        """Vol(total)^e >= Vol(P)^e + Vol(Q)^e for a sum `total` of P, Q."""
+        return InequalityReport(name, lhs=total.volume ** e,
+                                rhs=self.p.volume ** e + self.q.volume ** e,
+                                diagnosis=diagnosis)
+
+    def brunn_minkowski(self):
+        return self._power("brunn_minkowski", self.minkowski, 1.0 / 3.0)
+
+    def kneser_suss(self):
+        ratio = homothety_ratio(self.p.herisson, self.q.herisson)
+        return self._power("kneser_suss", self.blaschke, 2.0 / 3.0,
+                           homothetic=ratio is not None, area_ratio=ratio)
+
+    def monotonicity(self, big, **diagnosis):
+        """Vol(big) >= Vol(P), for a body whose face data dominate P's."""
+        return InequalityReport("volume_monotonicity", lhs=big.volume,
+                                rhs=self.p.volume, diagnosis=diagnosis)
+
+    def sum_comparison(self):
+        return InequalityReport("minkowski_vs_blaschke",
+                                lhs=self.minkowski.volume,
+                                rhs=self.blaschke.volume)
+
+    def exponent(self, a):
+        _check_exponent(a)
+        return (self._power(f"power_minkowski[a={a:g}]", self.minkowski,
+                            a / 3.0, a=a),
+                self._power(f"power_blaschke[a={a:g}]", self.blaschke,
+                            2.0 * a / 3.0, a=a))
 
 
-def _exponent_reports(vol_p, vol_q, vol_mink, vol_blaschke, a):
-    e4, e5 = a / 3.0, 2.0 * a / 3.0
-    return (InequalityReport(f"power_minkowski[a={a:g}]",
-                             lhs=vol_mink ** e4,
-                             rhs=vol_p ** e4 + vol_q ** e4,
-                             diagnosis={"a": a}),
-            InequalityReport(f"power_blaschke[a={a:g}]",
-                             lhs=vol_blaschke ** e5,
-                             rhs=vol_p ** e5 + vol_q ** e5,
-                             diagnosis={"a": a}))
+def _check_exponent(a):
+    if not 0 < a < np.inf:
+        raise ValueError(f"exponent factor a must be positive and finite: {a}")
 
 
 def homothety_ratio(ha: Herisson, hb: Herisson):
     """If the two herissons have the same directions and one common positive
     area ratio (within 1e-6 relative), return it; else None.  This is what
     `homothetic` means for bodies known by their face data."""
-    if ha.k != hb.k:
+    hit = match_directions(ha.directions, hb.directions)
+    if ha.k != hb.k or np.any(hit < 0):
         return None
-    ratios = np.empty(ha.k)
-    for idx, (d, f) in enumerate(zip(ha.directions, ha.areas)):
-        gap = np.linalg.norm(hb.directions - d, axis=1)
-        hit = int(np.argmin(gap))
-        if gap[hit] > DIRECTION_TOL:
-            return None
-        ratios[idx] = hb.areas[hit] / f
+    ratios = hb.areas[hit] / ha.areas
     mean = float(ratios.mean())
     if np.abs(ratios - mean).max() <= 1e-6 * mean:
         return mean
     return None
 
 
-def brunn_minkowski_check(p: MeshPolyhedron, q: MeshPolyhedron):
+def brunn_minkowski_check(p, q, cfg: ContinuationConfig | None = None):
     """Vol(P+Q)^(1/3) >= Vol(P)^(1/3) + Vol(Q)^(1/3)."""
-    return _bm_report(volume(p), volume(q), volume(minkowski_sum(p, q)))
+    return _Pair(p, q, cfg).brunn_minkowski()
 
 
-def kneser_suss_check(p: MeshPolyhedron, q: MeshPolyhedron,
-                      cfg: ContinuationConfig | None = None):
+def kneser_suss_check(p, q, cfg: ContinuationConfig | None = None):
     """Vol(P#Q)^(2/3) >= Vol(P)^(2/3) + Vol(Q)^(2/3), with equality exactly
     for homothetic bodies; the report's diagnosis carries the homothety
     detector so the equivalence can be cross-checked."""
-    ratio = homothety_ratio(herisson_of_mesh(p), herisson_of_mesh(q))
-    return _ks_report(volume(p), volume(q),
-                      volume(blaschke_sum_bodies(p, q, cfg)),
-                      ratio is not None, ratio)
+    return _Pair(p, q, cfg).kneser_suss()
 
 
-def monotonicity_check(hk: Herisson, hl: Herisson,
-                       cfg: ContinuationConfig | None = None):
+def monotonicity_check(hk, hl, cfg: ContinuationConfig | None = None):
     """Domination of face data implies domination of volume.
 
     Requires every direction of `hk` to appear in `hl` with at least the
@@ -135,42 +179,31 @@ def monotonicity_check(hk: Herisson, hl: Herisson,
     diagnosis also carries whether K fits inside L by translation, which may
     be false even though the volumes are ordered.
     """
-    slack = 1e-9 * hk.total_area
-    for d, f in zip(hk.directions, hk.areas):
-        gap = np.linalg.norm(hl.directions - d, axis=1)
-        hit = int(np.argmin(gap))
-        if gap[hit] > DIRECTION_TOL or hl.areas[hit] < f - slack:
-            raise PremiseViolated(
-                "dominating herisson misses or underweights direction "
-                f"{np.array2string(d, precision=6)}", direction=d)
-    _, mesh_k, _ = continuation_solve(hk, cfg)
-    _, mesh_l, _ = continuation_solve(hl, cfg)
-    fit = contains_by_translation(mesh_l, mesh_k)
-    return InequalityReport(
-        "volume_monotonicity", lhs=volume(mesh_l), rhs=volume(mesh_k),
-        diagnosis={"contains_by_translation": fit.contained,
-                   "containment_margin": fit.margin})
+    pair = _Pair(hk, hl, cfg)
+    k, l = pair.p.herisson, pair.q.herisson
+    hit = match_directions(k.directions, l.directions)
+    short = (hit < 0) | (l.areas[hit] < k.areas - 1e-9 * k.total_area)
+    if short.any():
+        d = k.directions[int(np.argmax(short))]
+        raise PremiseViolated(
+            "dominating herisson misses or underweights direction "
+            f"{np.array2string(d, precision=6)}", direction=d)
+    fit = contains_by_translation(pair.q.mesh, pair.p.mesh)
+    return pair.monotonicity(pair.q, contains_by_translation=fit.contained,
+                             containment_margin=fit.margin)
 
 
-def sum_comparison_check(p: MeshPolyhedron, q: MeshPolyhedron,
-                         cfg: ContinuationConfig | None = None):
+def sum_comparison_check(p, q, cfg: ContinuationConfig | None = None):
     """Vol(P+Q) >= Vol(P#Q): the Blaschke sum never beats the Minkowski sum
     in volume."""
-    return InequalityReport("minkowski_vs_blaschke",
-                            lhs=volume(minkowski_sum(p, q)),
-                            rhs=volume(blaschke_sum_bodies(p, q, cfg)))
+    return _Pair(p, q, cfg).sum_comparison()
 
 
-def exponent_check(p: MeshPolyhedron, q: MeshPolyhedron, a: float,
-                   cfg: ContinuationConfig | None = None):
+def exponent_check(p, q, a: float, cfg: ContinuationConfig | None = None):
     """Both basic inequalities with their exponents scaled by a > 0: they
     survive any a >= 1 and break for some bodies whenever 0 < a < 1
     (homothetic pairs already do).  Returns the two reports."""
-    if not a > 0:
-        raise ValueError("exponent factor a must be positive")
-    return _exponent_reports(volume(p), volume(q),
-                             volume(minkowski_sum(p, q)),
-                             volume(blaschke_sum_bodies(p, q, cfg)), a)
+    return _Pair(p, q, cfg).exponent(a)
 
 
 def lemma_inequality(a: float, x: float) -> bool:
@@ -182,7 +215,21 @@ def lemma_inequality(a: float, x: float) -> bool:
 
 # -- fuzz campaign -----------------------------------------------------------
 
-_ALL_CHECKS = ("bm", "ks", "thm71", "thm75", "thm81")
+_FUZZ_SOLVER = ContinuationConfig(dt_initial=0.5)
+
+
+def _relative_residual(rep):
+    return rep.residual / max(abs(rep.lhs), abs(rep.rhs), 1e-300)
+
+
+# check name -> its report on one pair, given a.  P#Q dominates P's face data
+# by construction (thm71); thm81 counts the worse of its two reports.
+_FUZZ_REPORTS = {
+    "bm": lambda pair, a: pair.brunn_minkowski(),
+    "ks": lambda pair, a: pair.kneser_suss(),
+    "thm71": lambda pair, a: pair.monotonicity(pair.blaschke),
+    "thm75": lambda pair, a: pair.sum_comparison(),
+    "thm81": lambda pair, a: min(pair.exponent(a), key=_relative_residual)}
 
 
 @dataclass(frozen=True)
@@ -195,20 +242,19 @@ class FuzzConfig:
     faces_min: int = 6
     faces_max: int = 12
     seed: int = 0
-    checks: tuple = _ALL_CHECKS
+    checks: tuple = tuple(_FUZZ_REPORTS)
     a: float = 1.5
     homothetic_pairs: bool = False
-    solver: ContinuationConfig = field(
-        default_factory=lambda: ContinuationConfig(dt_initial=0.5))
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not (4 <= self.faces_min <= self.faces_max):
             raise ValueError("need 4 <= faces_min <= faces_max")
-        unknown = set(self.checks) - set(_ALL_CHECKS)
+        unknown = set(self.checks) - set(_FUZZ_REPORTS)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
+        _check_exponent(self.a)
 
 
 def _derived_seed(seed, trial, slot):
@@ -237,43 +283,15 @@ def fuzz_campaign(cfg: FuzzConfig) -> dict:
         else:
             hq = random_herisson(kq, _derived_seed(cfg.seed, trial, 2))
 
-        _, mesh_p, _ = continuation_solve(hp, cfg.solver)
-        _, mesh_q, _ = continuation_solve(hq, cfg.solver)
-        vol_p, vol_q = volume(mesh_p), volume(mesh_q)
-        combined = blaschke_add(hp, hq)
-        _, mesh_b, _ = continuation_solve(combined, cfg.solver)
-        vol_b = volume(mesh_b)
-        vol_m = volume(minkowski_sum(mesh_p, mesh_q))
-
-        reports = {}
-        if "bm" in cfg.checks:
-            reports["bm"] = _bm_report(vol_p, vol_q, vol_m)
-        if "ks" in cfg.checks:
-            ratio = homothety_ratio(hp, hq)
-            rep = _ks_report(vol_p, vol_q, vol_b, ratio is not None, ratio)
-            reports["ks"] = rep
-            if (rep.verdict == "equality") != (ratio is not None):
+        pair = _Pair(hp, hq, _FUZZ_SOLVER)
+        for name, entry in stats.items():
+            rep = _FUZZ_REPORTS[name](pair, cfg.a)
+            if name == "ks" and \
+                    (rep.verdict == "equality") != rep.diagnosis["homothetic"]:
                 mismatches += 1
-        if "thm71" in cfg.checks:
-            # dominating data built by construction: areas(combined) >=
-            # areas(hp) direction by direction
-            reports["thm71"] = InequalityReport("volume_monotonicity",
-                                                lhs=vol_b, rhs=vol_p)
-        if "thm75" in cfg.checks:
-            reports["thm75"] = InequalityReport("minkowski_vs_blaschke",
-                                                lhs=vol_m, rhs=vol_b)
-        if "thm81" in cfg.checks:
-            rep4, rep5 = _exponent_reports(vol_p, vol_q, vol_m, vol_b, cfg.a)
-            # the pair counts once: a failure of either inequality fails it
-            worse = min((rep4, rep5), key=lambda r: r.residual
-                        / max(abs(r.lhs), abs(r.rhs), 1e-300))
-            reports["thm81"] = worse
-
-        for name, rep in reports.items():
-            entry = stats[name]
             entry[rep.verdict] += 1
-            rel = rep.residual / max(abs(rep.lhs), abs(rep.rhs), 1e-300)
-            entry["worst_residual"] = min(entry["worst_residual"], rel)
+            entry["worst_residual"] = min(entry["worst_residual"],
+                                          _relative_residual(rep))
             if rep.verdict == "fails":
                 entry["failure_seeds"].append(_derived_seed(cfg.seed, trial, 0))
 

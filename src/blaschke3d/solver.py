@@ -261,7 +261,7 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     # tolerance (the edge list drops those edges instead), so the reported
     # residual is taken from its own areas
     trace.intersections += 1
-    mesh = _intersect_arrays(directions, hvec, check_spanning=False)
+    mesh = _intersect_arrays(directions, hvec)
     trace.final_residual = float(np.abs(target - mesh.face_areas).max()) \
         / target.max()
     return _finish(directions, hvec, mesh, trace)
@@ -316,7 +316,7 @@ def oracle_solve_small(h: Herisson) -> MeshPolyhedron:
 
     def misfit(hvec):
         try:
-            mesh = _intersect_arrays(directions, hvec, check_spanning=False)
+            mesh = _intersect_arrays(directions, hvec)
         except DegenerateBody:
             return np.full(h.k, big)
         return mesh.face_areas - target
@@ -330,7 +330,7 @@ def oracle_solve_small(h: Herisson) -> MeshPolyhedron:
         res = least_squares(misfit, x0, method="trf", jac="3-point",
                             ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=4000)
         if float(np.sum(res.fun ** 2)) <= accept:
-            mesh = _intersect_arrays(directions, res.x, check_spanning=False)
+            mesh = _intersect_arrays(directions, res.x)
             return mesh.translate(-mesh.centroid)
     raise OracleFailed(
         f"no start reached the acceptance residual for k={h.k}")

@@ -130,6 +130,20 @@ class TestCheck:
         assert code == 0
         assert not json.loads(stdout)["failure_expected"]
 
+    def test_ks_reads_the_face_data_of_her_inputs(self, capsys, tmp_path):
+        # the homothety ratio comes from the files, not from reconstructions
+        from blaschke3d.fileio import format_herisson
+        from blaschke3d.herisson import blaschke_scale, random_herisson
+        h = random_herisson(8, 3)
+        small, big = tmp_path / "small.her", tmp_path / "big.her"
+        small.write_text(format_herisson(h))
+        big.write_text(format_herisson(blaschke_scale(h, 4.0)))
+        code, stdout, _ = run(capsys, "check", "ks", small, big)
+        assert code == 0
+        rep = json.loads(stdout)
+        assert rep["verdict"] == "equality"
+        assert rep["diagnosis"]["area_ratio"] == 4.0
+
     def test_monotone_accepts_her_inputs(self, capsys, tmp_path):
         box = tmp_path / "box.her"
         box.write_text("6\n1 0 0 50\n-1 0 0 50\n0 1 0 50\n0 -1 0 50\n"
@@ -142,6 +156,16 @@ class TestCheck:
         rep = json.loads(stdout)
         assert rep["verdict"] == "holds"
         assert rep["diagnosis"]["contains_by_translation"] is False
+
+    def test_monotone_accepts_off_inputs(self, capsys, tmp_path):
+        small, big = tmp_path / "small.off", tmp_path / "big.off"
+        write_cube_off(small, 1.0)
+        write_cube_off(big, 2.0)
+        code, stdout, _ = run(capsys, "check", "monotone", small, big)
+        assert code == 0
+        rep = json.loads(stdout)
+        assert rep["lhs"] == pytest.approx(8.0, rel=1e-12)
+        assert rep["diagnosis"]["contains_by_translation"] is True
 
     def test_monotone_premise_violation_exits_one(self, capsys, tmp_path):
         big = tmp_path / "big.her"
@@ -169,6 +193,14 @@ class TestFuzz:
                               "--faces-max", "48", "--seed", "0")
         assert code == 0
         assert json.loads(stdout)["unexpected_failures"] == []
+
+    @pytest.mark.parametrize("a", ["0", "-1", "nan"])
+    def test_invalid_exponent_exits_one(self, capsys, a):
+        code, stdout, err = run(capsys, "fuzz", "--trials", "2",
+                                "--checks", "bm", "--a", a)
+        assert code == 1
+        assert stdout == ""
+        assert "exponent factor" in err
 
     def test_expected_failures_exit_zero(self, capsys):
         code, stdout, _ = run(capsys, "fuzz", "--trials", "2", "--seed", "3",

@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 
 from blaschke3d.bodies import (box_mesh, cube_mesh, icosahedron_directions,
                                icosphere_mesh, tetrahedron_mesh)
-from blaschke3d.errors import DegenerateBody, UnboundedRegion
-from blaschke3d.geometry import (MeshPolyhedron, SupportPolyhedron,
-                                 _interior_point, _intersect_arrays,
-                                 _intersect_edges,
+from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
+                               UnboundedRegion)
+from blaschke3d.geometry import (DIRECTION_TOL, MeshPolyhedron,
+                                 SupportPolyhedron, _interior_point,
+                                 _intersect_arrays, _intersect_edges,
+                                 check_distinct_directions,
                                  contains_by_translation, convex_hull,
                                  integral_mean_curvature,
-                                 intersect_halfspaces, support_value, unit,
-                                 validate_mesh, vector_area_residual, volume)
+                                 intersect_halfspaces, match_directions,
+                                 support_value, unit, validate_mesh,
+                                 vector_area_residual, volume)
 
 from blaschke3d.herisson import random_herisson
 from blaschke3d.solver import area_jacobian
@@ -489,3 +492,58 @@ def test_any_closed_mesh_has_closed_vector_area(seed):
     mesh = random_tangent_mesh(k, seed, jitter=0.03)
     resid = np.linalg.norm(vector_area_residual(mesh))
     assert resid <= 1e-10 * mesh.face_areas.sum()
+
+
+def fibonacci_directions(k):
+    """k nearly uniform unit directions on a Fibonacci spiral."""
+    i = np.arange(k) + 0.5
+    z = 1.0 - 2.0 * i / k
+    r = np.sqrt(1.0 - z * z)
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * i
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def turned(d, angle):
+    """Unit direction `angle` radians away from unit direction d."""
+    side = unit(np.cross(d, [0.3, -0.5, 0.8]))
+    return np.cos(angle) * d + np.sin(angle) * side
+
+
+class TestDirectionMatching:
+    def test_nearest_row_within_tolerance(self):
+        b = fibonacci_directions(50)
+        a = np.vstack([turned(b[7], 0.1 * DIRECTION_TOL),
+                       turned(b[7], 10 * DIRECTION_TOL), b[49], -b[0]])
+        assert match_directions(a, b).tolist() == [7, -1, 49, -1]
+
+    def test_agrees_with_the_nearest_row_loop(self):
+        # the per-row argmin loop the matcher replaced, as the reference
+        rng = np.random.default_rng(11)
+        b = fibonacci_directions(60)
+        a = np.array([turned(b[j], rng.choice([0.3, 3.0]) * DIRECTION_TOL)
+                      for j in rng.integers(0, 60, 40)])
+        expect = []
+        for d in a:
+            gap = np.linalg.norm(b - d, axis=1)
+            hit = int(np.argmin(gap))
+            expect.append(hit if gap[hit] <= DIRECTION_TOL else -1)
+        assert match_directions(a, b).tolist() == expect
+        assert 0 < expect.count(-1) < len(expect)
+
+    def test_follows_a_permutation_of_the_rows(self):
+        b = fibonacci_directions(40)
+        perm = np.random.default_rng(3).permutation(40)
+        assert np.array_equal(perm[match_directions(b, b[perm])],
+                              np.arange(40))
+
+    def test_planted_duplicate_among_3072_directions_is_named(self):
+        d = fibonacci_directions(3072)
+        check_distinct_directions(d)
+        d = np.vstack([d, turned(d[1234], 1e-10)])
+        with pytest.raises(DuplicateDirection,
+                           match=r"directions 1234 and 3072 "):
+            check_distinct_directions(d)
+
+    def test_directions_one_tolerance_apart_are_distinct(self):
+        d = np.vstack([AXES, turned(AXES[2], 2 * DIRECTION_TOL)])
+        check_distinct_directions(d)

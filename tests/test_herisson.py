@@ -10,7 +10,7 @@ from blaschke3d.errors import (ClosureViolation, DuplicateDirection,
                                NonPositiveArea, NonPositiveScale,
                                RankDeficient)
 from blaschke3d.geometry import unit
-from blaschke3d.herisson import (blaschke_add, blaschke_scale,
+from blaschke3d.herisson import (Herisson, blaschke_add, blaschke_scale,
                                  herisson_of_mesh, random_herisson,
                                  validate_herisson)
 
@@ -117,6 +117,19 @@ class TestBlaschkeAdd:
         s = blaschke_add(a, b)
         assert s.k == 6
         assert np.allclose(s.areas, 4.0)
+
+    def test_permuting_the_second_operand(self):
+        # b carries all of a's directions and six new ones
+        a = random_herisson(8, 21)
+        b = blaschke_add(random_herisson(6, 22), blaschke_scale(a, 2.0))
+        perm = np.random.default_rng(5).permutation(b.k)
+        shuffled = Herisson(b.directions[perm], b.areas[perm])
+        s, t = blaschke_add(a, b), blaschke_add(a, shuffled)
+        assert s.k == t.k == 14
+        key = np.lexsort(s.directions.T)
+        again = np.lexsort(t.directions.T)
+        assert np.array_equal(s.directions[key], t.directions[again])
+        assert np.array_equal(s.areas[key], t.areas[again])
 
 
 @settings(max_examples=25, deadline=None)

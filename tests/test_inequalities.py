@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from blaschke3d.bodies import (box_herisson, box_mesh, cube_herisson,
                                cube_mesh, dodecahedron_herisson,
                                icosahedron_herisson, rotated_tetrahedron_pair)
+from blaschke3d import inequalities
 from blaschke3d.errors import PremiseViolated
 from blaschke3d.geometry import volume
-from blaschke3d.herisson import blaschke_scale, random_herisson
+from blaschke3d.herisson import (Herisson, blaschke_add, blaschke_scale,
+                                 random_herisson)
 from blaschke3d.inequalities import (FuzzConfig, InequalityReport,
                                      brunn_minkowski_check, exponent_check,
                                      fuzz_campaign, homothety_ratio,
@@ -17,6 +19,12 @@ from blaschke3d.inequalities import (FuzzConfig, InequalityReport,
 from blaschke3d.solver import ContinuationConfig, continuation_solve
 
 FAST = ContinuationConfig(dt_initial=0.5)
+
+
+def shuffled(h, seed):
+    """The same face data with the rows in a random order."""
+    perm = np.random.default_rng(seed).permutation(h.k)
+    return Herisson(h.directions[perm], h.areas[perm])
 
 
 class TestReportRules:
@@ -83,6 +91,18 @@ class TestKneserSuss:
             pytest.approx(2.5, rel=1e-12)
         assert homothety_ratio(h, random_herisson(8, 4)) is None
 
+    def test_homothety_detector_ignores_row_order(self):
+        h = random_herisson(9, 5)
+        assert homothety_ratio(h, shuffled(blaschke_scale(h, 0.4), 1)) == \
+            pytest.approx(0.4, rel=1e-12)
+        assert homothety_ratio(shuffled(h, 2), h) == pytest.approx(1.0)
+
+    def test_her_operands_use_their_own_face_data(self):
+        h = random_herisson(8, 3)
+        rep = kneser_suss_check(h, blaschke_scale(h, 4.0), FAST)
+        assert rep.verdict == "equality"
+        assert rep.diagnosis["area_ratio"] == pytest.approx(4.0, rel=1e-15)
+
     def test_equality_iff_homothety_on_random_pairs(self):
         summary = fuzz_campaign(FuzzConfig(trials=15, seed=6, checks=("ks",)))
         assert summary["checks"]["ks"]["fails"] == 0
@@ -109,6 +129,18 @@ class TestMonotonicity:
         hl = cube_herisson(2.0)
         with pytest.raises(PremiseViolated) as err:
             monotonicity_check(hk, hl, FAST)
+        assert err.value.direction is not None
+
+    def test_premise_ignores_row_order(self):
+        hk = random_herisson(7, 9)
+        hl = blaschke_add(hk, random_herisson(5, 10))
+        rep = monotonicity_check(hk, hl, FAST)
+        again = monotonicity_check(hk, shuffled(hl, 3), FAST)
+        assert again.verdict == rep.verdict == "holds"
+        assert again.rhs == rep.rhs
+        assert again.lhs == pytest.approx(rep.lhs, rel=1e-9)
+        with pytest.raises(PremiseViolated) as err:
+            monotonicity_check(hl, shuffled(hk, 4), FAST)
         assert err.value.direction is not None
 
     def test_blaschke_construction_recipe(self):
@@ -209,6 +241,13 @@ class TestFuzzCampaign:
         assert summary["unexpected_failures"] == []
         assert len(summary["checks"]["thm81"]["failure_seeds"]) == 5
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_invalid_exponent(self, a):
+        with pytest.raises(ValueError, match="exponent factor"):
+            FuzzConfig(trials=1, a=a)
+        with pytest.raises(ValueError, match="exponent factor"):
+            exponent_check(cube_mesh(1.0), cube_mesh(1.0), a)
+
     def test_scale_covariance_of_reports(self):
         lam = 2.0
         p = cube_mesh(1.0)
@@ -219,3 +258,52 @@ class TestFuzzCampaign:
         assert big.lhs == pytest.approx(lam * small.lhs, rel=1e-12)
         assert big.rhs == pytest.approx(lam * small.rhs, rel=1e-12)
         assert big.verdict == small.verdict
+
+
+class TestWorkPerPath:
+    """Each volume of a pair is computed at most once, and only when a
+    report needs it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"solve": 0, "minkowski": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(inequalities, "continuation_solve",
+                            counted("solve", inequalities.continuation_solve))
+        monkeypatch.setattr(inequalities, "minkowski_sum",
+                            counted("minkowski", inequalities.minkowski_sum))
+        return counts
+
+    def test_brunn_minkowski_on_meshes_solves_nothing(self, calls):
+        brunn_minkowski_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)))
+        assert calls == {"solve": 0, "minkowski": 1}
+
+    def test_kneser_suss_on_meshes_solves_the_sum_only(self, calls):
+        kneser_suss_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)), FAST)
+        assert calls == {"solve": 1, "minkowski": 0}
+
+    def test_monotonicity_on_meshes_solves_nothing(self, calls):
+        rep = monotonicity_check(cube_mesh(1.0), cube_mesh(2.0), FAST)
+        assert rep.lhs == pytest.approx(8.0, rel=1e-12)
+        assert calls == {"solve": 0, "minkowski": 0}
+
+    def test_exponent_check_builds_each_sum_once(self, calls):
+        exponent_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)), 0.5, FAST)
+        assert calls == {"solve": 1, "minkowski": 1}
+
+    def test_fuzz_trial_with_every_check(self, calls):
+        fuzz_campaign(FuzzConfig(trials=1, seed=4))
+        assert calls == {"solve": 3, "minkowski": 1}
+
+    def test_fuzz_trial_with_brunn_minkowski_only(self, calls):
+        fuzz_campaign(FuzzConfig(trials=1, seed=4, checks=("bm",)))
+        assert calls == {"solve": 2, "minkowski": 1}
+
+    def test_fuzz_trial_without_minkowski_sums(self, calls):
+        fuzz_campaign(FuzzConfig(trials=1, seed=4, checks=("ks", "thm71")))
+        assert calls == {"solve": 3, "minkowski": 0}
