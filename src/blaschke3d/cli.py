@@ -49,11 +49,6 @@ def _load_input(path):
     return fileio.import_off(text)
 
 
-def _load_body(path, cfg=None):
-    """A mesh from an OFF file, or the reconstruction of a .her file."""
-    return _Body(_load_input(path), cfg).mesh
-
-
 def _dump_trace(trace):
     _dump(dataclasses.asdict(trace))
 
@@ -73,15 +68,15 @@ def _cmd_construct(args):
 
 
 def _cmd_bsum(args):
-    cfg = _solver_config(args)
-    body = blaschke_sum_bodies(_load_body(args.a, cfg),
-                               _load_body(args.b, cfg), cfg)
+    body = blaschke_sum_bodies(_load_input(args.a), _load_input(args.b),
+                               _solver_config(args))
     Path(args.output).write_text(fileio.export_off(body))
     return 0
 
 
 def _cmd_msum(args):
-    body = minkowski_sum(_load_body(args.a), _load_body(args.b))
+    p, q = (_Body(_load_input(f)).mesh for f in (args.a, args.b))
+    body = minkowski_sum(p, q)
     Path(args.output).write_text(fileio.export_off(body))
     return 0
 

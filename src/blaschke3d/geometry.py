@@ -32,10 +32,10 @@ from .errors import DegenerateBody, DuplicateDirection, UnboundedRegion
 DIRECTION_TOL = 1e-9
 # Vertices closer than this, times the body scale, are one vertex.
 MERGE_TOL = 1e-9
-# The least-squares point of the planes serves as the centre of the polar
-# hull when its smallest slack is at least this fraction of the median
-# slack; otherwise the Chebyshev centre is found by a linear program.  A
-# small slack puts a polar point far out and costs Qhull precision.
+# The polar hull is centred on the origin or else on the least-squares point
+# of the planes, whichever first has its smallest slack above this fraction
+# of the median slack; failing both, on the Chebyshev centre (a linear
+# program).  A small slack puts a polar point far out and costs precision.
 _CENTRE_SLACK = 0.05
 
 
@@ -273,20 +273,33 @@ def _merge_close(points, tol):
     return _group_sums(label, points, len(count)) / count[:, None], label
 
 
+def _median(x):
+    """np.median of a 1-D array, bit for bit, from one partition."""
+    mid = (len(x) - 1) // 2, len(x) // 2
+    part = np.partition(x, mid)
+    return 0.5 * (part[mid[0]] + part[mid[1]])
+
+
+def _well_centred(slack):
+    """The `_CENTRE_SLACK` rule."""
+    median = _median(slack)
+    return median > 0.0 and slack.min() > _CENTRE_SLACK * median
+
+
 def _interior_point(D, h):
     """A point strictly inside {x : D x <= h} and its slack h - D x.
 
-    The least-squares point of the planes (solved from the 3x3 normal
-    equations; D^T D is invertible as the directions span 3-space) is used
-    when its slack is comfortably positive, otherwise the centre of the
-    largest inscribed ball (a linear program, posed about the least-squares
-    point in units of its largest slack so that solver tolerances are
-    relative to the body).
+    The origin (slack h) if it passes the `_CENTRE_SLACK` rule, else the
+    least-squares point of the planes (3x3 normal equations; the directions
+    span 3-space) if it does, else the centre of the largest inscribed ball
+    (a linear program, posed about the least-squares point in units of its
+    largest slack so that tolerances are relative to the body).
     """
+    if _well_centred(h):
+        return np.zeros(3), h
     c = np.linalg.solve(D.T @ D, D.T @ h)
     slack = h - D @ c
-    median = float(np.median(slack))
-    if median > 0.0 and slack.min() > _CENTRE_SLACK * median:
+    if _well_centred(slack):
         return c, slack
     unit_len = float(np.abs(slack).max())
     if unit_len == 0.0:
@@ -308,13 +321,13 @@ def _interior_point(D, h):
 
 
 def _polar_hull(directions, offsets):
-    """The polar hull of the half-spaces about an interior point c.
+    """The polar hull of the half-spaces about `_interior_point`'s c.
 
     The planes n_j . x = h_j become the polar points n_j / (h_j - n_j . c);
     each facet a . y + b = 0 of their convex hull is the polar of the corner
     c - a / b of the body, which lies on the three planes spanning the
-    facet.  Returns the directions, the slack h - D c, the hull and the
-    corners, one per facet.
+    facet.  Returns the directions, the slack h - D c (the support numbers
+    of the body translated by -c), the hull and the corners, one per facet.
     """
     D = np.asarray(directions, float)
     h = np.asarray(offsets, float)

@@ -10,11 +10,13 @@ the half-space intersection, so faces and edges may appear or disappear
 freely along the way.  The face areas come from the same matrix: they are
 homogeneous of degree 2 in the support numbers h and J kills translations,
 so A = 1/2 J (h - D c) for any point c (Minkowski's mixed-volume formula).
-The boundary complex (merged vertices, face cycles) is built once per
-solve, for the returned body.  J is symmetric, and wherever every face has
-positive area its kernel is exactly the three-dimensional space of
-translations (Alexandrov's mixed-volume lemma); one LU solve of J plus a
-term that pins that kernel gives the update orthogonal to it.
+The march carries the slack h - D c on as the support numbers, a translation
+making the interior point c the origin, the next centre.  The boundary
+complex (merged vertices, face cycles) is built once per solve, for the
+returned body.  J is symmetric, and wherever every face has positive area
+its kernel is exactly the three-dimensional space of translations
+(Alexandrov's mixed-volume lemma); one LU solve of J plus a term that pins
+that kernel gives the update orthogonal to it.
 """
 from __future__ import annotations
 
@@ -145,29 +147,27 @@ def _solve_kernel_free(jac, rhs, directions):
 
 
 def _area_state(directions, h, trace):
-    """Edge list, area Jacobian and face areas of the body with support
-    numbers h, from one half-space intersection: the areas are
-    1/2 J (h - D c), as they are homogeneous of degree 2 in h and J kills
-    the translations."""
+    """The slack h - D c about the interior point c of one half-space
+    intersection (h translated by -c), and the edge list, area Jacobian J
+    and face areas 1/2 J (h - D c) of the body (see the module docstring)."""
     trace.intersections += 1
     edges, slack = _intersect_edges(directions, h)
     trace.jacobians += 1
     jac = area_jacobian(edges)
-    return edges, jac, 0.5 * (jac @ slack)
+    return slack, (edges, jac, 0.5 * (jac @ slack))
 
 
 def _newton_correct(directions, h, target, cfg, total_area, trace):
     """Newton-iterate the support numbers until the face areas match
-    `target`.  Every iteration reads the edges off the polar hull and takes
-    the areas as 1/2 J (h - D c) (`_area_state`); no boundary complex is
-    built.  Returns (cause, h, (edges, jac, areas), relative residual):
-    cause is None on convergence, otherwise why the caller should shrink
-    the step, one of the `SolveTrace.rejections` keys."""
+    `target`, with one `_area_state` per iteration (its slack carried on as
+    h; no boundary complex).  Returns (cause, h, (edges, jac, areas),
+    relative residual): cause is None on convergence, otherwise why the
+    caller should shrink the step, one of the `SolveTrace.rejections` keys."""
     floor = _COLLAPSE_FRACTION * total_area
     ceiling = target.max()
     for _ in range(cfg.max_newton_iters + 1):
         try:
-            state = _area_state(directions, h, trace)
+            h, state = _area_state(directions, h, trace)
         except DegenerateBody:
             return "degenerate", h, None, np.inf
         _, jac, areas = state
@@ -271,20 +271,20 @@ def _polish(directions, hvec, jac, areas, target, trace):
     """Up to three more Newton steps from the accepted support numbers (with
     area Jacobian `jac` and face areas `areas`), each kept only if it lowers
     the residual, on edge lists as in `_newton_correct`.  Returns the final
-    support numbers."""
+    support numbers (a slack, as in `_newton_correct`)."""
     resid = np.abs(target - areas).max()
     for _ in range(3):
         dh = _solve_kernel_free(jac, target - areas, directions)
         if not np.all(np.isfinite(dh)):
             break
         try:
-            _, jac_new, areas_new = _area_state(directions, hvec + dh, trace)
+            h_new, state = _area_state(directions, hvec + dh, trace)
         except DegenerateBody:
             break
-        resid_new = np.abs(target - areas_new).max()
+        resid_new = np.abs(target - state[2]).max()
         if resid_new >= resid:
             break
-        hvec, jac, areas, resid = hvec + dh, jac_new, areas_new, resid_new
+        hvec, (_, jac, areas), resid = h_new, state, resid_new
     return hvec
 
 

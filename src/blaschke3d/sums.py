@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import MeshPolyhedron, convex_hull
-from .herisson import blaschke_add, herisson_of_mesh
+from .herisson import Herisson, blaschke_add, herisson_of_mesh
 from .solver import ContinuationConfig, continuation_solve
 
 
@@ -29,9 +29,11 @@ def minkowski_sum(p, q) -> MeshPolyhedron:
     return convex_hull(pts)
 
 
-def blaschke_sum_bodies(p: MeshPolyhedron, q: MeshPolyhedron,
+def blaschke_sum_bodies(p: MeshPolyhedron | Herisson,
+                        q: MeshPolyhedron | Herisson,
                         cfg: ContinuationConfig | None = None) -> MeshPolyhedron:
-    """Body whose per-direction face areas are the sums of the operands'."""
-    combined = blaschke_add(herisson_of_mesh(p), herisson_of_mesh(q))
-    _, mesh, _ = continuation_solve(combined, cfg)
-    return mesh
+    """Body whose per-direction face areas are the sums of the operands',
+    each given by its mesh or by its face data (used as is)."""
+    p, q = (b if isinstance(b, Herisson) else herisson_of_mesh(b)
+            for b in (p, q))
+    return continuation_solve(blaschke_add(p, q), cfg)[1]

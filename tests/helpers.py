@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.optimize
 from scipy.spatial.distance import cdist
 
 from blaschke3d.errors import DegenerateBody
@@ -180,3 +181,15 @@ def enumerate_intersection(directions, offsets) -> MeshPolyhedron:
 
     return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
                           face_areas=areas, edge_lengths=edge_lengths)
+
+
+def count_linprog(monkeypatch):
+    """A list that gains one entry per `scipy.optimize.linprog` call."""
+    calls = []
+    real = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls

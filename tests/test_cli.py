@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blaschke3d import cli, inequalities, solver, sums
 from blaschke3d.cli import main
 from blaschke3d.fileio import import_off
 
@@ -82,6 +83,22 @@ class TestSums:
         assert rep["euler"]["faces"] == 32
         assert rep["euler"]["ok"]
         assert rep["vector_area_residual_norm"] <= 1e-9 * rep["total_area"]
+
+    def test_bsum_of_her_inputs_solves_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the face data of the two files are added, not read back off
+        # their reconstructions
+        calls = []
+        real = solver.continuation_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        for module in (sums, inequalities, cli):
+            monkeypatch.setattr(module, "continuation_solve", counted)
+        code, _, _ = run(capsys, "bsum", DATA / "dodecahedron.her",
+                         DATA / "icosahedron.her", "-o", tmp_path / "s.off")
+        assert code == 0 and len(calls) == 1
 
     def test_bsum_accepts_off_inputs(self, tmp_path, capsys):
         a = tmp_path / "a.off"

@@ -9,7 +9,7 @@ from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
                                UnboundedRegion)
 from blaschke3d.geometry import (DIRECTION_TOL, MeshPolyhedron,
                                  SupportPolyhedron, _interior_point,
-                                 _intersect_arrays, _intersect_edges,
+                                 _intersect_arrays, _intersect_edges, _median,
                                  check_distinct_directions,
                                  contains_by_translation, convex_hull,
                                  integral_mean_curvature,
@@ -19,8 +19,9 @@ from blaschke3d.geometry import (DIRECTION_TOL, MeshPolyhedron,
 
 from blaschke3d.herisson import random_herisson
 from blaschke3d.solver import area_jacobian
-from helpers import (divergence_volume, enumerate_intersection,
-                     random_tangent_mesh, vertex_sets_match)
+from helpers import (count_linprog, divergence_volume,
+                     enumerate_intersection, random_tangent_mesh,
+                     vertex_sets_match)
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
@@ -222,16 +223,55 @@ class TestIntersectionAgainstEnumeration:
         assert (len(mesh.vertices), len(mesh.edge_lengths)) == (12, 30)
         assert_same_mesh(mesh, enumerate_intersection(dirs, np.ones(20)))
 
-    def test_centre_is_the_least_squares_point(self):
-        # every case except the untouched plane keeps the least-squares point
+    @staticmethod
+    def centre_cases():
+        """The jittered cases and every corner case but the untouched plane,
+        each with the rule's verdict on the origin (slack = offsets)."""
         cases = [jittered_case(seed) for seed in range(30)]
         cases += corner_cases()[1:]
         for dirs, offsets in cases:
+            median = np.median(offsets)
+            yield dirs, offsets, median > 0 and offsets.min() > 0.05 * median
+
+    def test_centre_is_the_origin_when_it_passes_the_rule(self):
+        for dirs, offsets, origin_passes in self.centre_cases():
+            assert origin_passes
+            c, slack = _interior_point(dirs, offsets)
+            np.testing.assert_array_equal(c, np.zeros(3))
+            np.testing.assert_array_equal(slack, offsets)
+
+    def test_centre_is_the_least_squares_point(self):
+        # translated by 3 times its scale, each body leaves the origin
+        # outside, and the least-squares point of the planes is kept
+        for dirs, offsets, _ in self.centre_cases():
+            scale = _intersect_arrays(dirs, offsets).scale
+            offsets = offsets + dirs @ (3.0 * scale * unit((1.0, -2.0, 0.5)))
+            assert offsets.min() < 0
             c, slack = _interior_point(dirs, offsets)
             ref = np.linalg.lstsq(dirs, offsets, rcond=None)[0]
-            scale = _intersect_arrays(dirs, offsets).scale
             assert np.abs(c - ref).max() <= 1e-12 * scale
             np.testing.assert_array_equal(slack, offsets - dirs @ c)
+
+    @pytest.mark.parametrize("k", [4, 5, 12, 48])
+    def test_partition_median_is_numpys(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(200):
+            x = rng.uniform(-1.0, 2.0, k) * 10.0 ** rng.uniform(-8, 8)
+            assert _median(x) == np.median(x)
+        ties = np.repeat(rng.uniform(0.5, 1.5, 2), [k // 2, k - k // 2])
+        assert _median(ties) == np.median(ties)
+
+    def test_translated_corner_case_takes_the_chebyshev_centre(self,
+                                                              monkeypatch):
+        # neither the origin nor the least-squares point is inside
+        calls = count_linprog(monkeypatch)
+        dirs, offsets = corner_cases()[0]
+        shifted = offsets + dirs @ np.array([30.0, -20.0, 10.0])
+        c, slack = _interior_point(dirs, shifted)
+        assert len(calls) == 1 and slack.min() > 0
+        np.testing.assert_array_equal(slack, shifted - dirs @ c)
+        assert_same_mesh(_intersect_arrays(dirs, shifted),
+                         enumerate_intersection(dirs, shifted))
 
     def test_a_corner_case_needs_the_chebyshev_centre(self):
         # the least-squares point of the planes lies outside the body

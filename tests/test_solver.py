@@ -5,15 +5,16 @@ from blaschke3d.bodies import (cube_herisson, grunbaum_herisson,
                                icosahedron_directions, icosahedron_herisson,
                                tetrahedron_mesh)
 from blaschke3d.errors import StepSizeUnderflow
-from blaschke3d.geometry import (SupportPolyhedron, intersect_halfspaces,
-                                 validate_mesh, volume)
-from blaschke3d.herisson import (blaschke_scale, herisson_of_mesh,
-                                 random_herisson)
+from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
+                                 intersect_halfspaces, validate_mesh, volume)
+from blaschke3d.herisson import (blaschke_add, blaschke_scale,
+                                 herisson_of_mesh, random_herisson)
 from blaschke3d.solver import (ContinuationConfig, _solve_kernel_free,
                                area_jacobian, continuation_solve,
                                initial_polyhedron, oracle_solve_small)
 
-from helpers import centered, random_tangent_mesh, vertex_sets_match
+from helpers import (centered, count_linprog, random_tangent_mesh,
+                     vertex_sets_match)
 from test_geometry import corner_cases
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
@@ -296,6 +297,35 @@ class TestContinuationSolve:
         assert trace.steps_taken == 0
         (cause,) = [c for c, n in trace.rejections.items() if n]
         assert f"correction {cause} at" in str(err.value)
+
+
+class TestCentreCarriedOn:
+    """The march carries each body's slack on as its support numbers, so the
+    origin, its last interior point, centres the next intersection and the
+    Chebyshev-centre linear program runs at most once per solve."""
+
+    def test_elongated_body(self, monkeypatch):
+        # the hull of 60 Gaussian points scaled by (100, 1, 0.1): with the
+        # least-squares point as every centre, 205 of its 268 intersections
+        # needed the linear program
+        pts = np.random.default_rng(7).standard_normal((60, 3))
+        h = herisson_of_mesh(convex_hull(pts * (100.0, 1.0, 0.1)))
+        calls = count_linprog(monkeypatch)
+        _, mesh, trace = continuation_solve(h)
+        assert len(calls) <= 1
+        assert trace.final_residual <= 1e-9
+        assert np.abs(mesh.face_areas - h.areas).max() <= 1e-9 * h.areas.max()
+
+    def test_fuzz_pair(self, monkeypatch):
+        # trial 32 of `fuzz --seed 0`: the second body needed the linear
+        # program in 8 of its 13 intersections
+        hp, hq = random_herisson(7, 545), random_herisson(8, 546)
+        calls = count_linprog(monkeypatch)
+        for h in (hp, hq, blaschke_add(hp, hq)):
+            calls.clear()
+            _, _, trace = continuation_solve(h, FAST)
+            assert len(calls) <= 1
+            assert trace.final_residual <= 1e-9
 
 
 class TestOracle:
