@@ -69,7 +69,7 @@ class NewtonDivergence(ToolkitError):
 
 
 class OracleFailed(ToolkitError):
-    """No multi-start descent run reached the acceptance residual."""
+    """The minimisation of Minkowski's functional missed the target areas."""
 
 
 # -- inequalities -----------------------------------------------------------

@@ -7,11 +7,11 @@ edge lengths).  Each conversion is one Qhull hull (Barber, Dobkin &
 Huhdanpaa 1996).  `convex_hull` merges coplanar hull triangles into faces.
 `intersect_halfspaces` hulls the polar points of the planes and reads the
 face complex off that hull: each facet is a vertex of the body, lying on
-the three planes that span it.  The same hull also gives the bare edge list
-of the body (`EdgeList`: face pairs and lengths, from adjacent facets),
-which is all the solver's Newton loop reads.  Tolerances are relative to
-the body scale (bounding-box diagonal); inputs are assumed desk-scale, no
-exact predicates.
+the three planes that span it.  The same hull gives the bare edge list of
+the body (`EdgeList`: face pairs and lengths, from adjacent facets), all
+the solver's Newton loop reads, and the face areas of both, exactly
+(`_face_areas`).  Tolerances are relative to the body scale (bounding-box
+diagonal); inputs are assumed desk-scale, no exact predicates.
 """
 from __future__ import annotations
 
@@ -320,14 +320,36 @@ def _interior_point(D, h):
     return c, slack
 
 
+class EdgeList(NamedTuple):
+    """The edges of a body as arrays: edge e joins faces i[e] < j[e], whose
+    normals make an angle of sine sin[e] and cosine cos[e], and has length
+    lengths[e]; `face_normals` has a row per face slot, present or not."""
+
+    face_normals: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    lengths: np.ndarray
+    sin: np.ndarray
+    cos: np.ndarray
+
+
+def _edge_list(normals, i, j, lengths):
+    """The `EdgeList` of the edges i-j of these lengths."""
+    ni, nj = normals[i], normals[j]
+    sin = np.linalg.norm(_cross(ni, nj), axis=1)
+    return EdgeList(normals, i, j, lengths, sin, (ni * nj).sum(axis=1))
+
+
 def _polar_hull(directions, offsets):
     """The polar hull of the half-spaces about `_interior_point`'s c.
 
     The planes n_j . x = h_j become the polar points n_j / (h_j - n_j . c);
     each facet a . y + b = 0 of their convex hull is the polar of the corner
     c - a / b of the body, which lies on the three planes spanning the
-    facet.  Returns the directions, the slack h - D c (the support numbers
-    of the body translated by -c), the hull and the corners, one per facet.
+    facet.  Returns the edge list (faces a and b meet between the corners of
+    the facets sharing the polar edge {a, b}; all of positive length), the
+    slack h - D c (the body's support numbers about c), the hull and the
+    corners, one per facet.
     """
     D = np.asarray(directions, float)
     h = np.asarray(offsets, float)
@@ -339,58 +361,48 @@ def _polar_hull(directions, offsets):
     except QhullError as exc:
         raise DegenerateBody("degenerate half-space intersection") from exc
     corners = c - polar.equations[:, :3] / polar.equations[:, 3:]
-    return D, slack, polar, corners
+    f, m = np.nonzero(polar.neighbors > np.arange(len(corners))[:, None])
+    g = polar.neighbors[f, m]
+    a, b = polar.simplices[f, (m + 1) % 3], polar.simplices[f, (m + 2) % 3]
+    lengths = np.linalg.norm(corners[f] - corners[g], axis=1)
+    keep = lengths > 0.0
+    i, j = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+    return _edge_list(D, i, j, lengths[keep]), slack, polar, corners
+
+
+def _intersect_edges(directions, offsets):
+    """`_polar_hull`'s edge list and slack, whose `_face_areas` are exact."""
+    return _polar_hull(directions, offsets)[:2]
+
+
+def _face_areas(edges, slack):
+    """Face areas 1/2 J slack of the body with edge list `edges` and support
+    numbers `slack` about any point c, J the area Jacobian: each edge adds
+    l d / 2 to face i, d = (s_j - cos s_i) / sin its distance from c's foot."""
+    _, i, j, lengths, sin, cos = edges
+    w, si, sj, k = 0.5 * lengths / sin, slack[i], slack[j], len(slack)
+    return (np.bincount(i, w * (sj - cos * si), k)
+            + np.bincount(j, w * (si - cos * sj), k))
 
 
 def _intersect_arrays(directions, offsets):
     """Core half-space intersection on raw arrays, whose directions must
     positively span 3-space (as `SupportPolyhedron` checks).
 
-    The body's boundary complex read off the polar hull (`_polar_hull`):
-    corner copies from coplanar polar points are merged into one vertex, and
-    the three planes of each facet are the faces through its vertex; a
-    plane left with fewer than three distinct vertices has no face.
+    The boundary complex read off `_polar_hull`: corner copies from coplanar
+    polar points are merged into one vertex, and the three planes of each
+    facet are the faces through its vertex.  The face areas are the solver's,
+    `_face_areas` of the unmerged edge list, except that a plane left with
+    fewer than three distinct vertices has no face and area 0.
     """
-    D, _, polar, corners = _polar_hull(directions, offsets)
+    edges, slack, polar, corners = _polar_hull(directions, offsets)
+    D = edges.face_normals
     verts, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
-    faces, area_vecs, edge_lengths = _assemble_faces(
+    faces, _, edge_lengths = _assemble_faces(
         verts, polar.simplices.ravel(), np.repeat(label, 3), D)
+    areas = np.where(list(map(bool, faces)), _face_areas(edges, slack), 0.0)
     return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
-                          face_areas=np.linalg.norm(area_vecs, axis=1),
-                          edge_lengths=edge_lengths)
-
-
-class EdgeList(NamedTuple):
-    """The edges of a body as arrays: edge e joins faces i[e] < j[e] and has
-    length lengths[e]; `face_normals` holds the outward normal of every face
-    slot, present or not."""
-
-    face_normals: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    lengths: np.ndarray
-
-
-def _intersect_edges(directions, offsets):
-    """The edges of the half-space intersection, without a boundary complex.
-
-    Adjacent polar facets f and g share a polar edge {a, b}; faces a and b
-    of the body then meet along the segment between the corners of f and g.
-    Segments shorter than `MERGE_TOL` times the body scale are dropped: the
-    coplanar triangles of one polar facet have the same corner.  Returns the
-    edge list and the slack h - D c of the planes about the interior point
-    c, so that the face areas are 1/2 J slack for the area Jacobian J.
-    """
-    D, slack, polar, corners = _polar_hull(directions, offsets)
-    f, m = np.nonzero(polar.neighbors > np.arange(len(corners))[:, None])
-    g = polar.neighbors[f, m]
-    a = polar.simplices[f, (m + 1) % 3]
-    b = polar.simplices[f, (m + 2) % 3]
-    lengths = np.linalg.norm(corners[f] - corners[g], axis=1)
-    scale = float(np.linalg.norm(corners.max(axis=0) - corners.min(axis=0)))
-    keep = lengths > MERGE_TOL * scale
-    return EdgeList(D, np.minimum(a, b)[keep], np.maximum(a, b)[keep],
-                    lengths[keep]), slack
+                          face_areas=areas, edge_lengths=edge_lengths)
 
 
 def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
@@ -462,26 +474,20 @@ def vector_area_residual(p: MeshPolyhedron):
 
 
 def _edge_arrays(p):
-    """The edges of a mesh or an `EdgeList` as arrays: the face indices i
-    and j of each edge, its length, and the sine and cosine of the angle
-    between the two normals."""
-    if isinstance(p, MeshPolyhedron):
-        n = len(p.edge_lengths)
-        i, j = np.fromiter(chain.from_iterable(p.edge_lengths), np.intp,
-                           2 * n).reshape(n, 2).T
-        lengths = np.fromiter(p.edge_lengths.values(), float, n)
-    else:
-        _, i, j, lengths = p
-    ni, nj = p.face_normals[i], p.face_normals[j]
-    sin = np.linalg.norm(_cross(ni, nj), axis=1)
-    cos = (ni * nj).sum(axis=1)
-    return i, j, lengths, sin, cos
+    """The `EdgeList` of a mesh, or `p` itself if it is one."""
+    if isinstance(p, EdgeList):
+        return p
+    n = len(p.edge_lengths)
+    i, j = np.fromiter(chain.from_iterable(p.edge_lengths), np.intp,
+                       2 * n).reshape(n, 2).T
+    return _edge_list(p.face_normals, i, j,
+                      np.fromiter(p.edge_lengths.values(), float, n))
 
 
 def integral_mean_curvature(p: MeshPolyhedron) -> float:
     """Half the sum over edges of edge length times exterior dihedral angle
     (which for adjacent outward normals is just the angle between them)."""
-    _, _, lengths, sin, cos = _edge_arrays(p)
+    _, _, _, lengths, sin, cos = _edge_arrays(p)
     return 0.5 * float(lengths @ np.arctan2(sin, cos))
 
 

@@ -7,14 +7,15 @@ the area Jacobian and corrects it with Newton iterations on the same matrix.
 The area Jacobian J needs only the edges (which faces meet, and how long the
 edge is), and every Newton iteration reads them afresh off the polar hull of
 the half-space intersection, so faces and edges may appear or disappear
-freely along the way.  The face areas come from the same matrix: they are
+freely along the way.  The face areas come from the same edges: they are
 homogeneous of degree 2 in the support numbers h and J kills translations,
-so A = 1/2 J (h - D c) for any point c (Minkowski's mixed-volume formula).
-The march carries the slack h - D c on as the support numbers, a translation
-making the interior point c the origin, the next centre.  The boundary
-complex (merged vertices, face cycles) is built once per solve, for the
-returned body.  J is symmetric, and wherever every face has positive area
-its kernel is exactly the three-dimensional space of translations
+so A = 1/2 J (h - D c) for any point c (Minkowski's mixed-volume formula),
+which `geometry._face_areas` evaluates for the Newton loop and the returned
+body alike.  The march carries the slack h - D c on as the support numbers,
+a translation making the interior point c the origin, the next centre.  The
+boundary complex (merged vertices, face cycles) is built once per solve,
+for the returned body.  J is symmetric, and wherever every face has positive
+area its kernel is exactly the three-dimensional space of translations
 (Alexandrov's mixed-volume lemma); one LU solve of J plus a term that pins
 that kernel gives the update orthogonal to it.
 """
@@ -27,8 +28,9 @@ import numpy as np
 from .errors import (DegenerateAngle, DegenerateBody, NewtonDivergence,
                      OracleFailed, StepSizeUnderflow)
 from .geometry import (EdgeList, MeshPolyhedron, SupportPolyhedron,
-                       _edge_arrays, _intersect_arrays, _intersect_edges,
-                       check_positive_spanning, intersect_halfspaces)
+                       _edge_arrays, _face_areas, _intersect_arrays,
+                       _intersect_edges, check_positive_spanning,
+                       intersect_halfspaces)
 from .herisson import Herisson
 
 # A face whose area drops below this fraction of the total target area is
@@ -59,7 +61,7 @@ class SolveTrace:
 
     `residual_history` holds the relative area residual of every accepted
     step; each entry is below the Newton tolerance by construction.
-    `final_residual` is the relative area residual of the returned mesh.
+    `final_residual` is the returned mesh's, read off its last polish step.
     `intersections` and `jacobians` count the half-space intersections and
     area Jacobians computed, over accepted and rejected steps alike;
     `intersections` includes the final build of the returned mesh.
@@ -111,7 +113,7 @@ def area_jacobian(p: MeshPolyhedron | EdgeList) -> np.ndarray:
     """
     k = len(p.face_normals)
     jac = np.zeros((k, k))
-    i, j, lengths, sin, cos = _edge_arrays(p)
+    _, i, j, lengths, sin, cos = _edge_arrays(p)
     if not len(i):
         return jac
     if sin.min() < 1e-9:
@@ -153,8 +155,7 @@ def _area_state(directions, h, trace):
     trace.intersections += 1
     edges, slack = _intersect_edges(directions, h)
     trace.jacobians += 1
-    jac = area_jacobian(edges)
-    return slack, (edges, jac, 0.5 * (jac @ slack))
+    return slack, (edges, area_jacobian(edges), _face_areas(edges, slack))
 
 
 def _newton_correct(directions, h, target, cfg, total_area, trace):
@@ -256,14 +257,8 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     # configured tolerance down to rounding level, which the volume based
     # equality verdicts rely on
     hvec = _polish(directions, hvec, jac, areas, target, trace)
-    # the one boundary complex of the march: the returned body's.  Its
-    # vertex merge moves the areas of faces with edges below the merge
-    # tolerance (the edge list drops those edges instead), so the reported
-    # residual is taken from its own areas
     trace.intersections += 1
     mesh = _intersect_arrays(directions, hvec)
-    trace.final_residual = float(np.abs(target - mesh.face_areas).max()) \
-        / target.max()
     return _finish(directions, hvec, mesh, trace)
 
 
@@ -271,7 +266,7 @@ def _polish(directions, hvec, jac, areas, target, trace):
     """Up to three more Newton steps from the accepted support numbers (with
     area Jacobian `jac` and face areas `areas`), each kept only if it lowers
     the residual, on edge lists as in `_newton_correct`.  Returns the final
-    support numbers (a slack, as in `_newton_correct`)."""
+    support numbers (a slack) and sets `trace.final_residual` to theirs."""
     resid = np.abs(target - areas).max()
     for _ in range(3):
         dh = _solve_kernel_free(jac, target - areas, directions)
@@ -285,6 +280,7 @@ def _polish(directions, hvec, jac, areas, target, trace):
         if resid_new >= resid:
             break
         hvec, (_, jac, areas), resid = h_new, state, resid_new
+    trace.final_residual = float(resid) / target.max()
     return hvec
 
 
@@ -295,42 +291,40 @@ def _finish(directions, hvec, mesh, trace):
     return (SupportPolyhedron(directions, hvec), mesh, trace)
 
 
-# -- independent small-instance oracle --------------------------------------
-
-_ORACLE_STARTS = 20
-_ORACLE_SEED = 1234
-
+# -- independent oracle: Minkowski's variational problem --------------------
 
 def oracle_solve_small(h: Herisson) -> MeshPolyhedron:
-    """Reconstruct a small herisson (k <= 8) without the homotopy machinery:
-    direct least-squares minimization of the squared area misfit over the
-    support vector, multi-start around the tangent body, finite-difference
-    Jacobian only."""
+    """Reconstruct a small herisson (k <= 8) by minimising Minkowski's
+    functional (`_oracle_solve`): no area Jacobian, Newton step or march."""
     if h.k > 8:
         raise ValueError("oracle is limited to k <= 8 faces")
-    from scipy.optimize import least_squares
-    directions = h.directions
-    target = h.areas
-    check_positive_spanning(directions)
-    big = 1e6 * target.max()
+    return _oracle_solve(h)
 
-    def misfit(hvec):
+
+def _oracle_solve(h):
+    """The body with face areas F, from the minimiser x of Minkowski's convex
+    functional Phi(x) = F.x / sum(F) - log Vol(x) (Little 1983; Lachand-Robert
+    & Oudet 2005), whose gradient F / sum(F) - A(x) / Vol(x) vanishes where
+    the areas A are proportional to F: one L-BFGS-B run from x = 1 (an empty
+    body counts as +inf), rescaled by sqrt(sum(F) / sum(A)).  Raises
+    OracleFailed when the areas miss F by more than 1e-5 of the largest."""
+    from scipy.optimize import minimize
+    check_positive_spanning(h.directions)
+    weights = h.areas / h.total_area
+
+    def phi(x):
         try:
-            mesh = _intersect_arrays(directions, hvec)
+            edges, slack = _intersect_edges(h.directions, x)
         except DegenerateBody:
-            return np.full(h.k, big)
-        return mesh.face_areas - target
+            return np.inf, np.zeros(h.k)
+        areas = _face_areas(edges, slack)
+        vol = areas @ slack / 3.0
+        return weights @ x - np.log(vol), weights - areas / vol
 
-    rng = np.random.default_rng(_ORACLE_SEED)
-    accept = 1e-10 * target.max() ** 2
-    for trial in range(_ORACLE_STARTS):
-        x0 = np.ones(h.k)
-        if trial > 0:
-            x0 = x0 + 0.25 * (trial / _ORACLE_STARTS) * rng.standard_normal(h.k)
-        res = least_squares(misfit, x0, method="trf", jac="3-point",
-                            ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=4000)
-        if float(np.sum(res.fun ** 2)) <= accept:
-            mesh = _intersect_arrays(directions, res.x)
-            return mesh.translate(-mesh.centroid)
-    raise OracleFailed(
-        f"no start reached the acceptance residual for k={h.k}")
+    x = minimize(phi, np.ones(h.k), jac=True, method="L-BFGS-B",
+                 options={"ftol": 0.0, "gtol": 1e-12}).x
+    scale = h.total_area / _intersect_arrays(h.directions, x).face_areas.sum()
+    mesh = _intersect_arrays(h.directions, np.sqrt(scale) * x)
+    if np.abs(mesh.face_areas - h.areas).max() > 1e-5 * h.areas.max():
+        raise OracleFailed(f"minimisation missed the areas for k={h.k}")
+    return mesh.translate(-mesh.centroid)

@@ -345,18 +345,17 @@ class TestPolarEdgeList:
         # the plane 1e-12 inside the cube edge x = y = 1 cuts off a strip of
         # length 2 and width w = sqrt(2) (2 - s), s = sqrt(2) h_3.  The
         # boundary complex merges the strip's corners and drops the face;
-        # the edge list keeps its two long sides but drops its two ends
-        # (shorter than the merge tolerance), and with them the half of the
-        # area 1/2 sum(l d) that the ends carry (l = w, d = 1 each)
+        # the edge list keeps all four sides of the strip, its two ends
+        # (shorter than the merge tolerance) included, and so its true area
         dirs, offsets = corner_cases()[4]
         edges, slack = _intersect_edges(dirs, offsets)
         areas = 0.5 * area_jacobian(edges) @ slack
         width = np.sqrt(2.0) * (2.0 - np.sqrt(2.0) * offsets[3])
-        assert areas[3] == pytest.approx(width, rel=1e-3)
+        assert areas[3] == pytest.approx(2 * width, rel=1e-3)
         assert _intersect_arrays(dirs, offsets).face_areas[3] == 0.0
         keys = set(zip(edges.i.tolist(), edges.j.tolist()))
         assert {(0, 3), (2, 3)} <= keys and (0, 2) not in keys
-        assert not {(3, 5), (3, 6)} & keys
+        assert {(3, 5), (3, 6)} <= keys
         # either way the face is below the solver's collapse floor
         assert 2 * width < 1e-12 * areas.sum()
 

@@ -1,17 +1,23 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from blaschke3d.bodies import (cube_herisson, grunbaum_herisson,
                                icosahedron_directions, icosahedron_herisson,
                                tetrahedron_mesh)
 from blaschke3d.errors import StepSizeUnderflow
+from blaschke3d.fileio import parse_herisson_file
 from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
                                  intersect_halfspaces, validate_mesh, volume)
-from blaschke3d.herisson import (blaschke_add, blaschke_scale,
+from blaschke3d.herisson import (Herisson, blaschke_add, blaschke_scale,
                                  herisson_of_mesh, random_herisson)
-from blaschke3d.solver import (ContinuationConfig, _solve_kernel_free,
-                               area_jacobian, continuation_solve,
-                               initial_polyhedron, oracle_solve_small)
+from blaschke3d.solver import (ContinuationConfig, _oracle_solve,
+                               _solve_kernel_free, area_jacobian,
+                               continuation_solve, initial_polyhedron,
+                               oracle_solve_small)
 
 from helpers import (centered, count_linprog, random_tangent_mesh,
                      vertex_sets_match)
@@ -21,6 +27,7 @@ AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
 
 FAST = ContinuationConfig(dt_initial=0.5)
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def fd_jacobian(directions, offsets, eps=1e-6):
@@ -177,7 +184,7 @@ class TestContinuationSolve:
 
     @pytest.mark.parametrize("herisson, gap", [
         (random_herisson(48, 0), 1e-12), (random_herisson(48, 1), 1e-12),
-        (random_herisson(48, 2), 1e-12), (grunbaum_herisson(), 1e-9)],
+        (random_herisson(48, 2), 1e-12), (grunbaum_herisson(), 1e-12)],
         ids=["k48-s0", "k48-s1", "k48-s2", "grunbaum"])
     def test_final_residual_matches_the_returned_mesh(self, herisson, gap):
         # the march reads its areas as 1/2 J (h - D c) off edge lists; the
@@ -187,10 +194,6 @@ class TestContinuationSolve:
         resid = np.abs(herisson.areas - mesh.face_areas).max() \
             / herisson.areas.max()
         assert abs(trace.final_residual - resid) <= 1e-12
-        # the two area formulas agree on the solution, up to the edges
-        # below the merge tolerance: the Gruenbaum body has vertices where
-        # four or more faces meet, and the march ends with edges of about
-        # 1e-11 times the scale there, which the mesh merges away
         edges, slack = _intersect_edges(sp.directions, sp.support_numbers)
         areas = 0.5 * area_jacobian(edges) @ slack
         assert np.abs(areas - mesh.face_areas).max() \
@@ -299,6 +302,55 @@ class TestContinuationSolve:
         assert f"correction {cause} at" in str(err.value)
 
 
+class TestExactAreas:
+    """The march and the returned mesh take their face areas from one exact
+    formula, 1/2 J (h - D c) on the polar hull's edge list, so every solve
+    ends at rounding level, whatever the unit of area."""
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.her")),
+                             ids=lambda path: path.name)
+    def test_shipped_inputs_solve_to_rounding_level(self, path):
+        h = parse_herisson_file(path.read_text())
+        _, mesh, trace = continuation_solve(h)
+        assert trace.final_residual <= 1e-12
+        assert np.abs(h.areas - mesh.face_areas).max() <= 1e-12 * h.areas.max()
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-6, 1e6, 1e12])
+    def test_grunbaum_at_any_unit_of_area(self, s):
+        h = grunbaum_herisson()
+        _, base, _ = continuation_solve(h)
+        _, mesh, trace = continuation_solve(blaschke_scale(h, s))
+        assert trace.final_residual <= 1e-12
+        assert abs(volume(mesh) / (s ** 1.5 * volume(base)) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [grunbaum_herisson(), random_herisson(48, 0)],
+                         ids=["grunbaum", "k48-s0"])
+class TestSolveInvariance:
+    """The solved body does not depend on the order of the input or on a
+    rotation of it."""
+
+    def test_permuted_input_permutes_the_faces(self, h):
+        perm = np.random.default_rng(3).permutation(h.k)
+        _, base, _ = continuation_solve(h)
+        _, mesh, _ = continuation_solve(Herisson(h.directions[perm],
+                                                 h.areas[perm]))
+        assert np.abs(mesh.face_areas - base.face_areas[perm]).max() \
+            <= 1e-12 * base.face_areas.max()
+        assert vertex_sets_match(mesh, base, 1e-9 * base.scale)
+        assert volume(mesh) == pytest.approx(volume(base), rel=1e-12)
+
+    def test_rotated_input_rotates_the_body(self, h):
+        rot = Rotation.from_rotvec([0.3, -1.1, 0.7]).as_matrix()
+        dirs = h.directions @ rot.T
+        _, base, _ = continuation_solve(h)
+        _, mesh, _ = continuation_solve(Herisson(
+            dirs / np.linalg.norm(dirs, axis=1)[:, None], h.areas))
+        turned = replace(base, vertices=base.vertices @ rot.T)
+        assert vertex_sets_match(mesh, turned, 1e-9 * base.scale)
+        assert volume(mesh) == pytest.approx(volume(base), rel=1e-12)
+
+
 class TestCentreCarriedOn:
     """The march carries each body's slack on as its support numbers, so the
     origin, its last interior point, centres the next intersection and the
@@ -340,6 +392,29 @@ class TestOracle:
     def test_matches_continuation_on_random_input(self):
         h = random_herisson(5, 3)
         _, mesh, _ = continuation_solve(h, FAST)
+        oracle = oracle_solve_small(h)
+        assert volume(oracle) == pytest.approx(volume(mesh), rel=1e-6)
+
+    @pytest.mark.parametrize("k", [48, 192])
+    def test_uncapped_core_matches_the_march(self, k):
+        # criterion 10's tolerances, far beyond the public k <= 8 cap
+        h = random_herisson(k, 1)
+        _, mesh, _ = continuation_solve(h)
+        oracle = _oracle_solve(h)
+        assert abs(volume(oracle) - volume(mesh)) <= 1e-6 * volume(mesh)
+        assert vertex_sets_match(centered(mesh), centered(oracle),
+                                 1e-5 * mesh.diameter())
+
+    def test_independent_of_the_solver_under_test(self, monkeypatch):
+        import blaschke3d.solver as solver
+        h = random_herisson(8, 3)
+        _, mesh, _ = continuation_solve(h, FAST)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle used the solver under test")
+        for name in ("area_jacobian", "_solve_kernel_free",
+                     "continuation_solve"):
+            monkeypatch.setattr(solver, name, refuse)
         oracle = oracle_solve_small(h)
         assert volume(oracle) == pytest.approx(volume(mesh), rel=1e-6)
 
