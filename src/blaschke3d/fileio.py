@@ -120,15 +120,17 @@ def import_off(text: str) -> MeshPolyhedron:
     for i, cyc in enumerate(faces):
         if any(v < 0 or v >= nv for v in cyc):
             raise ParseError(f"face {i} references a vertex out of range")
-    _check_convex(verts, faces)
+    _check_face_planes(verts, faces)
     mesh = convex_hull(verts)
+    if len(mesh.vertices) != len(verts):
+        raise NonConvexInput("some vertices are not extreme points")
     return validate_mesh(mesh)
 
 
-def _check_convex(verts, faces):
+def _check_face_planes(verts, faces):
+    """Raise unless every stated face plane supports the whole vertex set."""
     scale = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
     tol = 1e-8 * scale
-    # every stated face plane must support the whole vertex set
     for i, cyc in enumerate(faces):
         if len(cyc) < 3:
             raise ParseError(f"face {i} has fewer than 3 vertices")
@@ -141,10 +143,6 @@ def _check_convex(verts, faces):
         offset = float(ring.mean(axis=0) @ normal)
         if (verts @ normal - offset).max() > tol:
             raise NonConvexInput(f"face {i} plane cuts through the body")
-    # every vertex must be extreme
-    hull = convex_hull(verts)
-    if len(hull.vertices) != len(verts):
-        raise NonConvexInput("some vertices are not extreme points")
 
 
 def parse_polygon_file(text: str) -> SphericalPolygon:

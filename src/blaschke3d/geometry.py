@@ -345,11 +345,11 @@ def _polar_hull(directions, offsets):
 
     The planes n_j . x = h_j become the polar points n_j / (h_j - n_j . c);
     each facet a . y + b = 0 of their convex hull is the polar of the corner
-    c - a / b of the body, which lies on the three planes spanning the
-    facet.  Returns the edge list (faces a and b meet between the corners of
-    the facets sharing the polar edge {a, b}; all of positive length), the
-    slack h - D c (the body's support numbers about c), the hull and the
-    corners, one per facet.
+    -a / b (about c) of the body, which lies on the three planes spanning
+    the facet.  Returns the edge list (faces a and b meet between the
+    corners of the facets sharing the polar edge {a, b}; all of positive
+    length), the slack h - D c (the body's support numbers about c), the
+    hull, the corners about c, one per facet, and c.
     """
     D = np.asarray(directions, float)
     h = np.asarray(offsets, float)
@@ -360,14 +360,14 @@ def _polar_hull(directions, offsets):
         polar = _Qhull(D / slack[:, None])
     except QhullError as exc:
         raise DegenerateBody("degenerate half-space intersection") from exc
-    corners = c - polar.equations[:, :3] / polar.equations[:, 3:]
+    corners = -polar.equations[:, :3] / polar.equations[:, 3:]
     f, m = np.nonzero(polar.neighbors > np.arange(len(corners))[:, None])
     g = polar.neighbors[f, m]
     a, b = polar.simplices[f, (m + 1) % 3], polar.simplices[f, (m + 2) % 3]
     lengths = np.linalg.norm(corners[f] - corners[g], axis=1)
     keep = lengths > 0.0
     i, j = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-    return _edge_list(D, i, j, lengths[keep]), slack, polar, corners
+    return _edge_list(D, i, j, lengths[keep]), slack, polar, corners, c
 
 
 def _intersect_edges(directions, offsets):
@@ -385,24 +385,27 @@ def _face_areas(edges, slack):
             + np.bincount(j, w * (si - cos * sj), k))
 
 
-def _intersect_arrays(directions, offsets):
-    """Core half-space intersection on raw arrays, whose directions must
-    positively span 3-space (as `SupportPolyhedron` checks).
-
-    The boundary complex read off `_polar_hull`: corner copies from coplanar
-    polar points are merged into one vertex, and the three planes of each
-    facet are the faces through its vertex.  The face areas are the solver's,
-    `_face_areas` of the unmerged edge list, except that a plane left with
-    fewer than three distinct vertices has no face and area 0.
-    """
-    edges, slack, polar, corners = _polar_hull(directions, offsets)
+def _hull_mesh(edges, areas, polar, corners):
+    """The boundary complex of a body read off its `_polar_hull`: corner
+    copies from coplanar polar points are merged into one vertex, and the
+    three planes of each facet are the faces through its vertex.  `areas`
+    are the body's `_face_areas`, kept except that a plane left with fewer
+    than three distinct vertices has no face and area 0."""
     D = edges.face_normals
     verts, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
     faces, _, edge_lengths = _assemble_faces(
         verts, polar.simplices.ravel(), np.repeat(label, 3), D)
-    areas = np.where(list(map(bool, faces)), _face_areas(edges, slack), 0.0)
+    areas = np.where(list(map(bool, faces)), areas, 0.0)
     return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
                           face_areas=areas, edge_lengths=edge_lengths)
+
+
+def _intersect_arrays(directions, offsets):
+    """Core half-space intersection on raw arrays, whose directions must
+    positively span 3-space (as `SupportPolyhedron` checks): the
+    `_hull_mesh` of `_polar_hull`, its corners moved back by c."""
+    edges, slack, polar, corners, c = _polar_hull(directions, offsets)
+    return _hull_mesh(edges, _face_areas(edges, slack), polar, corners + c)
 
 
 def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:

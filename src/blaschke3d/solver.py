@@ -2,40 +2,40 @@
 
 The target face areas are reached by marching a homotopy parameter t from an
 easy instance (all support numbers 1, a body circumscribing the unit sphere)
-to the prescribed areas.  Each step predicts a support-number update through
-the area Jacobian and corrects it with Newton iterations on the same matrix.
-The area Jacobian J needs only the edges (which faces meet, and how long the
-edge is), and every Newton iteration reads them afresh off the polar hull of
-the half-space intersection, so faces and edges may appear or disappear
-freely along the way.  The face areas come from the same edges: they are
-homogeneous of degree 2 in the support numbers h and J kills translations,
-so A = 1/2 J (h - D c) for any point c (Minkowski's mixed-volume formula),
-which `geometry._face_areas` evaluates for the Newton loop and the returned
-body alike.  The march carries the slack h - D c on as the support numbers,
-a translation making the interior point c the origin, the next centre.  The
-boundary complex (merged vertices, face cycles) is built once per solve,
-for the returned body.  J is symmetric, and wherever every face has positive
-area its kernel is exactly the three-dimensional space of translations
-(Alexandrov's mixed-volume lemma); one LU solve of J plus a term that pins
-that kernel gives the update orthogonal to it.
+to the prescribed areas by Newton steps on the area Jacobian J; the first
+step of each attempt, from the last accepted body, is the predictor.  J
+needs only the edges (which faces meet, and how long the edge is), read
+afresh at each step off the polar hull of the half-space intersection, so
+faces and edges may appear or disappear freely along the way.  The face
+areas are A = 1/2 J (h - D c) for any point c (`geometry._face_areas`).
+One state runs through the solve: the last accepted polar hull, its slack
+h - D c (carried on as the support numbers, making the interior point c the
+origin, the next centre), J and the areas; the boundary complex (merged
+vertices, face cycles) of the returned body is built once, off that hull.
+J is symmetric, and wherever every face has positive area its kernel is
+exactly the translations (Alexandrov's mixed-volume lemma); one LU solve of
+J plus a term that pins that kernel gives the update orthogonal to it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DegenerateAngle, DegenerateBody, NewtonDivergence,
                      OracleFailed, StepSizeUnderflow)
-from .geometry import (EdgeList, MeshPolyhedron, SupportPolyhedron,
-                       _edge_arrays, _face_areas, _intersect_arrays,
-                       _intersect_edges, check_positive_spanning,
-                       intersect_halfspaces)
+from .geometry import (MERGE_TOL, EdgeList, MeshPolyhedron,
+                       SupportPolyhedron, _edge_arrays, _face_areas,
+                       _hull_mesh, _intersect_arrays, _intersect_edges,
+                       _polar_hull, check_positive_spanning)
 from .herisson import Herisson
 
 # A face whose area drops below this fraction of the total target area is
 # treated as collapsing; the step is retried at half size.
 _COLLAPSE_FRACTION = 1e-12
+# Step attempts, accepted or rejected, before the march gives up.
+_MAX_ATTEMPTS = 100000
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class ContinuationConfig:
     dt_min: float = 1e-6
     newton_tol: float = 1e-9
     max_newton_iters: int = 20
-    max_steps: int = 100000
 
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_initial <= 1.0):
@@ -63,8 +62,10 @@ class SolveTrace:
     step; each entry is below the Newton tolerance by construction.
     `final_residual` is the returned mesh's, read off its last polish step.
     `intersections` and `jacobians` count the half-space intersections and
-    area Jacobians computed, over accepted and rejected steps alike;
-    `intersections` includes the final build of the returned mesh.
+    area Jacobians computed, over accepted and rejected steps alike; the
+    returned mesh is read off the last accepted intersection.
+    `combinatorial_changes` counts the accepted steps whose face adjacency
+    (edges longer than `MERGE_TOL` times the longest) differs from the last.
     `rejections` counts the rejected step attempts by cause: "diverged" (a
     non-finite update), "stalled" (no convergence within the iteration
     budget), "collapse" (a face area below the collapse floor) and
@@ -82,22 +83,41 @@ class SolveTrace:
         ("diverged", "stalled", "collapse", "degenerate"), 0))
 
 
+class _State(NamedTuple):
+    """One body of the solve: its `_polar_hull` (edge list, slack, hull and
+    corners about the centre c), face areas 1/2 J slack and, once taken, J."""
+
+    edges: EdgeList
+    slack: np.ndarray
+    polar: object
+    corners: np.ndarray
+    areas: np.ndarray
+    jac: np.ndarray | None = None
+
+
+def _hull_state(directions, h, trace):
+    """The `_State` (without J) of the body with support numbers h."""
+    trace.intersections += 1
+    edges, slack, polar, corners, _ = _polar_hull(directions, h)
+    return _State(edges, slack, polar, corners, _face_areas(edges, slack))
+
+
+def _tangent_state(directions, trace):
+    """`initial_polyhedron`'s body and its `_State`."""
+    sp = SupportPolyhedron(np.asarray(directions, float),
+                           np.ones(len(directions)))
+    state = _hull_state(sp.directions, sp.support_numbers, trace)
+    if state.areas.min() <= 0:
+        raise DegenerateBody("tangent body lost a face; directions too close")
+    return sp, state
+
+
 def initial_polyhedron(directions):
     """Starting body of the march: all support numbers 1, circumscribing the
     unit sphere, where every face has positive area.  Returns the body and
     its face areas."""
-    sp, mesh = _tangent_body(directions)
-    return sp, mesh.face_areas.copy()
-
-
-def _tangent_body(directions):
-    """The starting body of `initial_polyhedron` and its mesh."""
-    sp = SupportPolyhedron(np.asarray(directions, float),
-                           np.ones(len(directions)))
-    mesh = intersect_halfspaces(sp)
-    if mesh.face_areas.min() <= 0:
-        raise DegenerateBody("tangent body lost a face; directions too close")
-    return sp, mesh
+    sp, state = _tangent_state(directions, SolveTrace())
+    return sp, state.areas
 
 
 def area_jacobian(p: MeshPolyhedron | EdgeList) -> np.ndarray:
@@ -148,40 +168,44 @@ def _solve_kernel_free(jac, rhs, directions):
         return np.full(len(rhs), np.nan)
 
 
-def _area_state(directions, h, trace):
-    """The slack h - D c about the interior point c of one half-space
-    intersection (h translated by -c), and the edge list, area Jacobian J
-    and face areas 1/2 J (h - D c) of the body (see the module docstring)."""
-    trace.intersections += 1
-    edges, slack = _intersect_edges(directions, h)
+def _newton_step(directions, state, target, trace):
+    """One Newton step towards the face areas `target`: the `_State` (with J)
+    at slack + dh, J dh = target - areas, or None if dh is not finite.
+    Raises DegenerateBody if that body has no interior."""
+    dh = _solve_kernel_free(state.jac, target - state.areas, directions)
+    if not np.all(np.isfinite(dh)):
+        return None
+    state = _hull_state(directions, state.slack + dh, trace)
     trace.jacobians += 1
-    return slack, (edges, area_jacobian(edges), _face_areas(edges, slack))
+    return state._replace(jac=area_jacobian(state.edges))
 
 
-def _newton_correct(directions, h, target, cfg, total_area, trace):
-    """Newton-iterate the support numbers until the face areas match
-    `target`, with one `_area_state` per iteration (its slack carried on as
-    h; no boundary complex).  Returns (cause, h, (edges, jac, areas),
-    relative residual): cause is None on convergence, otherwise why the
-    caller should shrink the step, one of the `SolveTrace.rejections` keys."""
+def _newton_correct(directions, state, target, cfg, total_area, trace):
+    """Newton steps from `state` until the face areas match `target`.
+    Returns (cause, state, relative residual); cause is None on convergence,
+    else why to shrink the step, one of the `SolveTrace.rejections` keys."""
     floor = _COLLAPSE_FRACTION * total_area
     ceiling = target.max()
     for _ in range(cfg.max_newton_iters + 1):
         try:
-            h, state = _area_state(directions, h, trace)
+            state = _newton_step(directions, state, target, trace)
         except DegenerateBody:
-            return "degenerate", h, None, np.inf
-        _, jac, areas = state
-        if areas.min() < floor:
-            return "collapse", h, state, np.inf
-        resid = float(np.abs(target - areas).max())
+            return "degenerate", None, np.inf
+        if state is None:
+            return "diverged", None, np.inf
+        if state.areas.min() < floor:
+            return "collapse", state, np.inf
+        resid = float(np.abs(target - state.areas).max())
         if resid <= cfg.newton_tol * ceiling:
-            return None, h, state, resid / ceiling
-        dh = _solve_kernel_free(jac, target - areas, directions)
-        if not np.all(np.isfinite(dh)):
-            return "diverged", h, state, np.inf
-        h = h + dh
-    return "stalled", h, state, resid / ceiling
+            return None, state, resid / ceiling
+    return "stalled", state, resid / ceiling
+
+
+def _adjacency(edges):
+    """The face pairs of the edges longer than `MERGE_TOL` times the
+    longest, the edges a mesh keeps after merging its close vertices."""
+    keep = edges.lengths > MERGE_TOL * edges.lengths.max()
+    return frozenset(zip(edges.i[keep].tolist(), edges.j[keep].tolist()))
 
 
 def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
@@ -193,48 +217,31 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     """
     if cfg is None:
         cfg = ContinuationConfig()
-    directions = h.directions
-    target = h.areas
-    total_area = h.total_area
-    trace = SolveTrace()
-
-    start, mesh = _tangent_body(directions)
-    trace.intersections += 1
-    areas0 = mesh.face_areas
-    hvec = start.support_numbers.copy()
-
+    directions, target, trace = h.directions, h.areas, SolveTrace()
+    _, state = _tangent_state(directions, trace)
+    areas0 = state.areas
     ceiling = max(target.max(), areas0.max())
-    if np.abs(target - areas0).max() <= cfg.newton_tol * ceiling:
-        trace.final_residual = float(np.abs(target - areas0).max()) / ceiling
-        return _finish(directions, hvec, mesh, trace)
+    resid = np.abs(target - areas0).max()
+    if resid <= cfg.newton_tol * ceiling:
+        trace.final_residual = float(resid) / ceiling
+        return _finish(directions, state, trace)
 
-    adjacency = mesh.adjacency()
     trace.jacobians += 1
-    jac = area_jacobian(mesh)
-    t = 0.0
-    dt = cfg.dt_initial
-    attempts = 0
+    state = state._replace(jac=area_jacobian(state.edges))
+    adjacency = _adjacency(state.edges)
+    t, dt, attempts = 0.0, cfg.dt_initial, 0
     while t < 1.0 - 1e-15:
         attempts += 1
-        if attempts > cfg.max_steps:
+        if attempts > _MAX_ATTEMPTS:
             raise StepSizeUnderflow("step budget exhausted", trace=trace)
         dt = min(dt, 1.0 - t)
         target_t = (1.0 - (t + dt)) * areas0 + (t + dt) * target
-
-        dh = _solve_kernel_free(jac, dt * (target - areas0), directions)
-        predicted = bool(np.all(np.isfinite(dh)))
-        cause = "diverged"
-        if predicted:
-            cause, h_new, state, resid = _newton_correct(
-                directions, hvec + dh, target_t, cfg, total_area, trace)
-
+        cause, new, resid = _newton_correct(
+            directions, state, target_t, cfg, h.total_area, trace)
         if cause is None:
-            edges, jac, areas = state
-            adjacency_new = frozenset(zip(edges.i.tolist(), edges.j.tolist()))
-            if adjacency_new != adjacency:
-                trace.combinatorial_changes += 1
-                adjacency = adjacency_new
-            hvec = h_new
+            adj = _adjacency(new.edges)
+            trace.combinatorial_changes += adj != adjacency
+            state, adjacency = new, adj
             t += dt
             trace.steps_taken += 1
             trace.dt_history.append(dt)
@@ -247,48 +254,39 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
             trace.rejections[cause] += 1
             dt *= 0.5
             if dt < cfg.dt_min:
-                # a failed predictor is a divergence; a failed corrector
-                # means the step is too long
-                err = StepSizeUnderflow if predicted else NewtonDivergence
+                err = NewtonDivergence if cause == "diverged" \
+                    else StepSizeUnderflow
                 raise err(f"correction {cause} at t={t:.6f} with step "
                           f"below {cfg.dt_min}", trace=trace)
-
-    # polish: a couple of extra Newton steps push the area residual from the
-    # configured tolerance down to rounding level, which the volume based
-    # equality verdicts rely on
-    hvec = _polish(directions, hvec, jac, areas, target, trace)
-    trace.intersections += 1
-    mesh = _intersect_arrays(directions, hvec)
-    return _finish(directions, hvec, mesh, trace)
+    return _finish(directions, _polish(directions, state, target, trace),
+                   trace)
 
 
-def _polish(directions, hvec, jac, areas, target, trace):
-    """Up to three more Newton steps from the accepted support numbers (with
-    area Jacobian `jac` and face areas `areas`), each kept only if it lowers
-    the residual, on edge lists as in `_newton_correct`.  Returns the final
-    support numbers (a slack) and sets `trace.final_residual` to theirs."""
-    resid = np.abs(target - areas).max()
+def _polish(directions, state, target, trace):
+    """Up to three more Newton steps from the accepted `state`, each kept
+    only if it lowers the residual: they push it from the Newton tolerance
+    down to rounding level, which the volume based equality verdicts rely
+    on.  Returns the last state kept; sets `trace.final_residual`."""
+    resid = np.abs(target - state.areas).max()
     for _ in range(3):
-        dh = _solve_kernel_free(jac, target - areas, directions)
-        if not np.all(np.isfinite(dh)):
-            break
         try:
-            h_new, state = _area_state(directions, hvec + dh, trace)
+            new = _newton_step(directions, state, target, trace)
         except DegenerateBody:
             break
-        resid_new = np.abs(target - state[2]).max()
-        if resid_new >= resid:
+        if new is None or np.abs(target - new.areas).max() >= resid:
             break
-        hvec, (_, jac, areas), resid = h_new, state, resid_new
+        state, resid = new, np.abs(target - new.areas).max()
     trace.final_residual = float(resid) / target.max()
-    return hvec
+    return state
 
 
-def _finish(directions, hvec, mesh, trace):
+def _finish(directions, state, trace):
+    """The support polyhedron and mesh of `state`'s body, moved so that the
+    mesh's vertex centroid is the origin, and the trace."""
+    mesh = _hull_mesh(state.edges, state.areas, state.polar, state.corners)
     shift = mesh.centroid
-    mesh = mesh.translate(-shift)
-    hvec = hvec - directions @ shift
-    return (SupportPolyhedron(directions, hvec), mesh, trace)
+    return (SupportPolyhedron(directions, state.slack - directions @ shift),
+            mesh.translate(-shift), trace)
 
 
 # -- independent oracle: Minkowski's variational problem --------------------

@@ -97,6 +97,29 @@ class TestOff:
         with pytest.raises(NonConvexInput):
             import_off("\n".join(lines))
 
+    def test_one_convex_hull_per_file(self, monkeypatch):
+        import blaschke3d.fileio as fileio
+        calls, real = [], fileio.convex_hull
+
+        def counted(points):
+            calls.append(1)
+            return real(points)
+        monkeypatch.setattr(fileio, "convex_hull", counted)
+        import_off(export_off(cube_mesh(1.0)))
+        assert len(calls) == 1
+
+    def test_vertex_inside_a_face_rejected(self):
+        # every stated face plane supports the vertex set, but the centre of
+        # a face is no extreme point
+        mesh = cube_mesh(1.0)
+        verts = np.vstack([mesh.vertices,
+                           mesh.vertices[mesh.faces[0]].mean(axis=0)])
+        lines = ["OFF", f"{len(verts)} 6 12"]
+        lines += [" ".join(str(x) for x in v) for v in verts]
+        lines += [f"{len(f)} " + " ".join(map(str, f)) for f in mesh.faces]
+        with pytest.raises(NonConvexInput, match="not extreme"):
+            import_off("\n".join(lines))
+
     def test_missing_header(self):
         with pytest.raises(ParseError):
             import_off("8 6 12\n")

@@ -8,7 +8,7 @@ from scipy.spatial.transform import Rotation
 from blaschke3d.bodies import (cube_herisson, grunbaum_herisson,
                                icosahedron_directions, icosahedron_herisson,
                                tetrahedron_mesh)
-from blaschke3d.errors import StepSizeUnderflow
+from blaschke3d.errors import NewtonDivergence, StepSizeUnderflow
 from blaschke3d.fileio import parse_herisson_file
 from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
                                  intersect_halfspaces, validate_mesh, volume)
@@ -193,7 +193,7 @@ class TestContinuationSolve:
         sp, mesh, trace = continuation_solve(herisson)
         resid = np.abs(herisson.areas - mesh.face_areas).max() \
             / herisson.areas.max()
-        assert abs(trace.final_residual - resid) <= 1e-12
+        assert trace.final_residual == resid
         edges, slack = _intersect_edges(sp.directions, sp.support_numbers)
         areas = 0.5 * area_jacobian(edges) @ slack
         assert np.abs(areas - mesh.face_areas).max() \
@@ -300,6 +300,60 @@ class TestContinuationSolve:
         assert trace.steps_taken == 0
         (cause,) = [c for c, n in trace.rejections.items() if n]
         assert f"correction {cause} at" in str(err.value)
+
+
+class TestOneSolveState:
+    """One state runs through a solve: every body is one `_polar_hull`, from
+    the tangent body to the returned mesh, which is read off the last
+    accepted hull instead of a second intersection."""
+
+    @pytest.mark.parametrize("h", [
+        *(parse_herisson_file(p.read_text())
+          for p in sorted(DATA.glob("*.her"))), random_herisson(48, 0)],
+        ids=[*(p.name for p in sorted(DATA.glob("*.her"))), "k48-s0"])
+    def test_every_body_is_one_counted_polar_hull(self, h, monkeypatch):
+        import blaschke3d.geometry as geometry
+        import blaschke3d.solver as solver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve intersected outside its state")
+        for module in (geometry, solver):
+            for name in ("_intersect_arrays", "intersect_halfspaces"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        calls, real = [], solver._polar_hull
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(solver, "_polar_hull", counted)
+        _, mesh, trace = continuation_solve(h)
+        assert len(calls) == trace.intersections
+        assert trace.final_residual <= 1e-12
+        validate_mesh(mesh)
+
+    @pytest.mark.parametrize("name, least, most", [
+        ("cube.her", 0, 0), ("dodecahedron.her", 0, 0),
+        ("icosahedron.her", 0, 0), ("grunbaum.her", 1, None)])
+    def test_combinatorial_changes_follow_the_mesh(self, name, least, most):
+        # the tangent bodies of the regular herissons are their solutions up
+        # to scale; the icosahedron's five-face vertices carry edges of about
+        # 5e-11 times the longest, which the mesh merges away and which are
+        # no change of adjacency
+        h = parse_herisson_file((DATA / name).read_text())
+        _, _, trace = continuation_solve(h)
+        assert trace.combinatorial_changes >= least
+        assert most is None or trace.combinatorial_changes <= most
+
+    def test_non_finite_update_raises_newton_divergence(self, monkeypatch):
+        import blaschke3d.solver as solver
+        monkeypatch.setattr(solver, "_solve_kernel_free",
+                            lambda jac, rhs, d: np.full(len(rhs), np.nan))
+        with pytest.raises(NewtonDivergence) as err:
+            continuation_solve(random_herisson(8, 71))
+        trace = err.value.trace
+        assert trace is not None and trace.steps_taken == 0
+        assert trace.rejections["diverged"] >= 1
+        assert "correction diverged at t=0.000000" in str(err.value)
 
 
 class TestExactAreas:
