@@ -1,15 +1,17 @@
 """Reconstruction of a convex polyhedron from a herisson.
 
 The target face areas are reached by marching a homotopy parameter t from an
-easy instance (all support numbers 1, a body circumscribing the unit sphere)
-to the prescribed areas by Newton steps on the area Jacobian J; the first
-step of each attempt, from the last accepted body, is the predictor.  J
-needs only the edges (which faces meet, and how long the edge is), read
-afresh at each step off the polar hull of the half-space intersection, so
-faces and edges may appear or disappear freely along the way.  The face
-areas are A = 1/2 J (h - D c) for any point c (`geometry._face_areas`).
-One state runs through the solve: the last accepted polar hull, its slack
-h - D c (carried on as the support numbers, making the interior point c the
+easy instance (support numbers 1, circumscribing the unit sphere, scaled to
+the target's total area, so the march is the same in any unit of area) to
+the prescribed areas in steps of 1/8 by Newton steps on the area Jacobian J;
+the first step of each attempt, from the last accepted body, is the
+predictor.  Every solve ends in one polish to rounding level.  J needs only
+the edges (which faces meet, and how long the edge is), read afresh at each
+step off the polar hull of the half-space intersection, so faces and edges
+may appear or disappear freely along the way.  The face areas are
+A = 1/2 J (h - D c) for any point c (`geometry._face_areas`).  One state
+runs through the solve: the last accepted polar hull, its slack h - D c
+(carried on as the support numbers, making the interior point c the
 origin, the next centre), J and the areas; the boundary complex (merged
 vertices, face cycles) of the returned body is built once, off that hull.
 J is symmetric, and wherever every face has positive area its kernel is
@@ -40,9 +42,9 @@ _MAX_ATTEMPTS = 100000
 
 @dataclass(frozen=True)
 class ContinuationConfig:
-    """Knobs of the homotopy march."""
+    """Knobs of the homotopy march; steps grow to max(dt_initial, 1/8)."""
 
-    dt_initial: float = 0.01
+    dt_initial: float = 0.125
     dt_min: float = 1e-6
     newton_tol: float = 1e-9
     max_newton_iters: int = 20
@@ -168,16 +170,24 @@ def _solve_kernel_free(jac, rhs, directions):
         return np.full(len(rhs), np.nan)
 
 
+def _with_jacobian(state, trace):
+    """`state` with its J, taken (and counted) if it has none."""
+    if state.jac is None:
+        trace.jacobians += 1
+        state = state._replace(jac=area_jacobian(state.edges))
+    return state
+
+
 def _newton_step(directions, state, target, trace):
     """One Newton step towards the face areas `target`: the `_State` (with J)
     at slack + dh, J dh = target - areas, or None if dh is not finite.
     Raises DegenerateBody if that body has no interior."""
+    state = _with_jacobian(state, trace)
     dh = _solve_kernel_free(state.jac, target - state.areas, directions)
     if not np.all(np.isfinite(dh)):
         return None
-    state = _hull_state(directions, state.slack + dh, trace)
-    trace.jacobians += 1
-    return state._replace(jac=area_jacobian(state.edges))
+    return _with_jacobian(_hull_state(directions, state.slack + dh, trace),
+                          trace)
 
 
 def _newton_correct(directions, state, target, cfg, total_area, trace):
@@ -211,26 +221,28 @@ def _adjacency(edges):
 def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     """March the face areas from the tangent body to the herisson's areas.
 
-    Returns (support polyhedron, mesh, trace); the mesh is recentered so its
-    vertex centroid is the origin, and its face areas match the herisson
-    within the Newton tolerance.
+    It starts from the tangent body scaled by sqrt(sum F / sum A0), at no
+    intersection, so the homotopy (1 - t) A0 + t F keeps the total area; a
+    start within the Newton tolerance of F starts at t = 1.  Either way the
+    solve ends in `_polish`.  Returns (support polyhedron, mesh, trace); the
+    mesh is recentered so its vertex centroid is the origin, and its face
+    areas match the herisson within the Newton tolerance.
     """
     if cfg is None:
         cfg = ContinuationConfig()
     directions, target, trace = h.directions, h.areas, SolveTrace()
     _, state = _tangent_state(directions, trace)
+    lam = np.sqrt(h.total_area / state.areas.sum())
+    state = _State(state.edges._replace(lengths=lam * state.edges.lengths),
+                   lam * state.slack, state.polar, lam * state.corners,
+                   lam ** 2 * state.areas)
     areas0 = state.areas
     ceiling = max(target.max(), areas0.max())
-    resid = np.abs(target - areas0).max()
-    if resid <= cfg.newton_tol * ceiling:
-        trace.final_residual = float(resid) / ceiling
-        return _finish(directions, state, trace)
-
-    trace.jacobians += 1
-    state = state._replace(jac=area_jacobian(state.edges))
+    fixed = np.abs(target - areas0).max() <= cfg.newton_tol * ceiling
     adjacency = _adjacency(state.edges)
-    t, dt, attempts = 0.0, cfg.dt_initial, 0
+    t, dt, attempts = float(fixed), cfg.dt_initial, 0
     while t < 1.0 - 1e-15:
+        state = _with_jacobian(state, trace)
         attempts += 1
         if attempts > _MAX_ATTEMPTS:
             raise StepSizeUnderflow("step budget exhausted", trace=trace)
@@ -247,8 +259,7 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
             trace.dt_history.append(dt)
             trace.residual_history.append(resid)
             trace.final_residual = resid
-            # the corrector makes large steps safe once the march is going;
-            # halving below still handles the hard stretches
+            # capped at 1/8: longer steps cost more Chebyshev-centre LPs
             dt = min(dt * 2.0, max(cfg.dt_initial, 0.125))
         else:
             trace.rejections[cause] += 1
@@ -263,12 +274,15 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
 
 
 def _polish(directions, state, target, trace):
-    """Up to three more Newton steps from the accepted `state`, each kept
-    only if it lowers the residual: they push it from the Newton tolerance
-    down to rounding level, which the volume based equality verdicts rely
-    on.  Returns the last state kept; sets `trace.final_residual`."""
+    """Up to three more Newton steps from `state` (J taken if it has none),
+    each kept only if it lowers the residual, none once it is 1e-14 of the
+    largest area: they push it from the Newton tolerance down to
+    rounding level, which the volume based equality verdicts rely on.
+    Returns the last state kept; sets `trace.final_residual`."""
     resid = np.abs(target - state.areas).max()
     for _ in range(3):
+        if resid <= 1e-14 * target.max():
+            break
         try:
             new = _newton_step(directions, state, target, trace)
         except DegenerateBody:

@@ -378,6 +378,63 @@ class TestExactAreas:
         assert abs(volume(mesh) / (s ** 1.5 * volume(base)) - 1) <= 1e-12
 
 
+class TestScaleFreeMarch:
+    """The march starts from the tangent body scaled to the target's total
+    area, so the unit of area changes neither the result nor the work."""
+
+    def test_grunbaum_takes_the_same_march_at_any_unit_of_area(self):
+        work = set()
+        for s in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+            _, _, trace = continuation_solve(
+                blaschke_scale(grunbaum_herisson(), s))
+            work.add((trace.steps_taken, trace.combinatorial_changes,
+                      trace.intersections))
+        assert len(work) == 1
+        assert work.pop()[1] >= 1
+
+    @pytest.mark.parametrize("s", [1e-6, 16.0, 1e6])
+    def test_scaled_cube_takes_one_intersection(self, s):
+        _, mesh, trace = continuation_solve(
+            blaschke_scale(cube_herisson(1.0), s))
+        assert (trace.steps_taken, trace.intersections,
+                trace.jacobians) == (0, 1, 0)
+        assert np.abs(mesh.face_areas - s).max() <= 1e-14 * s
+
+
+class TestPolish:
+    """`_polish`, the one exit of every solve, steps from the state it is
+    given until the residual is at rounding level, and not beyond."""
+
+    @pytest.mark.parametrize("name, most", [
+        ("cube.her", 0), ("icosahedron.her", 3)])
+    def test_stops_at_rounding_level(self, monkeypatch, name, most):
+        # both targets are their scaled tangent bodies within the Newton
+        # tolerance, so the solve hands that start, without J, to the polish
+        import blaschke3d.solver as solver
+        h = parse_herisson_file((DATA / name).read_text())
+        given, real_polish = [], solver._polish
+
+        def recorded(*args):
+            given.append(args)
+            return real_polish(*args)
+        monkeypatch.setattr(solver, "_polish", recorded)
+        continuation_solve(h)
+        directions, state, target, _ = given[0]
+        assert state.jac is None
+        assert np.abs(target - state.areas).max() <= 1.2e-10 * target.max()
+        steps, real_step = [], solver._newton_step
+
+        def counted(*args):
+            steps.append(1)
+            return real_step(*args)
+        monkeypatch.setattr(solver, "_newton_step", counted)
+        trace = solver.SolveTrace()
+        state = real_polish(directions, state, target, trace)
+        assert len(steps) <= most
+        assert trace.final_residual <= 1e-14
+        assert np.abs(target - state.areas).max() <= 1e-14 * target.max()
+
+
 @pytest.mark.parametrize("h", [grunbaum_herisson(), random_herisson(48, 0)],
                          ids=["grunbaum", "k48-s0"])
 class TestSolveInvariance:
