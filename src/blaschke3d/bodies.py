@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import MeshPolyhedron, convex_hull, unit
-from .herisson import Herisson, validate_herisson
+from .herisson import Herisson, herisson_of_mesh, validate_herisson
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -99,6 +99,26 @@ def grunbaum_herisson() -> Herisson:
     dirs = np.vstack([tilted, diag])
     areas = np.concatenate([np.full(3, 5.0 / np.sqrt(6.0)), np.full(7, 5.0)])
     return validate_herisson(dirs, areas)
+
+
+def elongated_herisson(r, seed=0) -> Herisson:
+    """The face data of the hull of 60 standard Gaussian points (seeded)
+    scaled by (r, 1, r^-1/2): a needle-like body with faces of very
+    different sizes, hard for the solve when r is large."""
+    pts = np.random.default_rng(seed).standard_normal((60, 3))
+    return herisson_of_mesh(convex_hull(pts * (r, 1.0, r ** -0.5)))
+
+
+def near_duplicate_herisson(eps) -> Herisson:
+    """The icosahedron's face data plus a normal eps rad from face 0's,
+    turned towards face 1's; face 0's area 5 is split 4.95 / 0.05 between
+    the two (the closure defect of order eps is projected away)."""
+    dirs = icosahedron_directions()
+    n0 = dirs[0]
+    w = unit(dirs[1] - (dirs[1] @ n0) * n0)
+    extra = np.cos(eps) * n0 + np.sin(eps) * w
+    areas = np.concatenate([[4.95], np.full(19, 5.0), [0.05]])
+    return validate_herisson(np.vstack([dirs, extra]), areas)
 
 
 def icosphere_mesh(depth: int, radius=1.0) -> MeshPolyhedron:

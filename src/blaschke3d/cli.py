@@ -33,12 +33,9 @@ def _dump(obj):
 
 
 def _solver_config(args):
-    kw = {}
-    if getattr(args, "dt", None) is not None:
-        kw["dt_initial"] = args.dt
-    if getattr(args, "tol", None) is not None:
-        kw["newton_tol"] = args.tol
-    return ContinuationConfig(**kw)
+    if args.tol is None:
+        return ContinuationConfig()
+    return ContinuationConfig(newton_tol=args.tol)
 
 
 def _load_input(path):
@@ -160,7 +157,6 @@ def _build_parser():
                        help="reconstruct a body from a .her file")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--dt", type=float, help="initial continuation step")
     p.add_argument("--tol", type=float, help="relative area tolerance")
     p.add_argument("--trace", action="store_true",
                    help="print solve diagnostics as JSON")
@@ -170,7 +166,6 @@ def _build_parser():
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--dt", type=float)
     p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_bsum)
 
@@ -186,7 +181,6 @@ def _build_parser():
     p.add_argument("b")
     p.add_argument("--a", dest="a_exp", type=float, default=1.0,
                    help="exponent factor for 'exponent'")
-    p.add_argument("--dt", type=float)
     p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_check)
 

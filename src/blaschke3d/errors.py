@@ -53,7 +53,8 @@ class NonPositiveScale(ToolkitError):
 # -- solver -----------------------------------------------------------------
 
 class StepSizeUnderflow(ToolkitError):
-    """Continuation step size fell below its floor before reaching t = 1."""
+    """The solve found no step length that reduces the area residual, or
+    ran out of steps."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
@@ -61,7 +62,7 @@ class StepSizeUnderflow(ToolkitError):
 
 
 class NewtonDivergence(ToolkitError):
-    """Newton correction produced non-finite iterates."""
+    """A Newton update of the support numbers was not finite."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)

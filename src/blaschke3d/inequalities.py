@@ -215,9 +215,6 @@ def lemma_inequality(a: float, x: float) -> bool:
 
 # -- fuzz campaign -----------------------------------------------------------
 
-_FUZZ_SOLVER = ContinuationConfig(dt_initial=0.5)
-
-
 def _relative_residual(rep):
     return rep.residual / max(abs(rep.lhs), abs(rep.rhs), 1e-300)
 
@@ -287,7 +284,7 @@ def fuzz_campaign(cfg: FuzzConfig) -> dict:
         else:
             hq = random_herisson(kq, _derived_seed(cfg.seed, trial, 2))
 
-        pair = _Pair(hp, hq, _FUZZ_SOLVER)
+        pair = _Pair(hp, hq)
         for name, entry in stats.items():
             rep = _FUZZ_REPORTS[name](pair, cfg.a)
             if name == "ks" and \

@@ -1,22 +1,23 @@
 """Reconstruction of a convex polyhedron from a herisson.
 
-The target face areas are reached by marching a homotopy parameter t from an
-easy instance (support numbers 1, circumscribing the unit sphere, scaled to
-the target's total area, so the march is the same in any unit of area) to
-the prescribed areas in steps of 1/8 by Newton steps on the area Jacobian J;
-the first step of each attempt, from the last accepted body, is the
-predictor.  Every solve ends in one polish to rounding level.  J needs only
-the edges (which faces meet, and how long the edge is), read afresh at each
-step off the polar hull of the half-space intersection, so faces and edges
-may appear or disappear freely along the way.  The face areas are
-A = 1/2 J (h - D c) for any point c (`geometry._face_areas`).  One state
-runs through the solve: the last accepted polar hull, its slack h - D c
-(carried on as the support numbers, making the interior point c the
-origin, the next centre), J and the areas; the boundary complex (merged
-vertices, face cycles) of the returned body is built once, off that hull.
-J is symmetric, and wherever every face has positive area its kernel is
-exactly the translations (Alexandrov's mixed-volume lemma); one LU solve of
-J plus a term that pins that kernel gives the update orthogonal to it.
+Damped Newton steps on the face areas A(h) = F start from the tangent body
+(support numbers 1, circumscribing the unit sphere) scaled to the target's
+total area, so the solve is the same in any unit of area.  Each step solves
+J dh = F - A for the area Jacobian J and keeps the longest length alpha of
+1, 1/2, 1/4, ... (at most twice the last) at which every face keeps half
+the least start or target area and |F - A|_2 falls by 1 - alpha/2 (the rule
+of Kitagawa, Merigot & Thibert for semi-discrete optimal transport).  So
+every face stays present and the kernel of J is exactly the translations
+(Alexandrov's mixed-volume lemma): one LU solve of J plus a term pinning
+that kernel gives the update orthogonal to it.  Within the Newton tolerance
+only full steps are tried, down to rounding level, and the first that
+fails ends the solve.  J needs only the edges (which faces meet, and how
+long the edge is), read off the polar hull of each half-space
+intersection, and the areas are A = 1/2 J (h - D c) for any point c
+(`geometry._face_areas`).  One state runs through the solve: the last
+accepted polar hull, its slack h - D c (carried on as the support numbers,
+making the interior point c the origin, the next centre) and its areas;
+the returned mesh is built once, off that hull.
 """
 from __future__ import annotations
 
@@ -33,49 +34,48 @@ from .geometry import (MERGE_TOL, EdgeList, MeshPolyhedron,
                        _polar_hull, check_positive_spanning)
 from .herisson import Herisson
 
-# A face whose area drops below this fraction of the total target area is
-# treated as collapsing; the step is retried at half size.
-_COLLAPSE_FRACTION = 1e-12
-# Step attempts, accepted or rejected, before the march gives up.
-_MAX_ATTEMPTS = 100000
+# The step lengths tried, 1 down to 2^-30, and the number of accepted
+# steps after which the solve gives up (the hardest inputs solved take
+# about 30).
+_LENGTHS = tuple(0.5 ** n for n in range(31))
+_MAX_STEPS = 60
+# Relative residual at which the solve stops: rounding level.
+_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
 class ContinuationConfig:
-    """Knobs of the homotopy march; steps grow to max(dt_initial, 1/8)."""
+    """The relative area residual the solve must reach.  Within it only
+    full Newton steps are tried, down to rounding level, and the first that
+    fails ends the solve."""
 
-    dt_initial: float = 0.125
-    dt_min: float = 1e-6
     newton_tol: float = 1e-9
-    max_newton_iters: int = 20
 
     def __post_init__(self):
-        if not (0.0 < self.dt_min <= self.dt_initial <= 1.0):
-            raise ValueError("need 0 < dt_min <= dt_initial <= 1")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
 
 
 @dataclass
 class SolveTrace:
-    """Diagnostics of one continuation run.
+    """Diagnostics of one solve.
 
-    `residual_history` holds the relative area residual of every accepted
-    step; each entry is below the Newton tolerance by construction.
-    `final_residual` is the returned mesh's, read off its last polish step.
-    `intersections` and `jacobians` count the half-space intersections and
-    area Jacobians computed, over accepted and rejected steps alike; the
-    returned mesh is read off the last accepted intersection.
-    `combinatorial_changes` counts the accepted steps whose face adjacency
-    (edges longer than `MERGE_TOL` times the longest) differs from the last.
-    `rejections` counts the rejected step attempts by cause: "diverged" (a
-    non-finite update), "stalled" (no convergence within the iteration
-    budget), "collapse" (a face area below the collapse floor) and
-    "degenerate" (the intersection lost its interior).
+    `alpha_history` holds the length of every accepted step, and
+    `residual_history` the residual |F - A|_2 / |F|_2 after it, which falls
+    by 1 - alpha/2 at each step.  `final_residual` is the returned mesh's
+    max |F - A| / max F.  `intersections` and `jacobians` count the
+    half-space intersections and area Jacobians computed, over accepted and
+    rejected steps alike; the returned mesh is read off the last accepted
+    intersection.  `combinatorial_changes` counts the accepted steps whose
+    face adjacency (edges longer than `MERGE_TOL` times the longest) differs
+    from the last.  `rejections` counts the rejected step lengths by cause:
+    "diverged" (a non-finite update), "stalled" (too small a fall of the
+    residual), "collapse" (a face area below the floor) and "degenerate"
+    (the last centre outside the body, or no interior).
     """
 
     steps_taken: int = 0
-    dt_history: list = field(default_factory=list)
+    alpha_history: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
     final_residual: float = float("nan")
     combinatorial_changes: int = 0
@@ -87,18 +87,17 @@ class SolveTrace:
 
 class _State(NamedTuple):
     """One body of the solve: its `_polar_hull` (edge list, slack, hull and
-    corners about the centre c), face areas 1/2 J slack and, once taken, J."""
+    corners about the centre c) and face areas 1/2 J slack."""
 
     edges: EdgeList
     slack: np.ndarray
     polar: object
     corners: np.ndarray
     areas: np.ndarray
-    jac: np.ndarray | None = None
 
 
 def _hull_state(directions, h, trace):
-    """The `_State` (without J) of the body with support numbers h."""
+    """The `_State` of the body with support numbers h."""
     trace.intersections += 1
     edges, slack, polar, corners, _ = _polar_hull(directions, h)
     return _State(edges, slack, polar, corners, _face_areas(edges, slack))
@@ -115,7 +114,7 @@ def _tangent_state(directions, trace):
 
 
 def initial_polyhedron(directions):
-    """Starting body of the march: all support numbers 1, circumscribing the
+    """Starting body of the solve: all support numbers 1, circumscribing the
     unit sphere, where every face has positive area.  Returns the body and
     its face areas."""
     sp, state = _tangent_state(directions, SolveTrace())
@@ -170,47 +169,6 @@ def _solve_kernel_free(jac, rhs, directions):
         return np.full(len(rhs), np.nan)
 
 
-def _with_jacobian(state, trace):
-    """`state` with its J, taken (and counted) if it has none."""
-    if state.jac is None:
-        trace.jacobians += 1
-        state = state._replace(jac=area_jacobian(state.edges))
-    return state
-
-
-def _newton_step(directions, state, target, trace):
-    """One Newton step towards the face areas `target`: the `_State` (with J)
-    at slack + dh, J dh = target - areas, or None if dh is not finite.
-    Raises DegenerateBody if that body has no interior."""
-    state = _with_jacobian(state, trace)
-    dh = _solve_kernel_free(state.jac, target - state.areas, directions)
-    if not np.all(np.isfinite(dh)):
-        return None
-    return _with_jacobian(_hull_state(directions, state.slack + dh, trace),
-                          trace)
-
-
-def _newton_correct(directions, state, target, cfg, total_area, trace):
-    """Newton steps from `state` until the face areas match `target`.
-    Returns (cause, state, relative residual); cause is None on convergence,
-    else why to shrink the step, one of the `SolveTrace.rejections` keys."""
-    floor = _COLLAPSE_FRACTION * total_area
-    ceiling = target.max()
-    for _ in range(cfg.max_newton_iters + 1):
-        try:
-            state = _newton_step(directions, state, target, trace)
-        except DegenerateBody:
-            return "degenerate", None, np.inf
-        if state is None:
-            return "diverged", None, np.inf
-        if state.areas.min() < floor:
-            return "collapse", state, np.inf
-        resid = float(np.abs(target - state.areas).max())
-        if resid <= cfg.newton_tol * ceiling:
-            return None, state, resid / ceiling
-    return "stalled", state, resid / ceiling
-
-
 def _adjacency(edges):
     """The face pairs of the edges longer than `MERGE_TOL` times the
     longest, the edges a mesh keeps after merging its close vertices."""
@@ -218,15 +176,63 @@ def _adjacency(edges):
     return frozenset(zip(edges.i[keep].tolist(), edges.j[keep].tolist()))
 
 
-def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
-    """March the face areas from the tangent body to the herisson's areas.
+def _damped_step(directions, state, target, lengths, floor, trace):
+    """One Newton step from `state` towards the face areas `target`.
 
-    It starts from the tangent body scaled by sqrt(sum F / sum A0), at no
-    intersection, so the homotopy (1 - t) A0 + t F keeps the total area; a
-    start within the Newton tolerance of F starts at t = 1.  Either way the
-    solve ends in `_polish`.  Returns (support polyhedron, mesh, trace); the
-    mesh is recentered so its vertex centroid is the origin, and its face
-    areas match the herisson within the Newton tolerance.
+    dh solves J dh = target - areas, and the step is the first alpha of
+    `lengths` whose body at slack + alpha dh passes, else it is rejected as
+    "degenerate" (a support number not positive, so the last centre, the
+    origin, is outside, which takes no intersection; or no interior),
+    "collapse" (a face area below `floor`) or "stalled" (|target - areas|_2
+    not down by 1 - alpha/2).  Returns (alpha, new state), or (cause, None)
+    with the `SolveTrace.rejections` key of the last rejection.
+    """
+    trace.jacobians += 1
+    gap = target - state.areas
+    dh = _solve_kernel_free(area_jacobian(state.edges), gap, directions)
+    if not np.all(np.isfinite(dh)):
+        trace.rejections["diverged"] += 1
+        return "diverged", None
+    norm = np.linalg.norm(gap)
+    for alpha in lengths:
+        h = state.slack + alpha * dh
+        try:
+            new = _hull_state(directions, h, trace) if h.min() > 0 else None
+        except DegenerateBody:
+            new = None
+        if new is None:
+            cause = "degenerate"
+        elif new.areas.min() < floor:
+            cause = "collapse"
+        elif np.linalg.norm(target - new.areas) > (1 - alpha / 2) * norm:
+            cause = "stalled"
+        else:
+            return alpha, new
+        trace.rejections[cause] += 1
+    return cause, None
+
+
+def _failure(cause, resid, trace):
+    """The error that ends a solve whose step failed for `cause`."""
+    what = {"diverged": "Newton update not finite",
+            "budget": "no convergence within the step budget"}.get(
+        cause, f"step length below 2^-30, the last rejected as {cause}")
+    err = NewtonDivergence if cause == "diverged" else StepSizeUnderflow
+    return err(f"{what}: relative residual {resid:.2e} after "
+               f"{trace.steps_taken} steps", trace=trace)
+
+
+def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
+    """Damped Newton steps from the tangent body to the herisson's areas.
+
+    The start is the tangent body scaled by sqrt(sum F / sum A0), at no
+    intersection; each step length is at most twice the last.  Returns
+    (support polyhedron, mesh, trace); the mesh is recentered so its vertex
+    centroid is the origin, and its face areas match the herisson within
+    the Newton tolerance.  Raises NewtonDivergence on a non-finite update
+    and StepSizeUnderflow when no step length down to 2^-30 passes or after
+    `_MAX_STEPS` steps, each naming the cause, the relative residual
+    reached and the step count.
     """
     if cfg is None:
         cfg = ContinuationConfig()
@@ -236,62 +242,33 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     state = _State(state.edges._replace(lengths=lam * state.edges.lengths),
                    lam * state.slack, state.polar, lam * state.corners,
                    lam ** 2 * state.areas)
-    areas0 = state.areas
-    ceiling = max(target.max(), areas0.max())
-    fixed = np.abs(target - areas0).max() <= cfg.newton_tol * ceiling
-    adjacency = _adjacency(state.edges)
-    t, dt, attempts = float(fixed), cfg.dt_initial, 0
-    while t < 1.0 - 1e-15:
-        state = _with_jacobian(state, trace)
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
-            raise StepSizeUnderflow("step budget exhausted", trace=trace)
-        dt = min(dt, 1.0 - t)
-        target_t = (1.0 - (t + dt)) * areas0 + (t + dt) * target
-        cause, new, resid = _newton_correct(
-            directions, state, target_t, cfg, h.total_area, trace)
-        if cause is None:
-            adj = _adjacency(new.edges)
-            trace.combinatorial_changes += adj != adjacency
-            state, adjacency = new, adj
-            t += dt
-            trace.steps_taken += 1
-            trace.dt_history.append(dt)
-            trace.residual_history.append(resid)
-            trace.final_residual = resid
-            # capped at 1/8: longer steps cost more Chebyshev-centre LPs
-            dt = min(dt * 2.0, max(cfg.dt_initial, 0.125))
-        else:
-            trace.rejections[cause] += 1
-            dt *= 0.5
-            if dt < cfg.dt_min:
-                err = NewtonDivergence if cause == "diverged" \
-                    else StepSizeUnderflow
-                raise err(f"correction {cause} at t={t:.6f} with step "
-                          f"below {cfg.dt_min}", trace=trace)
-    return _finish(directions, _polish(directions, state, target, trace),
-                   trace)
-
-
-def _polish(directions, state, target, trace):
-    """Up to three more Newton steps from `state` (J taken if it has none),
-    each kept only if it lowers the residual, none once it is 1e-14 of the
-    largest area: they push it from the Newton tolerance down to
-    rounding level, which the volume based equality verdicts rely on.
-    Returns the last state kept; sets `trace.final_residual`."""
-    resid = np.abs(target - state.areas).max()
-    for _ in range(3):
-        if resid <= 1e-14 * target.max():
+    floor = 0.5 * min(state.areas.min(), target.min())
+    adjacency, alpha = _adjacency(state.edges), 1.0
+    for _ in range(_MAX_STEPS):
+        resid = np.abs(target - state.areas).max() / target.max()
+        polishing = resid <= cfg.newton_tol
+        if resid <= min(_ROUNDING, cfg.newton_tol):
             break
-        try:
-            new = _newton_step(directions, state, target, trace)
-        except DegenerateBody:
+        lengths = [1.0] if polishing else \
+            [a for a in _LENGTHS if a <= 2.0 * alpha]
+        outcome, new = _damped_step(directions, state, target, lengths,
+                                    floor, trace)
+        if new is None and polishing:
             break
-        if new is None or np.abs(target - new.areas).max() >= resid:
-            break
-        state, resid = new, np.abs(target - new.areas).max()
-    trace.final_residual = float(resid) / target.max()
-    return state
+        if new is None:
+            raise _failure(outcome, resid, trace)
+        adj = _adjacency(new.edges)
+        trace.combinatorial_changes += adj != adjacency
+        alpha, state, adjacency = outcome, new, adj
+        trace.steps_taken += 1
+        trace.alpha_history.append(alpha)
+        trace.residual_history.append(float(
+            np.linalg.norm(target - state.areas) / np.linalg.norm(target)))
+    resid = np.abs(target - state.areas).max() / target.max()
+    if resid > cfg.newton_tol:
+        raise _failure("budget", resid, trace)
+    trace.final_residual = float(resid)
+    return _finish(directions, state, trace)
 
 
 def _finish(directions, state, trace):
@@ -307,7 +284,7 @@ def _finish(directions, state, trace):
 
 def oracle_solve_small(h: Herisson) -> MeshPolyhedron:
     """Reconstruct a small herisson (k <= 8) by minimising Minkowski's
-    functional (`_oracle_solve`): no area Jacobian, Newton step or march."""
+    functional (`_oracle_solve`): no area Jacobian and no Newton step."""
     if h.k > 8:
         raise ValueError("oracle is limited to k <= 8 faces")
     return _oracle_solve(h)

@@ -23,15 +23,13 @@ from blaschke3d.herisson import blaschke_add, herisson_of_mesh, \
 from blaschke3d.inequalities import (FuzzConfig, exponent_check,
                                      fuzz_campaign, kneser_suss_check,
                                      monotonicity_check)
-from blaschke3d.solver import (ContinuationConfig, area_jacobian,
-                               continuation_solve, initial_polyhedron,
-                               oracle_solve_small)
+from blaschke3d.solver import (area_jacobian, continuation_solve,
+                               initial_polyhedron, oracle_solve_small)
 from blaschke3d.sums import minkowski_sum
 
 from helpers import centered, random_tangent_mesh, vertex_sets_match
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-FAST = ContinuationConfig(dt_initial=0.5)
 
 #: meshes produced by the pipelines exercised here, re-checked in criterion 12
 _PIPELINE_MESHES = []
@@ -151,7 +149,7 @@ def test_criterion_04_minkowski_tetrahedra_faces():
 def test_criterion_05_volume_monotonicity_without_containment():
     hk = box_herisson((1.0, 1.0, 50.0))
     hl = cube_herisson(100.0)
-    rep = monotonicity_check(hk, hl, FAST)
+    rep = monotonicity_check(hk, hl)
     assert rep.verdict == "holds"
     assert rep.rhs == pytest.approx(50.0, rel=1e-9)
     assert rep.lhs == pytest.approx(1000.0, rel=1e-9)
@@ -237,7 +235,7 @@ def test_criterion_10_oracle_equivalence():
     for i in range(20):
         k = 4 + i % 5
         h = random_herisson(k, 9000 + i)
-        _, mesh, _ = continuation_solve(h, FAST)
+        _, mesh, _ = continuation_solve(h)
         oracle = oracle_solve_small(h)
         vol_gap = abs(volume(oracle) - volume(mesh)) / volume(mesh)
         worst_vol = max(worst_vol, vol_gap)
@@ -292,7 +290,7 @@ def test_criterion_11_spherical_identity():
 def test_criterion_12_every_pipeline_mesh_closes_up():
     # a few extra pipeline products beyond the ones registered above
     _register(minkowski_sum(cube_mesh(1.0), cube_mesh(1.0)), "msum cubes")
-    _, mesh, _ = continuation_solve(random_herisson(15, 77), FAST)
+    _, mesh, _ = continuation_solve(random_herisson(15, 77))
     _register(mesh, "construct random 15-face body")
     assert len(_PIPELINE_MESHES) >= 6
     worst = 0.0

@@ -16,9 +16,7 @@ from blaschke3d.inequalities import (FuzzConfig, InequalityReport,
                                      fuzz_campaign, homothety_ratio,
                                      kneser_suss_check, lemma_inequality,
                                      monotonicity_check, sum_comparison_check)
-from blaschke3d.solver import ContinuationConfig, continuation_solve
-
-FAST = ContinuationConfig(dt_initial=0.5)
+from blaschke3d.solver import continuation_solve
 
 
 def shuffled(h, seed):
@@ -99,7 +97,7 @@ class TestKneserSuss:
 
     def test_her_operands_use_their_own_face_data(self):
         h = random_herisson(8, 3)
-        rep = kneser_suss_check(h, blaschke_scale(h, 4.0), FAST)
+        rep = kneser_suss_check(h, blaschke_scale(h, 4.0))
         assert rep.verdict == "equality"
         assert rep.diagnosis["area_ratio"] == pytest.approx(4.0, rel=1e-15)
 
@@ -112,12 +110,12 @@ class TestKneserSuss:
 class TestMonotonicity:
     def test_equal_data_gives_equality(self):
         h = random_herisson(7, 9)
-        rep = monotonicity_check(h, h, FAST)
+        rep = monotonicity_check(h, h)
         assert rep.verdict == "equality"
 
     def test_long_box_versus_cube(self):
         rep = monotonicity_check(box_herisson((1, 1, 50)),
-                                 cube_herisson(100.0), FAST)
+                                 cube_herisson(100.0))
         assert rep.verdict == "holds"
         assert rep.lhs == pytest.approx(1000.0, rel=1e-9)
         assert rep.rhs == pytest.approx(50.0, rel=1e-9)
@@ -128,19 +126,19 @@ class TestMonotonicity:
         hk = cube_herisson(4.0)
         hl = cube_herisson(2.0)
         with pytest.raises(PremiseViolated) as err:
-            monotonicity_check(hk, hl, FAST)
+            monotonicity_check(hk, hl)
         assert err.value.direction is not None
 
     def test_premise_ignores_row_order(self):
         hk = random_herisson(7, 9)
         hl = blaschke_add(hk, random_herisson(5, 10))
-        rep = monotonicity_check(hk, hl, FAST)
-        again = monotonicity_check(hk, shuffled(hl, 3), FAST)
+        rep = monotonicity_check(hk, hl)
+        again = monotonicity_check(hk, shuffled(hl, 3))
         assert again.verdict == rep.verdict == "holds"
         assert again.rhs == rep.rhs
         assert again.lhs == pytest.approx(rep.lhs, rel=1e-9)
         with pytest.raises(PremiseViolated) as err:
-            monotonicity_check(hl, shuffled(hk, 4), FAST)
+            monotonicity_check(hl, shuffled(hk, 4))
         assert err.value.direction is not None
 
     def test_blaschke_construction_recipe(self):
@@ -151,7 +149,7 @@ class TestMonotonicity:
     @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
     def test_shrunken_data_premise_auto_satisfied(self, t):
         hl = random_herisson(8, 13)
-        rep = monotonicity_check(blaschke_scale(hl, t), hl, FAST)
+        rep = monotonicity_check(blaschke_scale(hl, t), hl)
         assert rep.ok
         # areas scale by t so volume scales by t^(3/2)
         assert rep.rhs == pytest.approx(t ** 1.5 * rep.lhs, rel=1e-6)
@@ -284,16 +282,16 @@ class TestWorkPerPath:
         assert calls == {"solve": 0, "minkowski": 1}
 
     def test_kneser_suss_on_meshes_solves_the_sum_only(self, calls):
-        kneser_suss_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)), FAST)
+        kneser_suss_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)))
         assert calls == {"solve": 1, "minkowski": 0}
 
     def test_monotonicity_on_meshes_solves_nothing(self, calls):
-        rep = monotonicity_check(cube_mesh(1.0), cube_mesh(2.0), FAST)
+        rep = monotonicity_check(cube_mesh(1.0), cube_mesh(2.0))
         assert rep.lhs == pytest.approx(8.0, rel=1e-12)
         assert calls == {"solve": 0, "minkowski": 0}
 
     def test_exponent_check_builds_each_sum_once(self, calls):
-        exponent_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)), 0.5, FAST)
+        exponent_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)), 0.5)
         assert calls == {"solve": 1, "minkowski": 1}
 
     def test_fuzz_trial_with_every_check(self, calls):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from blaschke3d.bodies import (cube_herisson, grunbaum_herisson,
-                               icosahedron_directions, icosahedron_herisson,
+from blaschke3d.bodies import (cube_herisson, elongated_herisson,
+                               grunbaum_herisson, icosahedron_directions,
+                               icosahedron_herisson, near_duplicate_herisson,
                                tetrahedron_mesh)
-from blaschke3d.errors import NewtonDivergence, StepSizeUnderflow
+from blaschke3d.errors import (NewtonDivergence, StepSizeUnderflow,
+                               ToolkitError)
 from blaschke3d.fileio import parse_herisson_file
 from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
                                  intersect_halfspaces, validate_mesh, volume)
@@ -26,7 +28,6 @@ from test_geometry import corner_cases
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
 
-FAST = ContinuationConfig(dt_initial=0.5)
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -177,8 +178,8 @@ class TestContinuationSolve:
 
     def test_counters_cover_every_step(self):
         _, _, trace = continuation_solve(grunbaum_herisson())
-        # after the tangent body, each accepted step costs the predictor's
-        # Jacobian and at least one corrector intersection
+        # after the tangent body, each accepted step costs one Jacobian and
+        # at least one intersection
         assert trace.jacobians >= trace.steps_taken > 0
         assert trace.intersections >= trace.steps_taken + 1
 
@@ -187,7 +188,7 @@ class TestContinuationSolve:
         (random_herisson(48, 2), 1e-12), (grunbaum_herisson(), 1e-12)],
         ids=["k48-s0", "k48-s1", "k48-s2", "grunbaum"])
     def test_final_residual_matches_the_returned_mesh(self, herisson, gap):
-        # the march reads its areas as 1/2 J (h - D c) off edge lists; the
+        # the solve reads its areas as 1/2 J (h - D c) off edge lists; the
         # residual it reports must still be the returned mesh's own
         from blaschke3d.geometry import _intersect_edges
         sp, mesh, trace = continuation_solve(herisson)
@@ -230,7 +231,7 @@ class TestContinuationSolve:
         validate_mesh(mesh)
 
     def test_four_face_data_solves_to_tetrahedron(self):
-        _, mesh, _ = continuation_solve(random_herisson(4, 19), FAST)
+        _, mesh, _ = continuation_solve(random_herisson(4, 19))
         assert mesh.face_count == 4
         assert len(mesh.vertices) == 4
         validate_mesh(mesh)
@@ -243,12 +244,12 @@ class TestContinuationSolve:
         assert big.scale == pytest.approx(2.0 * small.scale, rel=1e-9)
 
     def test_output_centered(self):
-        _, mesh, _ = continuation_solve(random_herisson(8, 21), FAST)
+        _, mesh, _ = continuation_solve(random_herisson(8, 21))
         assert np.linalg.norm(mesh.centroid) <= 1e-9 * mesh.scale
 
     def test_round_trip_face_data(self):
         h = random_herisson(10, 31)
-        _, mesh, _ = continuation_solve(h, FAST)
+        _, mesh, _ = continuation_solve(h)
         back = herisson_of_mesh(mesh)
         assert back.k == h.k
         for d, f in zip(h.directions, h.areas):
@@ -259,47 +260,60 @@ class TestContinuationSolve:
 
     def test_scaled_areas_scale_volume(self):
         h = random_herisson(9, 41)
-        _, mesh1, _ = continuation_solve(h, FAST)
-        _, mesh2, _ = continuation_solve(blaschke_scale(h, 2.0), FAST)
+        _, mesh1, _ = continuation_solve(h)
+        _, mesh2, _ = continuation_solve(blaschke_scale(h, 2.0))
         assert volume(mesh2) == pytest.approx(2 ** 1.5 * volume(mesh1),
                                               rel=1e-6)
 
     def test_path_independence_of_result(self):
-        # two different step policies land on the same translate class
+        # the solve lands on the translate class of the oracle's minimiser
+        # of Minkowski's functional, which takes no Newton step at all
         h = random_herisson(11, 51)
-        _, fine, _ = continuation_solve(h, ContinuationConfig(dt_initial=0.01))
-        _, coarse, _ = continuation_solve(h, ContinuationConfig(dt_initial=1.0))
-        assert vertex_sets_match(centered(fine), centered(coarse),
-                                 1e-6 * fine.diameter())
+        _, mesh, _ = continuation_solve(h)
+        oracle = _oracle_solve(h)
+        assert abs(volume(oracle) - volume(mesh)) <= 1e-6 * volume(mesh)
+        assert vertex_sets_match(centered(mesh), centered(oracle),
+                                 1e-5 * mesh.diameter())
 
     def test_monotone_trace_residual(self):
-        cfg = ContinuationConfig(dt_initial=0.25, newton_tol=1e-9)
+        # every accepted step of length alpha lowers |F - A|_2 by 1 - alpha/2
+        cfg = ContinuationConfig(newton_tol=1e-9)
         _, _, trace = continuation_solve(random_herisson(9, 61), cfg)
         assert trace.final_residual <= cfg.newton_tol
         assert len(trace.residual_history) == trace.steps_taken
-        assert all(r <= cfg.newton_tol for r in trace.residual_history)
+        assert len(trace.alpha_history) == trace.steps_taken
+        history = trace.residual_history
+        for before, after, alpha in zip(history, history[1:],
+                                        trace.alpha_history[1:]):
+            assert after <= (1.0 - alpha / 2.0) * before
 
     def test_step_size_underflow(self):
-        cfg = ContinuationConfig(dt_initial=1.0, dt_min=1.0,
-                                 max_newton_iters=0)
+        # a tolerance below rounding level cannot be reached: the last step
+        # is halved below 2^-30 without lowering the residual
+        cfg = ContinuationConfig(newton_tol=1e-30)
         with pytest.raises(StepSizeUnderflow) as err:
             continuation_solve(random_herisson(8, 71), cfg)
         assert err.value.trace is not None
+        assert "relative residual" in str(err.value)
 
-    def test_rejections_count_every_rejected_attempt(self):
-        # the first attempt fails and halving it drops below dt_min, so
-        # exactly one attempt was rejected, for the cause the error names
-        cfg = ContinuationConfig(dt_initial=1.0, dt_min=1.0,
-                                 max_newton_iters=0)
+    def test_rejections_count_every_rejected_attempt(self, monkeypatch):
+        # an update pointing away from the target fails at every length, so
+        # each of the lengths 1 down to 2^-30 was rejected once, and the
+        # error names the cause of the last
+        import blaschke3d.solver as solver
+        real = solver._solve_kernel_free
+        monkeypatch.setattr(solver, "_solve_kernel_free",
+                            lambda jac, rhs, d: -real(jac, rhs, d))
         with pytest.raises(StepSizeUnderflow) as err:
-            continuation_solve(random_herisson(8, 71), cfg)
+            continuation_solve(random_herisson(8, 71))
         trace = err.value.trace
         assert set(trace.rejections) == {"diverged", "stalled", "collapse",
                                          "degenerate"}
-        assert sum(trace.rejections.values()) == 1
+        assert sum(trace.rejections.values()) == len(solver._LENGTHS)
         assert trace.steps_taken == 0
-        (cause,) = [c for c, n in trace.rejections.items() if n]
-        assert f"correction {cause} at" in str(err.value)
+        assert trace.intersections <= 1 + len(solver._LENGTHS)
+        assert any(f"the last rejected as {cause}:" in str(err.value)
+                   for cause, n in trace.rejections.items() if n)
 
 
 class TestOneSolveState:
@@ -353,11 +367,12 @@ class TestOneSolveState:
         trace = err.value.trace
         assert trace is not None and trace.steps_taken == 0
         assert trace.rejections["diverged"] >= 1
-        assert "correction diverged at t=0.000000" in str(err.value)
+        assert str(err.value).startswith("Newton update not finite: "
+                                         "relative residual")
 
 
 class TestExactAreas:
-    """The march and the returned mesh take their face areas from one exact
+    """The solve and the returned mesh take their face areas from one exact
     formula, 1/2 J (h - D c) on the polar hull's edge list, so every solve
     ends at rounding level, whatever the unit of area."""
 
@@ -379,7 +394,7 @@ class TestExactAreas:
 
 
 class TestScaleFreeMarch:
-    """The march starts from the tangent body scaled to the target's total
+    """The solve starts from the tangent body scaled to the target's total
     area, so the unit of area changes neither the result nor the work."""
 
     def test_grunbaum_takes_the_same_march_at_any_unit_of_area(self):
@@ -402,37 +417,20 @@ class TestScaleFreeMarch:
 
 
 class TestPolish:
-    """`_polish`, the one exit of every solve, steps from the state it is
-    given until the residual is at rounding level, and not beyond."""
+    """Within the Newton tolerance the solve takes full steps until the
+    residual is at rounding level, and not beyond."""
 
     @pytest.mark.parametrize("name, most", [
         ("cube.her", 0), ("icosahedron.her", 3)])
-    def test_stops_at_rounding_level(self, monkeypatch, name, most):
+    def test_stops_at_rounding_level(self, name, most):
         # both targets are their scaled tangent bodies within the Newton
-        # tolerance, so the solve hands that start, without J, to the polish
-        import blaschke3d.solver as solver
+        # tolerance, so every step the solve takes is a full one
         h = parse_herisson_file((DATA / name).read_text())
-        given, real_polish = [], solver._polish
-
-        def recorded(*args):
-            given.append(args)
-            return real_polish(*args)
-        monkeypatch.setattr(solver, "_polish", recorded)
-        continuation_solve(h)
-        directions, state, target, _ = given[0]
-        assert state.jac is None
-        assert np.abs(target - state.areas).max() <= 1.2e-10 * target.max()
-        steps, real_step = [], solver._newton_step
-
-        def counted(*args):
-            steps.append(1)
-            return real_step(*args)
-        monkeypatch.setattr(solver, "_newton_step", counted)
-        trace = solver.SolveTrace()
-        state = real_polish(directions, state, target, trace)
-        assert len(steps) <= most
+        _, mesh, trace = continuation_solve(h)
+        assert trace.steps_taken <= most
+        assert set(trace.alpha_history) <= {1.0}
         assert trace.final_residual <= 1e-14
-        assert np.abs(target - state.areas).max() <= 1e-14 * target.max()
+        assert np.abs(h.areas - mesh.face_areas).max() <= 1e-14 * h.areas.max()
 
 
 @pytest.mark.parametrize("h", [grunbaum_herisson(), random_herisson(48, 0)],
@@ -486,9 +484,52 @@ class TestCentreCarriedOn:
         calls = count_linprog(monkeypatch)
         for h in (hp, hq, blaschke_add(hp, hq)):
             calls.clear()
-            _, _, trace = continuation_solve(h, FAST)
+            _, _, trace = continuation_solve(h)
             assert len(calls) <= 1
             assert trace.final_residual <= 1e-9
+
+
+class TestHardInputs:
+    """Needle-like hulls and a near-duplicate normal pair: each solves to
+    the Newton tolerance or raises a named error within a budget of 150
+    intersections; none stalls in silence."""
+
+    @pytest.mark.parametrize("h, must_solve", [
+        (elongated_herisson(100, 7), True),
+        (elongated_herisson(1000, 7), True),
+        (elongated_herisson(1e4, 7), False),
+        (elongated_herisson(1e5, 7), False),
+        (near_duplicate_herisson(1e-7), True),
+        (near_duplicate_herisson(1e-8), False),
+        (near_duplicate_herisson(1.5e-9), False)],
+        ids=["r1e2", "r1e3", "r1e4", "r1e5", "eps1e-7", "eps1e-8",
+             "eps1.5e-9"])
+    def test_solves_or_names_the_failure(self, h, must_solve):
+        cfg = ContinuationConfig()
+        try:
+            _, mesh, trace = continuation_solve(h, cfg)
+        except ToolkitError as err:
+            assert not must_solve, str(err)
+            assert err.trace.intersections <= 150
+            assert "relative residual" in str(err)
+        else:
+            assert trace.intersections <= 150
+            assert np.abs(mesh.face_areas - h.areas).max() \
+                <= cfg.newton_tol * h.areas.max()
+            validate_mesh(mesh)
+
+    def test_generators(self):
+        pts = np.random.default_rng(7).standard_normal((60, 3))
+        h = herisson_of_mesh(convex_hull(pts * (100.0, 1.0, 0.1)))
+        g = elongated_herisson(100, 7)
+        assert np.array_equal(g.directions, h.directions)
+        assert np.array_equal(g.areas, h.areas)
+        d = near_duplicate_herisson(1e-8)
+        assert d.k == 21
+        gap = np.linalg.norm(d.directions[0] - d.directions[20])
+        assert gap == pytest.approx(1e-8, rel=1e-6)
+        assert d.areas[[0, 20]] == pytest.approx([4.95, 0.05], rel=1e-9)
+        assert np.abs(d.closure_residual()).max() <= 1e-12 * d.total_area
 
 
 class TestOracle:
@@ -502,7 +543,7 @@ class TestOracle:
 
     def test_matches_continuation_on_random_input(self):
         h = random_herisson(5, 3)
-        _, mesh, _ = continuation_solve(h, FAST)
+        _, mesh, _ = continuation_solve(h)
         oracle = oracle_solve_small(h)
         assert volume(oracle) == pytest.approx(volume(mesh), rel=1e-6)
 
@@ -519,7 +560,7 @@ class TestOracle:
     def test_independent_of_the_solver_under_test(self, monkeypatch):
         import blaschke3d.solver as solver
         h = random_herisson(8, 3)
-        _, mesh, _ = continuation_solve(h, FAST)
+        _, mesh, _ = continuation_solve(h)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle used the solver under test")

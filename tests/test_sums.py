@@ -6,12 +6,10 @@ from blaschke3d.bodies import (cube_herisson, cube_mesh,
                                rotated_tetrahedron_pair)
 from blaschke3d.geometry import support_value, validate_mesh, volume
 from blaschke3d.herisson import blaschke_add, herisson_of_mesh
-from blaschke3d.solver import ContinuationConfig, continuation_solve
+from blaschke3d.solver import continuation_solve
 from blaschke3d.sums import blaschke_sum_bodies, minkowski_sum
 
 from helpers import centered, random_tangent_mesh, vertex_sets_match
-
-FAST = ContinuationConfig(dt_initial=0.5)
 
 
 def sample_directions(n, seed=0):
@@ -107,7 +105,7 @@ class TestBlaschkeSumBodies:
     def test_face_data_adds_per_direction(self, seed):
         p = random_tangent_mesh(7, seed, jitter=0.05)
         q = random_tangent_mesh(8, seed + 500, jitter=0.05)
-        s = blaschke_sum_bodies(p, q, FAST)
+        s = blaschke_sum_bodies(p, q)
         expect = blaschke_add(herisson_of_mesh(p), herisson_of_mesh(q))
         got = herisson_of_mesh(s)
         assert got.k == expect.k
@@ -120,8 +118,8 @@ class TestBlaschkeSumBodies:
     def test_commutative(self):
         p = random_tangent_mesh(6, 7, jitter=0.05)
         q = random_tangent_mesh(7, 8, jitter=0.05)
-        a = blaschke_sum_bodies(p, q, FAST)
-        b = blaschke_sum_bodies(q, p, FAST)
+        a = blaschke_sum_bodies(p, q)
+        b = blaschke_sum_bodies(q, p)
         assert vertex_sets_match(centered(a), centered(b),
                                  1e-6 * a.diameter())
 
