@@ -15,6 +15,7 @@ diagonal); inputs are assumed desk-scale, no exact predicates.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 from itertools import chain
@@ -125,6 +126,14 @@ class SupportPolyhedron:
     def k(self):
         return self.directions.shape[0]
 
+    def _with_support_numbers(self, h):
+        """The body with these directions, already checked, and support
+        numbers h."""
+        moved = copy.copy(self)
+        object.__setattr__(moved, "support_numbers",
+                           np.asarray(h, dtype=float).ravel())
+        return moved
+
 
 @dataclass(frozen=True)
 class MeshPolyhedron:
@@ -179,9 +188,7 @@ class MeshPolyhedron:
 
     def face_support_numbers(self):
         """Per-face plane offsets n_j . x for x on face j (NaN if absent)."""
-        count = np.fromiter(map(len, self.faces), np.intp, len(self.faces))
-        face = np.repeat(np.arange(len(count)), count)
-        vid = np.fromiter(chain.from_iterable(self.faces), np.intp, len(face))
+        count, face, vid = _incidences(self.faces)
         dots = (self.vertices[vid] * self.face_normals[face]).sum(axis=1)
         with np.errstate(invalid="ignore"):
             return np.bincount(face, dots, len(count)) / count
@@ -189,6 +196,22 @@ class MeshPolyhedron:
     def translate(self, t):
         t = np.asarray(t, float)
         return dataclasses.replace(self, vertices=self.vertices + t)
+
+
+def _incidences(faces):
+    """The face cycles as flat arrays: the length of every cycle, and the
+    face and the vertex at every cycle position, in cycle order."""
+    count = np.fromiter(map(len, faces), np.intp, len(faces))
+    face = np.repeat(np.arange(len(count)), count)
+    vid = np.fromiter(chain.from_iterable(faces), np.intp, len(face))
+    return count, face, vid
+
+
+def _row_blocks(rows, cols):
+    """Slices covering `rows` rows of `cols` values each, a block of rows
+    holding about 2^17 values (1 MB of floats) whatever the sizes."""
+    block = max(1, (1 << 17) // max(cols, 1))
+    return [slice(s, s + block) for s in range(0, rows, block)]
 
 
 def _group_sums(group, values, n):
@@ -203,8 +226,7 @@ def _assemble_faces(verts, face, vertex, normals):
     Face f has the distinct vertices paired with f, in a cycle running
     counterclockwise about `normals[f]`; with fewer than 3 (a plane that
     touches the body at most in an edge) the cycle is empty.  Returns the
-    cycles, the area vector of each face (zero when absent) and the
-    shared-edge lengths keyed by face pairs.
+    cycles and the shared-edge lengths keyed by face pairs.
     """
     m, nf = len(verts), len(normals)
     face, vid = np.divmod(np.unique(face * m + vertex), m)
@@ -224,14 +246,13 @@ def _assemble_faces(verts, face, vertex, normals):
     angle = np.arctan2((rel * b2[face]).sum(axis=1),
                        (rel * b1[face]).sum(axis=1))
     order = np.lexsort((angle, face))
-    face, vid, rel = face[order], vid[order], rel[order]
+    face, vid = face[order], vid[order]
 
     # successor along each cycle; the last position wraps to the first
     end = np.cumsum(count)
     live = count > 0
     nxt = np.arange(1, len(vid) + 1)
     nxt[end[live] - 1] = (end - count)[live]
-    area_vecs = 0.5 * _group_sums(face, _cross(rel, rel[nxt]), nf)
 
     ids = vid.tolist()
     cycles = [ids[e - c:e] for e, c in zip(end.tolist(), count.tolist())]
@@ -245,7 +266,7 @@ def _assemble_faces(verts, face, vertex, normals):
     lo, hi = np.minimum(face[p], face[q]), np.maximum(face[p], face[q])
     length = np.linalg.norm(verts[a[p]] - verts[b[p]], axis=1)
     edges = dict(zip(zip(lo.tolist(), hi.tolist()), length.tolist()))
-    return cycles, area_vecs, edges
+    return cycles, edges
 
 
 def _solid_scale(pts):
@@ -393,7 +414,7 @@ def _hull_mesh(edges, areas, polar, corners):
     than three distinct vertices has no face and area 0."""
     D = edges.face_normals
     verts, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
-    faces, _, edge_lengths = _assemble_faces(
+    faces, edge_lengths = _assemble_faces(
         verts, polar.simplices.ravel(), np.repeat(label, 3), D)
     areas = np.where(list(map(bool, faces)), areas, 0.0)
     return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
@@ -437,8 +458,14 @@ def convex_hull(points) -> MeshPolyhedron:
         ([True], (np.abs(np.diff(eqs[order], axis=0)) > tolvec).any(axis=1)))
     group = np.empty(len(eqs), dtype=np.intp)
     group[order] = np.cumsum(step) - 1
-    faces, area_vecs, edge_lengths = _assemble_faces(
+    faces, edge_lengths = _assemble_faces(
         verts, np.repeat(group, 3), tris.ravel(), eqs[order[step], :3])
+    # area vectors: each cycle fanned about its first vertex, whose offset
+    # is zero, so the products across cycle ends add nothing
+    count, face, vid = _incidences(faces)
+    rel = verts[vid] - verts[vid[np.repeat(np.cumsum(count) - count, count)]]
+    area_vecs = 0.5 * _group_sums(face[:-1], _cross(rel[:-1], rel[1:]),
+                                  len(faces))
     areas = np.linalg.norm(area_vecs, axis=1)
     return MeshPolyhedron(vertices=verts, faces=faces,
                           face_normals=area_vecs / areas[:, None],
@@ -459,9 +486,8 @@ def _support_values(vertices, normals):
     """Max of n . v over the vertices for each row n; rows go in blocks so
     the product matrix stays near 1 MB for any mesh size."""
     out = np.empty(len(normals))
-    block = max(1, (1 << 17) // max(len(vertices), 1))
-    for s in range(0, len(normals), block):
-        out[s:s + block] = (vertices @ normals[s:s + block].T).max(axis=0)
+    for rows in _row_blocks(len(normals), len(vertices)):
+        out[rows] = (vertices @ normals[rows].T).max(axis=0)
     return out
 
 

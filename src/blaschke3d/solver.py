@@ -237,7 +237,7 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     if cfg is None:
         cfg = ContinuationConfig()
     directions, target, trace = h.directions, h.areas, SolveTrace()
-    _, state = _tangent_state(directions, trace)
+    tangent, state = _tangent_state(directions, trace)
     lam = np.sqrt(h.total_area / state.areas.sum())
     state = _State(state.edges._replace(lengths=lam * state.edges.lengths),
                    lam * state.slack, state.polar, lam * state.corners,
@@ -268,16 +268,17 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     if resid > cfg.newton_tol:
         raise _failure("budget", resid, trace)
     trace.final_residual = float(resid)
-    return _finish(directions, state, trace)
+    return _finish(tangent, state, trace)
 
 
-def _finish(directions, state, trace):
+def _finish(tangent, state, trace):
     """The support polyhedron and mesh of `state`'s body, moved so that the
-    mesh's vertex centroid is the origin, and the trace."""
+    mesh's vertex centroid is the origin, and the trace; the directions are
+    the `tangent` body's, checked once."""
     mesh = _hull_mesh(state.edges, state.areas, state.polar, state.corners)
     shift = mesh.centroid
-    return (SupportPolyhedron(directions, state.slack - directions @ shift),
-            mesh.translate(-shift), trace)
+    h = state.slack - tangent.directions @ shift
+    return tangent._with_support_numbers(h), mesh.translate(-shift), trace
 
 
 # -- independent oracle: Minkowski's variational problem --------------------
@@ -294,24 +295,33 @@ def _oracle_solve(h):
     """The body with face areas F, from the minimiser x of Minkowski's convex
     functional Phi(x) = F.x / sum(F) - log Vol(x) (Little 1983; Lachand-Robert
     & Oudet 2005), whose gradient F / sum(F) - A(x) / Vol(x) vanishes where
-    the areas A are proportional to F: one L-BFGS-B run from x = 1 (an empty
-    body counts as +inf), rescaled by sqrt(sum(F) / sum(A)).  Raises
-    OracleFailed when the areas miss F by more than 1e-5 of the largest."""
+    the areas A are proportional to F: L-BFGS-B from x = 1, rescaled by
+    sqrt(sum(F) / sum(A)).  An empty body counts as +inf, which ends
+    L-BFGS-B's line search, so a run that met one and moved is followed by
+    another from the last point it accepted.  Raises OracleFailed when the
+    areas miss F by more than 1e-5 of the largest."""
     from scipy.optimize import minimize
     check_positive_spanning(h.directions)
     weights = h.areas / h.total_area
+    empty = []
 
     def phi(x):
         try:
             edges, slack = _intersect_edges(h.directions, x)
         except DegenerateBody:
+            empty.append(x)
             return np.inf, np.zeros(h.k)
         areas = _face_areas(edges, slack)
         vol = areas @ slack / 3.0
         return weights @ x - np.log(vol), weights - areas / vol
 
-    x = minimize(phi, np.ones(h.k), jac=True, method="L-BFGS-B",
-                 options={"ftol": 0.0, "gtol": 1e-12}).x
+    x = np.ones(h.k)
+    while True:
+        empty.clear()
+        start, x = x, minimize(phi, x, jac=True, method="L-BFGS-B",
+                               options={"ftol": 0.0, "gtol": 1e-12}).x
+        if not empty or np.array_equal(x, start):
+            break
     scale = h.total_area / _intersect_arrays(h.directions, x).face_areas.sum()
     mesh = _intersect_arrays(h.directions, np.sqrt(scale) * x)
     if np.abs(mesh.face_areas - h.areas).max() > 1e-5 * h.areas.max():

@@ -246,7 +246,7 @@ def test_criterion_10_oracle_equivalence():
         worst_vertex = max(worst_vertex,
                            float(d.min(axis=1).max()) / mesh.diameter())
     assert worst_vol <= 1e-6
-    _report(10, "homotopy solver and direct-minimization oracle agree on 20 "
+    _report(10, "Newton solver and direct-minimization oracle agree on 20 "
                 f"random bodies with k in 4..8 (worst volume gap "
                 f"{worst_vol:.1e}, worst vertex gap {worst_vertex:.1e} of "
                 "the diameter)")

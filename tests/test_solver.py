@@ -9,8 +9,8 @@ from blaschke3d.bodies import (cube_herisson, elongated_herisson,
                                grunbaum_herisson, icosahedron_directions,
                                icosahedron_herisson, near_duplicate_herisson,
                                tetrahedron_mesh)
-from blaschke3d.errors import (NewtonDivergence, StepSizeUnderflow,
-                               ToolkitError)
+from blaschke3d.errors import (DegenerateBody, NewtonDivergence,
+                               StepSizeUnderflow, ToolkitError)
 from blaschke3d.fileio import parse_herisson_file
 from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
                                  intersect_halfspaces, validate_mesh, volume)
@@ -371,6 +371,42 @@ class TestOneSolveState:
                                          "relative residual")
 
 
+class TestDirectionsCheckedOnce:
+    """A solve checks its directions once, in its tangent body, and the
+    support polyhedron it returns reuses them; one built by hand still runs
+    both checks."""
+
+    CHECKS = ("check_positive_spanning", "check_distinct_directions")
+
+    def count_checks(self, monkeypatch):
+        import blaschke3d.geometry as geometry
+        calls = dict.fromkeys(self.CHECKS, 0)
+        for name in self.CHECKS:
+            def counted(*args, _name=name, _real=getattr(geometry, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(geometry, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("h", [grunbaum_herisson(),
+                                   random_herisson(48, 0)],
+                             ids=["grunbaum", "k48-s0"])
+    def test_one_check_of_each_per_solve(self, h, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        sp, mesh, _ = continuation_solve(h)
+        assert calls == dict.fromkeys(self.CHECKS, 1)
+        assert sp.directions is h.directions
+        assert np.allclose(sp.support_numbers, mesh.face_support_numbers(),
+                           rtol=0.0, atol=1e-12 * mesh.scale)
+
+    def test_a_support_polyhedron_built_by_hand_runs_both(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        SupportPolyhedron(AXES, np.ones(6))
+        assert calls == dict.fromkeys(self.CHECKS, 1)
+        with pytest.raises(ToolkitError):
+            SupportPolyhedron(AXES[[0, 1, 2, 3, 4, 4]], np.ones(6))
+
+
 class TestExactAreas:
     """The solve and the returned mesh take their face areas from one exact
     formula, 1/2 J (h - D c) on the polar hull's edge list, so every solve
@@ -461,7 +497,7 @@ class TestSolveInvariance:
 
 
 class TestCentreCarriedOn:
-    """The march carries each body's slack on as its support numbers, so the
+    """The solve carries each body's slack on as its support numbers, so the
     origin, its last interior point, centres the next intersection and the
     Chebyshev-centre linear program runs at most once per solve."""
 
@@ -569,6 +605,26 @@ class TestOracle:
             monkeypatch.setattr(solver, name, refuse)
         oracle = oracle_solve_small(h)
         assert volume(oracle) == pytest.approx(volume(mesh), rel=1e-6)
+
+    def test_recovers_from_empty_bodies(self, monkeypatch):
+        # the 3rd and 4th evaluations meet an empty body, which ends
+        # L-BFGS-B's line search; the oracle runs on from its last point
+        import blaschke3d.solver as solver
+        h = random_herisson(8, 3)
+        _, mesh, _ = continuation_solve(h)
+        calls, real = [], solver._intersect_edges
+
+        def forced(*args):
+            calls.append(1)
+            if len(calls) in (3, 4):
+                raise DegenerateBody("forced empty body")
+            return real(*args)
+        monkeypatch.setattr(solver, "_intersect_edges", forced)
+        oracle = oracle_solve_small(h)
+        assert len(calls) > 4
+        assert abs(volume(oracle) - volume(mesh)) <= 1e-6 * volume(mesh)
+        assert vertex_sets_match(centered(mesh), centered(oracle),
+                                 1e-5 * mesh.diameter())
 
     def test_tetrahedron_round_trip(self):
         h = herisson_of_mesh(tetrahedron_mesh(1.3))

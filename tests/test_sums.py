@@ -1,11 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
+import blaschke3d.sums as sums
 from blaschke3d.bodies import (cube_herisson, cube_mesh,
-                               dodecahedron_herisson, icosahedron_herisson,
+                               dodecahedron_herisson, elongated_herisson,
+                               grunbaum_herisson, icosahedron_herisson,
+                               icosphere_mesh, near_duplicate_herisson,
                                rotated_tetrahedron_pair)
-from blaschke3d.geometry import support_value, validate_mesh, volume
-from blaschke3d.herisson import blaschke_add, herisson_of_mesh
+from blaschke3d.geometry import (MeshPolyhedron, convex_hull, support_value,
+                                 validate_mesh, volume)
+from blaschke3d.herisson import (blaschke_add, herisson_of_mesh,
+                                 random_herisson)
 from blaschke3d.solver import continuation_solve
 from blaschke3d.sums import blaschke_sum_bodies, minkowski_sum
 
@@ -74,6 +82,105 @@ class TestMinkowskiSum:
         pool = np.vstack(candidates)
         for n in s.face_normals:
             assert np.linalg.norm(pool - n, axis=1).min() <= 1e-7
+
+
+def turned(mesh, seed, stretch=(1.0, 1.0, 1.0)):
+    """A mesh rotated at random (seeded) after scaling its axes by
+    `stretch`, its faces and normals carried along."""
+    m = Rotation.random(random_state=seed).as_matrix() @ np.diag(stretch)
+    normals = mesh.face_normals @ np.linalg.inv(m)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return replace(mesh, vertices=mesh.vertices @ m.T, face_normals=normals)
+
+
+def solved(h):
+    return continuation_solve(h)[1]
+
+
+def pairwise_hull(p, q):
+    """The reference sum: the hull of every pairwise vertex sum."""
+    vp, vq = (np.atleast_2d(getattr(b, "vertices", b)) for b in (p, q))
+    return convex_hull((vp[:, None, :] + vq[None, :, :]).reshape(-1, 3))
+
+
+def elongated_mesh(r):
+    pts = np.random.default_rng(7).standard_normal((60, 3))
+    return convex_hull(pts * (r, 1.0, r ** -0.5))
+
+
+_CUBE = cube_mesh(1.0)
+SUM_CASES = {
+    "ico1+ico2": lambda: (turned(icosphere_mesh(1), 1, (0.6, 1.0, 1.9)),
+                          turned(icosphere_mesh(2), 2, (1.7, 0.8, 0.5))),
+    "ico2+ico2": lambda: (turned(icosphere_mesh(2), 3, (1.2, 0.5, 2.0)),
+                          turned(icosphere_mesh(2), 4, (0.7, 1.5, 1.0))),
+    "ico1+ico3": lambda: (turned(icosphere_mesh(1), 5, (2.0, 0.9, 0.6)),
+                          turned(icosphere_mesh(3), 6, (0.5, 1.1, 1.6))),
+    "ico3+ico3": lambda: (icosphere_mesh(3), icosphere_mesh(3)),
+    "cube+cube": lambda: (_CUBE, _CUBE),
+    "tetrahedra": lambda: rotated_tetrahedron_pair(1.0),
+    "k6+k12": lambda: (solved(random_herisson(6, 0)),
+                       solved(random_herisson(12, 0))),
+    "k12+k12": lambda: (solved(random_herisson(12, 1)),
+                        turned(solved(random_herisson(12, 1)), 7)),
+    "k48+k48": lambda: (solved(random_herisson(48, 0)),) * 2,
+    "k192+ico2": lambda: (solved(random_herisson(192, 0)),
+                          turned(icosphere_mesh(2), 8)),
+    "grunbaum+k48": lambda: (solved(grunbaum_herisson()),
+                             solved(random_herisson(48, 1))),
+    "grunbaum+grunbaum": lambda: (solved(grunbaum_herisson()),) * 2,
+    "elongated-r30": lambda: (solved(elongated_herisson(30, 7)),
+                              icosphere_mesh(1)),
+    "elongated-r1000": lambda: (solved(elongated_herisson(1000, 7)),
+                                solved(elongated_herisson(100, 7))),
+    "elongated-hulls": lambda: (elongated_mesh(1000.0),
+                                turned(elongated_mesh(300.0), 9)),
+    "near-duplicate": lambda: (solved(near_duplicate_herisson(1e-7)),) * 2,
+    "near-duplicate+k12": lambda: (solved(near_duplicate_herisson(1e-7)),
+                                   solved(random_herisson(12, 2))),
+    "cloud+k12": lambda: (np.random.default_rng(3).standard_normal((50, 3)),
+                          solved(random_herisson(12, 0))),
+    "k48+point": lambda: (solved(random_herisson(48, 0)),
+                          np.array([[0.5, -1.0, 2.0]])),
+    "faceless+k12": lambda: (
+        MeshPolyhedron(vertices=_CUBE.vertices, faces=[],
+                       face_normals=np.zeros((0, 3)), face_areas=[],
+                       edge_lengths={}),
+        solved(random_herisson(12, 0))),
+}
+
+
+class TestOutputSensitiveSum:
+    """`minkowski_sum` hulls only the pairs whose normal caps meet; the
+    result is the hull of all pairwise sums."""
+
+    @pytest.mark.parametrize("name", SUM_CASES)
+    def test_matches_the_hull_of_all_pairwise_sums(self, name):
+        p, q = SUM_CASES[name]()
+        ref, got = pairwise_hull(p, q), minkowski_sum(p, q)
+        assert vertex_sets_match(got, ref, 1e-12 * ref.scale)
+        assert got.face_count == ref.face_count
+        assert len(got.edge_lengths) == len(ref.edge_lengths)
+        assert volume(got) == pytest.approx(volume(ref), rel=1e-12)
+
+    def test_needle_ends_keep_every_pair(self):
+        # a cap of pi/2 or more is not convex: such a vertex meets all
+        _, _, radii = sums._normal_caps(elongated_mesh(1000.0))
+        assert np.count_nonzero(radii == np.pi) >= 2
+        assert radii[radii < np.pi].max() < np.pi / 2
+
+    def test_hulls_few_of_the_pairwise_sums(self, monkeypatch):
+        sizes = []
+        real = sums.convex_hull
+
+        def counted(points):
+            sizes.append(len(points))
+            return real(points)
+        monkeypatch.setattr(sums, "convex_hull", counted)
+        sphere = icosphere_mesh(3)
+        minkowski_sum(sphere, sphere)
+        assert len(sphere.vertices) ** 2 == 412_164
+        assert sizes[0] <= 0.02 * 412_164
 
 
 class TestBlaschkeSumBodies:
