@@ -5,12 +5,13 @@ Bounded convex polyhedra appear in two forms: a half-space representation
 explicit boundary complex (`MeshPolyhedron`: vertices, face cycles, areas,
 edge lengths).  Each conversion is one Qhull hull (Barber, Dobkin &
 Huhdanpaa 1996).  `convex_hull` merges coplanar hull triangles into faces.
-`intersect_halfspaces` hulls the polar points of the planes and reads the
-face complex off that hull: each facet is a vertex of the body, lying on
-the three planes that span it.  The same hull gives the bare edge list of
-the body (`EdgeList`: face pairs and lengths, from adjacent facets), all
-the solver's Newton loop reads, and the face areas of both, exactly
-(`_face_areas`).  Tolerances are relative to the body scale (bounding-box
+`intersect_halfspaces` hulls the polar points of the planes: each facet is
+a vertex of the body, lying on the three planes that span it.  One record,
+`_Cut`, holds what that hull gives: the bare edge list of the body
+(`EdgeList`: face pairs and lengths, from adjacent facets), its slack, its
+exact face areas (`_face_areas`), the hull and the corners.  The solver's
+Newton loop, its oracle and the face complex (`_hull_mesh`) all read that
+one record.  Tolerances are relative to the body scale (bounding-box
 diagonal); inputs are assumed desk-scale, no exact predicates.
 """
 from __future__ import annotations
@@ -361,16 +362,38 @@ def _edge_list(normals, i, j, lengths):
     return EdgeList(normals, i, j, lengths, sin, (ni * nj).sum(axis=1))
 
 
+class _Cut(NamedTuple):
+    """A body read off the polar hull of its half-spaces (`_polar_hull`):
+    its edge list, its slack h - D c (its support numbers about the centre
+    c), its face areas 1/2 J slack (`_face_areas`), the hull, the body's
+    corners about c, one per facet, and c."""
+
+    edges: EdgeList
+    slack: np.ndarray
+    areas: np.ndarray
+    polar: object
+    corners: np.ndarray
+    c: np.ndarray
+
+    def scaled(self, lam):
+        """The body scaled by lam about c: edge lengths, slack and corners
+        times lam, areas times lam^2; the hull's combinatorics are the
+        same."""
+        return self._replace(
+            edges=self.edges._replace(lengths=lam * self.edges.lengths),
+            slack=lam * self.slack, areas=lam ** 2 * self.areas,
+            corners=lam * self.corners)
+
+
 def _polar_hull(directions, offsets):
-    """The polar hull of the half-spaces about `_interior_point`'s c.
+    """The `_Cut` of the half-spaces, about `_interior_point`'s c.
 
     The planes n_j . x = h_j become the polar points n_j / (h_j - n_j . c);
     each facet a . y + b = 0 of their convex hull is the polar of the corner
     -a / b (about c) of the body, which lies on the three planes spanning
-    the facet.  Returns the edge list (faces a and b meet between the
-    corners of the facets sharing the polar edge {a, b}; all of positive
-    length), the slack h - D c (the body's support numbers about c), the
-    hull, the corners about c, one per facet, and c.
+    the facet.  Faces a and b meet between the corners of the facets
+    sharing the polar edge {a, b}; the edge list keeps those of positive
+    length, and the face areas come from it exactly.
     """
     D = np.asarray(directions, float)
     h = np.asarray(offsets, float)
@@ -388,12 +411,8 @@ def _polar_hull(directions, offsets):
     lengths = np.linalg.norm(corners[f] - corners[g], axis=1)
     keep = lengths > 0.0
     i, j = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-    return _edge_list(D, i, j, lengths[keep]), slack, polar, corners, c
-
-
-def _intersect_edges(directions, offsets):
-    """`_polar_hull`'s edge list and slack, whose `_face_areas` are exact."""
-    return _polar_hull(directions, offsets)[:2]
+    edges = _edge_list(D, i, j, lengths[keep])
+    return _Cut(edges, slack, _face_areas(edges, slack), polar, corners, c)
 
 
 def _face_areas(edges, slack):
@@ -406,17 +425,19 @@ def _face_areas(edges, slack):
             + np.bincount(j, w * (si - cos * sj), k))
 
 
-def _hull_mesh(edges, areas, polar, corners):
-    """The boundary complex of a body read off its `_polar_hull`: corner
+def _hull_mesh(cut, shift=0.0):
+    """The boundary complex of a `_Cut`'s body, its corners moved by
+    `shift` (c puts the body back in place; 0 leaves it about c): corner
     copies from coplanar polar points are merged into one vertex, and the
-    three planes of each facet are the faces through its vertex.  `areas`
-    are the body's `_face_areas`, kept except that a plane left with fewer
-    than three distinct vertices has no face and area 0."""
-    D = edges.face_normals
+    three planes of each facet are the faces through its vertex.  The face
+    areas are the cut's, except that a plane left with fewer than three
+    distinct vertices has no face and area 0."""
+    D = cut.edges.face_normals
+    corners = cut.corners + shift
     verts, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
     faces, edge_lengths = _assemble_faces(
-        verts, polar.simplices.ravel(), np.repeat(label, 3), D)
-    areas = np.where(list(map(bool, faces)), areas, 0.0)
+        verts, cut.polar.simplices.ravel(), np.repeat(label, 3), D)
+    areas = np.where(list(map(bool, faces)), cut.areas, 0.0)
     return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
                           face_areas=areas, edge_lengths=edge_lengths)
 
@@ -424,9 +445,9 @@ def _hull_mesh(edges, areas, polar, corners):
 def _intersect_arrays(directions, offsets):
     """Core half-space intersection on raw arrays, whose directions must
     positively span 3-space (as `SupportPolyhedron` checks): the
-    `_hull_mesh` of `_polar_hull`, its corners moved back by c."""
-    edges, slack, polar, corners, c = _polar_hull(directions, offsets)
-    return _hull_mesh(edges, _face_areas(edges, slack), polar, corners + c)
+    `_hull_mesh` of `_polar_hull`, moved back by c."""
+    cut = _polar_hull(directions, offsets)
+    return _hull_mesh(cut, cut.c)
 
 
 def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:

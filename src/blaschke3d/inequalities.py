@@ -31,8 +31,8 @@ class InequalityReport:
     name: str
     lhs: float
     rhs: float
-    equality_tol: float = VERDICT_TOL
     diagnosis: dict = field(default_factory=dict)
+    equality_tol = VERDICT_TOL
 
     @property
     def residual(self):

@@ -14,23 +14,22 @@ only full steps are tried, down to rounding level, and the first that
 fails ends the solve.  J needs only the edges (which faces meet, and how
 long the edge is), read off the polar hull of each half-space
 intersection, and the areas are A = 1/2 J (h - D c) for any point c
-(`geometry._face_areas`).  One state runs through the solve: the last
-accepted polar hull, its slack h - D c (carried on as the support numbers,
-making the interior point c the origin, the next centre) and its areas;
-the returned mesh is built once, off that hull.
+(`geometry._face_areas`).  The state of the solve is the last accepted
+polar hull's record (`geometry._Cut`: edge list, slack h - D c, areas,
+hull and corners); its slack is carried on as the support numbers, making
+the interior point c the origin, the next centre, and the returned mesh is
+built once, off that record (`geometry._hull_mesh`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DegenerateAngle, DegenerateBody, NewtonDivergence,
                      OracleFailed, StepSizeUnderflow)
 from .geometry import (MERGE_TOL, EdgeList, MeshPolyhedron,
-                       SupportPolyhedron, _edge_arrays, _face_areas,
-                       _hull_mesh, _intersect_arrays, _intersect_edges,
+                       SupportPolyhedron, _edge_arrays, _hull_mesh,
                        _polar_hull, check_positive_spanning)
 from .herisson import Herisson
 
@@ -85,26 +84,14 @@ class SolveTrace:
         ("diverged", "stalled", "collapse", "degenerate"), 0))
 
 
-class _State(NamedTuple):
-    """One body of the solve: its `_polar_hull` (edge list, slack, hull and
-    corners about the centre c) and face areas 1/2 J slack."""
-
-    edges: EdgeList
-    slack: np.ndarray
-    polar: object
-    corners: np.ndarray
-    areas: np.ndarray
-
-
 def _hull_state(directions, h, trace):
-    """The `_State` of the body with support numbers h."""
+    """The `geometry._Cut` of the body with support numbers h, counted."""
     trace.intersections += 1
-    edges, slack, polar, corners, _ = _polar_hull(directions, h)
-    return _State(edges, slack, polar, corners, _face_areas(edges, slack))
+    return _polar_hull(directions, h)
 
 
 def _tangent_state(directions, trace):
-    """`initial_polyhedron`'s body and its `_State`."""
+    """`initial_polyhedron`'s body and its `geometry._Cut`."""
     sp = SupportPolyhedron(np.asarray(directions, float),
                            np.ones(len(directions)))
     state = _hull_state(sp.directions, sp.support_numbers, trace)
@@ -238,10 +225,7 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
         cfg = ContinuationConfig()
     directions, target, trace = h.directions, h.areas, SolveTrace()
     tangent, state = _tangent_state(directions, trace)
-    lam = np.sqrt(h.total_area / state.areas.sum())
-    state = _State(state.edges._replace(lengths=lam * state.edges.lengths),
-                   lam * state.slack, state.polar, lam * state.corners,
-                   lam ** 2 * state.areas)
+    state = state.scaled(np.sqrt(h.total_area / state.areas.sum()))
     floor = 0.5 * min(state.areas.min(), target.min())
     adjacency, alpha = _adjacency(state.edges), 1.0
     for _ in range(_MAX_STEPS):
@@ -275,7 +259,7 @@ def _finish(tangent, state, trace):
     """The support polyhedron and mesh of `state`'s body, moved so that the
     mesh's vertex centroid is the origin, and the trace; the directions are
     the `tangent` body's, checked once."""
-    mesh = _hull_mesh(state.edges, state.areas, state.polar, state.corners)
+    mesh = _hull_mesh(state)
     shift = mesh.centroid
     h = state.slack - tangent.directions @ shift
     return tangent._with_support_numbers(h), mesh.translate(-shift), trace
@@ -295,11 +279,11 @@ def _oracle_solve(h):
     """The body with face areas F, from the minimiser x of Minkowski's convex
     functional Phi(x) = F.x / sum(F) - log Vol(x) (Little 1983; Lachand-Robert
     & Oudet 2005), whose gradient F / sum(F) - A(x) / Vol(x) vanishes where
-    the areas A are proportional to F: L-BFGS-B from x = 1, rescaled by
-    sqrt(sum(F) / sum(A)).  An empty body counts as +inf, which ends
-    L-BFGS-B's line search, so a run that met one and moved is followed by
-    another from the last point it accepted.  Raises OracleFailed when the
-    areas miss F by more than 1e-5 of the largest."""
+    the areas A are proportional to F: L-BFGS-B from x = 1, then one hull
+    at x scaled by sqrt(sum(F) / sum(A)) and its mesh.  An empty body counts
+    as +inf, which ends L-BFGS-B's line search, so a run that met one and
+    moved is followed by another from the last point it accepted.  Raises
+    OracleFailed when the areas miss F by more than 1e-5 of the largest."""
     from scipy.optimize import minimize
     check_positive_spanning(h.directions)
     weights = h.areas / h.total_area
@@ -307,13 +291,12 @@ def _oracle_solve(h):
 
     def phi(x):
         try:
-            edges, slack = _intersect_edges(h.directions, x)
+            cut = _polar_hull(h.directions, x)
         except DegenerateBody:
             empty.append(x)
             return np.inf, np.zeros(h.k)
-        areas = _face_areas(edges, slack)
-        vol = areas @ slack / 3.0
-        return weights @ x - np.log(vol), weights - areas / vol
+        vol = cut.areas @ cut.slack / 3.0
+        return weights @ x - np.log(vol), weights - cut.areas / vol
 
     x = np.ones(h.k)
     while True:
@@ -322,8 +305,8 @@ def _oracle_solve(h):
                                options={"ftol": 0.0, "gtol": 1e-12}).x
         if not empty or np.array_equal(x, start):
             break
-    scale = h.total_area / _intersect_arrays(h.directions, x).face_areas.sum()
-    mesh = _intersect_arrays(h.directions, np.sqrt(scale) * x)
+    cut = _polar_hull(h.directions, x)
+    mesh = _hull_mesh(cut.scaled(np.sqrt(h.total_area / cut.areas.sum())))
     if np.abs(mesh.face_areas - h.areas).max() > 1e-5 * h.areas.max():
         raise OracleFailed(f"minimisation missed the areas for k={h.k}")
     return mesh.translate(-mesh.centroid)

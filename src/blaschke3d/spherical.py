@@ -7,8 +7,9 @@ sphere:
 
     2 * integral_D N dsigma + integral_dD n ds = 0.
 
-`spherical_identity_residual` evaluates both sides by quadrature and returns
-their sum, which tends to zero as the refinement grows.
+`spherical_identity_residual` evaluates the surface side by quadrature and
+the boundary side exactly, and returns their sum, which tends to zero as
+the refinement of the surface quadrature grows.
 
 Conventions.  The polygon's vertices run counterclockwise as seen from
 outside the sphere with D on the left of the walk; along each arc the
@@ -174,40 +175,29 @@ def _surface_position_integral(poly, refinement):
     return 0.5 * total
 
 
-def _boundary_normal_integral(poly, refinement):
-    """integral_dD n ds by composite midpoint quadrature along each arc;
-    the normal at a point p with unit tangent T (in walk direction) is
-    T x p, tangent to the sphere and pointing away from D."""
+def _boundary_normal_integral(poly):
+    """integral_dD n ds in closed form: along the arc from a to b the
+    normal T x p (T the unit tangent in walk direction) is the constant -w,
+    w = unit(a x b), so the arc adds -theta w, theta its length."""
     v = poly.vertices
-    if len(v) == 0:
-        return np.zeros(3)
-    total = np.zeros(3)
-    segments = 2 ** refinement
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        w = unit(np.cross(a, b))
-        theta = float(np.arctan2(np.linalg.norm(np.cross(a, b)), a @ b))
-        ts = (np.arange(segments) + 0.5) / segments
-        pts = (np.sin((1 - ts) * theta)[:, None] * a
-               + np.sin(ts * theta)[:, None] * b) / np.sin(theta)
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-        tang = np.cross(w, pts)
-        tang /= np.linalg.norm(tang, axis=1)[:, None]
-        normals = np.cross(tang, pts)
-        total += normals.sum(axis=0) * (theta / segments)
-    return total
+    nxt = np.roll(v, -1, axis=0)
+    cross = np.cross(v, nxt)
+    sin = np.linalg.norm(cross, axis=1)
+    theta = np.arctan2(sin, (v * nxt).sum(axis=1))
+    return -(theta / sin) @ cross
 
 
 def spherical_identity_residual(poly: SphericalPolygon,
                                 refinement: int = 1) -> np.ndarray:
     """Numerical value of 2 * integral_D N dsigma + integral_dD n ds.
 
-    Identically zero for the exact integrals; the returned vector shrinks
-    toward zero at better than second order in the refinement depth.
+    Identically zero for the exact integrals; the boundary side is exact,
+    and the returned vector shrinks toward zero at better than second order
+    in the refinement depth of the surface quadrature.
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
     if not isinstance(poly, SphericalPolygon):
         poly = SphericalPolygon(np.asarray(poly, float))
     return (2.0 * _surface_position_integral(poly, refinement)
-            + _boundary_normal_integral(poly, refinement))
+            + _boundary_normal_integral(poly))

@@ -8,8 +8,9 @@ from blaschke3d.bodies import (box_mesh, cube_mesh, icosahedron_directions,
 from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
                                UnboundedRegion)
 from blaschke3d.geometry import (DIRECTION_TOL, MeshPolyhedron,
-                                 SupportPolyhedron, _interior_point,
-                                 _intersect_arrays, _intersect_edges, _median,
+                                 SupportPolyhedron, _hull_mesh,
+                                 _interior_point, _intersect_arrays, _median,
+                                 _polar_hull,
                                  check_distinct_directions,
                                  contains_by_translation, convex_hull,
                                  integral_mean_curvature,
@@ -19,7 +20,7 @@ from blaschke3d.geometry import (DIRECTION_TOL, MeshPolyhedron,
 
 from blaschke3d.herisson import random_herisson
 from blaschke3d.solver import area_jacobian
-from helpers import (count_linprog, divergence_volume,
+from helpers import (centered, count_linprog, divergence_volume,
                      enumerate_intersection, random_tangent_mesh,
                      vertex_sets_match)
 
@@ -315,7 +316,8 @@ class TestPolarEdgeList:
     @staticmethod
     def assert_edges_match_mesh(dirs, offsets):
         mesh = _intersect_arrays(dirs, offsets)
-        edges, slack = _intersect_edges(dirs, offsets)
+        cut = _polar_hull(dirs, offsets)
+        edges, slack = cut.edges, cut.slack
         got = dict(zip(zip(edges.i.tolist(), edges.j.tolist()),
                        edges.lengths.tolist()))
         assert len(got) == len(edges.lengths)
@@ -348,7 +350,8 @@ class TestPolarEdgeList:
         # the edge list keeps all four sides of the strip, its two ends
         # (shorter than the merge tolerance) included, and so its true area
         dirs, offsets = corner_cases()[4]
-        edges, slack = _intersect_edges(dirs, offsets)
+        cut = _polar_hull(dirs, offsets)
+        edges, slack = cut.edges, cut.slack
         areas = 0.5 * area_jacobian(edges) @ slack
         width = np.sqrt(2.0) * (2.0 - np.sqrt(2.0) * offsets[3])
         assert areas[3] == pytest.approx(2 * width, rel=1e-3)
@@ -358,6 +361,37 @@ class TestPolarEdgeList:
         assert {(3, 5), (3, 6)} <= keys
         # either way the face is below the solver's collapse floor
         assert 2 * width < 1e-12 * areas.sum()
+
+
+class TestScaledCut:
+    """`_Cut.scaled(lam)` is the body scaled by lam about its centre, off
+    the same hull: the cut of the half-spaces at lam h, up to a shift."""
+
+    @staticmethod
+    def edge_dict(cut):
+        return dict(zip(zip(cut.edges.i.tolist(), cut.edges.j.tolist()),
+                        cut.edges.lengths.tolist()))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_scaled_half_spaces(self, seed):
+        dirs, offsets = jittered_case(seed)
+        lam = (1e-3, 3.7, 1e3)[seed % 3]
+        got = _polar_hull(dirs, offsets).scaled(lam)
+        ref = _polar_hull(dirs, lam * offsets)
+        mesh, ref_mesh = centered(_hull_mesh(got)), centered(_hull_mesh(ref))
+        tol = 1e-12 * ref_mesh.scale
+        a, b = self.edge_dict(got), self.edge_dict(ref)
+        assert a.keys() == b.keys()
+        assert max(abs(a[e] - b[e]) for e in b) <= tol
+        assert np.abs(got.slack - ref.slack).max() <= tol
+        assert np.abs(got.areas - ref.areas).max() <= \
+            1e-12 * ref.areas.max()
+        assert np.abs(mesh.face_areas - ref_mesh.face_areas).max() <= \
+            1e-12 * ref_mesh.face_areas.max()
+        assert mesh.edge_lengths.keys() == ref_mesh.edge_lengths.keys()
+        for key, length in ref_mesh.edge_lengths.items():
+            assert abs(mesh.edge_lengths[key] - length) <= tol
+        assert vertex_sets_match(mesh, ref_mesh, tol)
 
 
 class TestIntersectionInvariance:

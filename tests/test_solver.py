@@ -1,5 +1,6 @@
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from blaschke3d.bodies import (cube_herisson, elongated_herisson,
                                grunbaum_herisson, icosahedron_directions,
                                icosahedron_herisson, near_duplicate_herisson,
                                tetrahedron_mesh)
-from blaschke3d.errors import (DegenerateBody, NewtonDivergence,
+from blaschke3d.errors import (DegenerateAngle, DegenerateBody,
+                               NewtonDivergence, OracleFailed,
                                StepSizeUnderflow, ToolkitError)
 from blaschke3d.fileio import parse_herisson_file
 from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
@@ -107,6 +109,16 @@ class TestAreaJacobian:
         assert np.linalg.norm(jac @ shifted - rhs) <= \
             1e-8 * max(1.0, np.linalg.norm(rhs))
 
+    def test_parallel_adjacent_normals_raise(self):
+        from blaschke3d.geometry import _edge_list
+        tilt = 5e-10
+        normals = np.array([[0.0, 0.0, 1.0],
+                            [np.sin(tilt), 0.0, np.cos(tilt)]])
+        edges = _edge_list(normals, np.array([0]), np.array([1]),
+                           np.array([1.0]))
+        with pytest.raises(DegenerateAngle, match="faces 0,1 are parallel"):
+            area_jacobian(edges)
+
 
 def closed_rhs(directions, seed):
     """A random right-hand side with zero vector sum, sum_j r_j n_j = 0."""
@@ -190,12 +202,13 @@ class TestContinuationSolve:
     def test_final_residual_matches_the_returned_mesh(self, herisson, gap):
         # the solve reads its areas as 1/2 J (h - D c) off edge lists; the
         # residual it reports must still be the returned mesh's own
-        from blaschke3d.geometry import _intersect_edges
+        from blaschke3d.geometry import _polar_hull
         sp, mesh, trace = continuation_solve(herisson)
         resid = np.abs(herisson.areas - mesh.face_areas).max() \
             / herisson.areas.max()
         assert trace.final_residual == resid
-        edges, slack = _intersect_edges(sp.directions, sp.support_numbers)
+        cut = _polar_hull(sp.directions, sp.support_numbers)
+        edges, slack = cut.edges, cut.slack
         areas = 0.5 * area_jacobian(edges) @ slack
         assert np.abs(areas - mesh.face_areas).max() \
             <= gap * mesh.face_areas.max()
@@ -612,19 +625,51 @@ class TestOracle:
         import blaschke3d.solver as solver
         h = random_herisson(8, 3)
         _, mesh, _ = continuation_solve(h)
-        calls, real = [], solver._intersect_edges
+        calls, real = [], solver._polar_hull
 
         def forced(*args):
             calls.append(1)
             if len(calls) in (3, 4):
                 raise DegenerateBody("forced empty body")
             return real(*args)
-        monkeypatch.setattr(solver, "_intersect_edges", forced)
+        monkeypatch.setattr(solver, "_polar_hull", forced)
         oracle = oracle_solve_small(h)
         assert len(calls) > 4
         assert abs(volume(oracle) - volume(mesh)) <= 1e-6 * volume(mesh)
         assert vertex_sets_match(centered(mesh), centered(oracle),
                                  1e-5 * mesh.diameter())
+
+    def test_one_hull_and_one_mesh_after_the_minimisation(self,
+                                                          monkeypatch):
+        import scipy.optimize
+
+        import blaschke3d.solver as solver
+        events = []
+        for name in ("_polar_hull", "_hull_mesh"):
+            def counted(*args, _real=getattr(solver, name), _name=name):
+                events.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(solver, name, counted)
+        real_minimize = scipy.optimize.minimize
+
+        def marked(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            events.append("minimize")
+            return res
+        monkeypatch.setattr(scipy.optimize, "minimize", marked)
+        oracle_solve_small(random_herisson(8, 3))
+        last = len(events) - events[::-1].index("minimize")
+        assert events[last:] == ["_polar_hull", "_hull_mesh"]
+
+    def test_missed_areas_raise(self, monkeypatch):
+        # a minimiser stuck at its start x = 1 leaves the tangent body,
+        # whose areas are not the herisson's
+        import scipy.optimize
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda fun, x0, **kwargs:
+                            SimpleNamespace(x=np.ones(len(x0))))
+        with pytest.raises(OracleFailed, match="missed the areas"):
+            oracle_solve_small(random_herisson(8, 3))
 
     def test_tetrahedron_round_trip(self):
         h = herisson_of_mesh(tetrahedron_mesh(1.3))

@@ -67,7 +67,7 @@ class TestClosedForms:
                                           _surface_position_integral)
         poly = equator_polygon()
         surf = 2.0 * _surface_position_integral(poly, 6)
-        line = _boundary_normal_integral(poly, 6)
+        line = _boundary_normal_integral(poly)
         assert np.allclose(surf, [0, 0, 2 * np.pi], atol=1e-9)
         assert np.allclose(line, [0, 0, -2 * np.pi], atol=1e-12)
 
