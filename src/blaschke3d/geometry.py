@@ -11,14 +11,17 @@ a vertex of the body, lying on the three planes that span it.  One record,
 (`EdgeList`: face pairs and lengths, from adjacent facets), its slack, its
 exact face areas (`_face_areas`), the hull and the corners.  The solver's
 Newton loop, its oracle and the face complex (`_hull_mesh`) all read that
-one record.  Tolerances are relative to the body scale (bounding-box
-diagonal); inputs are assumed desk-scale, no exact predicates.
+one record.  A mesh flattens its cycles and edges (an `EdgeList` too) into
+arrays once, and every measurement reads those views.  Tolerances are
+relative to the body scale (bounding-box diagonal); inputs are assumed
+desk-scale, no exact predicates.
 """
 from __future__ import annotations
 
 import copy
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -136,6 +139,26 @@ class SupportPolyhedron:
         return moved
 
 
+class EdgeList(NamedTuple):
+    """The edges of a body as arrays: edge e joins faces i[e] < j[e], whose
+    normals make an angle of sine sin[e] and cosine cos[e], and has length
+    lengths[e]; `face_normals` has a row per face slot, present or not."""
+
+    face_normals: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    lengths: np.ndarray
+    sin: np.ndarray
+    cos: np.ndarray
+
+
+def _edge_list(normals, i, j, lengths):
+    """The `EdgeList` of the edges i-j of these lengths."""
+    ni, nj = normals[i], normals[j]
+    sin = np.linalg.norm(_cross(ni, nj), axis=1)
+    return EdgeList(normals, i, j, lengths, sin, (ni * nj).sum(axis=1))
+
+
 @dataclass(frozen=True)
 class MeshPolyhedron:
     """Boundary complex of a bounded convex polyhedron.
@@ -145,7 +168,8 @@ class MeshPolyhedron:
     the body in a 2-dimensional face, in which case `face_areas[j]` is 0, so
     index j stays aligned with the generating direction list.  `edge_lengths`
     maps unordered face-index pairs to the shared edge length (positive
-    entries only).
+    entries only).  A mesh is immutable: its array views, the flat cycles
+    (`_cycles`) and `edges`, are computed from these fields on first use.
     """
 
     vertices: np.ndarray
@@ -187,9 +211,27 @@ class MeshPolyhedron:
         """Face-adjacency graph as a frozenset of index pairs."""
         return frozenset(self.edge_lengths.keys())
 
+    @cached_property
+    def _cycles(self):
+        """The face cycles as flat arrays: the length of every cycle, and the
+        face and the vertex at every cycle position, in cycle order."""
+        count = np.fromiter(map(len, self.faces), np.intp, len(self.faces))
+        face = np.repeat(np.arange(len(count)), count)
+        vid = np.fromiter(chain.from_iterable(self.faces), np.intp, len(face))
+        return count, face, vid
+
+    @cached_property
+    def edges(self):
+        """The `EdgeList` of `edge_lengths`, in its order."""
+        n = len(self.edge_lengths)
+        i, j = np.fromiter(chain.from_iterable(self.edge_lengths), np.intp,
+                           2 * n).reshape(n, 2).T
+        return _edge_list(self.face_normals, i, j,
+                          np.fromiter(self.edge_lengths.values(), float, n))
+
     def face_support_numbers(self):
         """Per-face plane offsets n_j . x for x on face j (NaN if absent)."""
-        count, face, vid = _incidences(self.faces)
+        count, face, vid = self._cycles
         dots = (self.vertices[vid] * self.face_normals[face]).sum(axis=1)
         with np.errstate(invalid="ignore"):
             return np.bincount(face, dots, len(count)) / count
@@ -197,15 +239,6 @@ class MeshPolyhedron:
     def translate(self, t):
         t = np.asarray(t, float)
         return dataclasses.replace(self, vertices=self.vertices + t)
-
-
-def _incidences(faces):
-    """The face cycles as flat arrays: the length of every cycle, and the
-    face and the vertex at every cycle position, in cycle order."""
-    count = np.fromiter(map(len, faces), np.intp, len(faces))
-    face = np.repeat(np.arange(len(count)), count)
-    vid = np.fromiter(chain.from_iterable(faces), np.intp, len(face))
-    return count, face, vid
 
 
 def _row_blocks(rows, cols):
@@ -227,7 +260,7 @@ def _assemble_faces(verts, face, vertex, normals):
     Face f has the distinct vertices paired with f, in a cycle running
     counterclockwise about `normals[f]`; with fewer than 3 (a plane that
     touches the body at most in an edge) the cycle is empty.  Returns the
-    cycles and the shared-edge lengths keyed by face pairs.
+    cycles, the edge lengths keyed by face pairs and the flat `_cycles`.
     """
     m, nf = len(verts), len(normals)
     face, vid = np.divmod(np.unique(face * m + vertex), m)
@@ -267,7 +300,7 @@ def _assemble_faces(verts, face, vertex, normals):
     lo, hi = np.minimum(face[p], face[q]), np.maximum(face[p], face[q])
     length = np.linalg.norm(verts[a[p]] - verts[b[p]], axis=1)
     edges = dict(zip(zip(lo.tolist(), hi.tolist()), length.tolist()))
-    return cycles, edges
+    return cycles, edges, (count, face, vid)
 
 
 def _solid_scale(pts):
@@ -340,26 +373,6 @@ def _interior_point(D, h):
                              if res.x[3] < 0 else
                              "intersection has empty interior")
     return c, slack
-
-
-class EdgeList(NamedTuple):
-    """The edges of a body as arrays: edge e joins faces i[e] < j[e], whose
-    normals make an angle of sine sin[e] and cosine cos[e], and has length
-    lengths[e]; `face_normals` has a row per face slot, present or not."""
-
-    face_normals: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    lengths: np.ndarray
-    sin: np.ndarray
-    cos: np.ndarray
-
-
-def _edge_list(normals, i, j, lengths):
-    """The `EdgeList` of the edges i-j of these lengths."""
-    ni, nj = normals[i], normals[j]
-    sin = np.linalg.norm(_cross(ni, nj), axis=1)
-    return EdgeList(normals, i, j, lengths, sin, (ni * nj).sum(axis=1))
 
 
 class _Cut(NamedTuple):
@@ -435,9 +448,9 @@ def _hull_mesh(cut, shift=0.0):
     D = cut.edges.face_normals
     corners = cut.corners + shift
     verts, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
-    faces, edge_lengths = _assemble_faces(
+    faces, edge_lengths, (count, _, _) = _assemble_faces(
         verts, cut.polar.simplices.ravel(), np.repeat(label, 3), D)
-    areas = np.where(list(map(bool, faces)), cut.areas, 0.0)
+    areas = np.where(count > 0, cut.areas, 0.0)
     return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
                           face_areas=areas, edge_lengths=edge_lengths)
 
@@ -479,11 +492,10 @@ def convex_hull(points) -> MeshPolyhedron:
         ([True], (np.abs(np.diff(eqs[order], axis=0)) > tolvec).any(axis=1)))
     group = np.empty(len(eqs), dtype=np.intp)
     group[order] = np.cumsum(step) - 1
-    faces, edge_lengths = _assemble_faces(
+    faces, edge_lengths, (count, face, vid) = _assemble_faces(
         verts, np.repeat(group, 3), tris.ravel(), eqs[order[step], :3])
     # area vectors: each cycle fanned about its first vertex, whose offset
     # is zero, so the products across cycle ends add nothing
-    count, face, vid = _incidences(faces)
     rel = verts[vid] - verts[vid[np.repeat(np.cumsum(count) - count, count)]]
     area_vecs = 0.5 * _group_sums(face[:-1], _cross(rel[:-1], rel[1:]),
                                   len(faces))
@@ -523,21 +535,10 @@ def vector_area_residual(p: MeshPolyhedron):
     return (p.face_areas[:, None] * p.face_normals).sum(axis=0)
 
 
-def _edge_arrays(p):
-    """The `EdgeList` of a mesh, or `p` itself if it is one."""
-    if isinstance(p, EdgeList):
-        return p
-    n = len(p.edge_lengths)
-    i, j = np.fromiter(chain.from_iterable(p.edge_lengths), np.intp,
-                       2 * n).reshape(n, 2).T
-    return _edge_list(p.face_normals, i, j,
-                      np.fromiter(p.edge_lengths.values(), float, n))
-
-
 def integral_mean_curvature(p: MeshPolyhedron) -> float:
     """Half the sum over edges of edge length times exterior dihedral angle
     (which for adjacent outward normals is just the angle between them)."""
-    _, _, _, lengths, sin, cos = _edge_arrays(p)
+    _, _, _, lengths, sin, cos = p.edges
     return 0.5 * float(lengths @ np.arctan2(sin, cos))
 
 

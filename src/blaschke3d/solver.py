@@ -28,9 +28,8 @@ import numpy as np
 
 from .errors import (DegenerateAngle, DegenerateBody, NewtonDivergence,
                      OracleFailed, StepSizeUnderflow)
-from .geometry import (MERGE_TOL, EdgeList, MeshPolyhedron,
-                       SupportPolyhedron, _edge_arrays, _hull_mesh,
-                       _polar_hull, check_positive_spanning)
+from .geometry import (MERGE_TOL, MeshPolyhedron, SupportPolyhedron,
+                       _hull_mesh, _polar_hull, check_positive_spanning)
 from .herisson import Herisson
 
 # The step lengths tried, 1 down to 2^-30, and the number of accepted
@@ -51,8 +50,8 @@ class ContinuationConfig:
     newton_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
+        if not 0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be positive and finite")
 
 
 @dataclass
@@ -108,7 +107,7 @@ def initial_polyhedron(directions):
     return sp, state.areas
 
 
-def area_jacobian(p: MeshPolyhedron | EdgeList) -> np.ndarray:
+def area_jacobian(body) -> np.ndarray:
     """Derivative of the face areas with respect to the support numbers.
 
     For adjacent faces i != j the entry is l_ij / sin(angle(n_i, n_j)); the
@@ -117,11 +116,11 @@ def area_jacobian(p: MeshPolyhedron | EdgeList) -> np.ndarray:
     -cot(angle(n_j, n_p)) in terms of the normals (pushing a face of a cube
     outward leaves its own area unchanged, hence the zero diagonal there).
     Rows of absent faces are zero.  The matrix kills the three translation
-    vectors u_j = v . n_j.  `p` is a mesh or the edge list of a body.
+    vectors u_j = v . n_j.  It reads `body.edges`, of a mesh or a `_Cut`.
     """
-    k = len(p.face_normals)
+    normals, i, j, lengths, sin, cos = body.edges
+    k = len(normals)
     jac = np.zeros((k, k))
-    _, i, j, lengths, sin, cos = _edge_arrays(p)
     if not len(i):
         return jac
     if sin.min() < 1e-9:
@@ -176,7 +175,7 @@ def _damped_step(directions, state, target, lengths, floor, trace):
     """
     trace.jacobians += 1
     gap = target - state.areas
-    dh = _solve_kernel_free(area_jacobian(state.edges), gap, directions)
+    dh = _solve_kernel_free(area_jacobian(state), gap, directions)
     if not np.all(np.isfinite(dh)):
         trace.rejections["diverged"] += 1
         return "diverged", None

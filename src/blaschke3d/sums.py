@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (MeshPolyhedron, _group_sums, _incidences,
-                       _row_blocks, convex_hull)
+from .geometry import MeshPolyhedron, _group_sums, _row_blocks, convex_hull
 from .herisson import Herisson, blaschke_add, herisson_of_mesh
 from .solver import ContinuationConfig, continuation_solve
 
@@ -24,16 +23,17 @@ def _normal_caps(body):
     of a spherical cap that holds its normal cone.
 
     For a mesh the axis is the mean direction of the normals of the faces
-    whose cycles hold the vertex, and the radius the largest angle from it
-    to one of them.  A cap under pi/2 is geodesically convex, so it holds
-    the cone those normals span.  A wider cap, a vertex in no cycle and
-    every point of a raw array get radius pi, which holds every direction.
+    whose cycles (the mesh's flat `_cycles`) hold the vertex, and the
+    radius the largest angle from it to one of them.  A cap under pi/2 is
+    geodesically convex, so it holds the cone those normals span.  A wider
+    cap, a vertex in no cycle and every point of a raw array get radius pi,
+    which holds every direction.
     """
     if not isinstance(body, MeshPolyhedron):
         pts = np.atleast_2d(np.asarray(body, float))
         return pts, np.zeros_like(pts), np.full(len(pts), np.pi)
     n = len(body.vertices)
-    _, face, vid = _incidences(body.faces)
+    _, face, vid = body._cycles
     normals = body.face_normals[face]
     axes = _group_sums(vid, normals, n)
     norm = np.linalg.norm(axes, axis=1)

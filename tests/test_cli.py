@@ -54,6 +54,13 @@ class TestConstruct:
         assert code == 0
         assert import_off(out.read_text()).face_count == 20
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_one(self, tmp_path, capsys, tol):
+        code, _, err = run(capsys, "construct", DATA / "cube.her",
+                           "-o", tmp_path / "x.off", "--tol", tol)
+        assert code == 1
+        assert "newton_tol must be positive and finite" in err
+
     def test_failure_prints_trace_before_error(self, tmp_path, capsys):
         out = tmp_path / "x.off"
         code, stdout, err = run(capsys, "construct", DATA / "grunbaum.her",

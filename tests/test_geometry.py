@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from blaschke3d.geometry import (DIRECTION_TOL, MeshPolyhedron,
                                  vector_area_residual, volume)
 
 from blaschke3d.herisson import random_herisson
-from blaschke3d.solver import area_jacobian
+from blaschke3d.solver import area_jacobian, continuation_solve
+from blaschke3d.sums import minkowski_sum
 from helpers import (centered, count_linprog, divergence_volume,
                      enumerate_intersection, random_tangent_mesh,
                      vertex_sets_match)
@@ -326,7 +329,7 @@ class TestPolarEdgeList:
             assert abs(got[key] - length) <= 1e-12 * mesh.scale
         np.testing.assert_array_equal(
             slack, offsets - dirs @ _interior_point(dirs, offsets)[0])
-        areas = 0.5 * area_jacobian(edges) @ slack
+        areas = 0.5 * area_jacobian(cut) @ slack
         assert np.abs(areas - mesh.face_areas).max() <= \
             1e-12 * mesh.face_areas.max()
 
@@ -352,7 +355,7 @@ class TestPolarEdgeList:
         dirs, offsets = corner_cases()[4]
         cut = _polar_hull(dirs, offsets)
         edges, slack = cut.edges, cut.slack
-        areas = 0.5 * area_jacobian(edges) @ slack
+        areas = 0.5 * area_jacobian(cut) @ slack
         width = np.sqrt(2.0) * (2.0 - np.sqrt(2.0) * offsets[3])
         assert areas[3] == pytest.approx(2 * width, rel=1e-3)
         assert _intersect_arrays(dirs, offsets).face_areas[3] == 0.0
@@ -521,6 +524,92 @@ class TestMeasurements:
         mesh = icosphere_mesh(4, r)
         assert integral_mean_curvature(mesh) == \
             pytest.approx(4 * np.pi * r, rel=0.01)
+
+
+def broken_cube(fault):
+    """`cube_mesh()` with one fault that `validate_mesh` must reject."""
+    cube = cube_mesh()
+    edges = dict(cube.edge_lengths)
+    if fault == "vertex":
+        vertices = cube.vertices.copy()
+        vertices[0] *= 1.5
+        return replace(cube, vertices=vertices)
+    if fault == "area":
+        return replace(cube, face_areas=cube.face_areas * [2, 1, 1, 1, 1, 1])
+    if fault == "dropped":
+        edges.popitem()
+    elif fault == "zero":
+        edges[next(iter(edges))] = 0.0
+    else:  # the last edge, (4, 5), moved onto an empty seventh face slot
+        (i, _), length = edges.popitem()
+        edges[(i, 6)] = length
+        return replace(cube, faces=cube.faces + [[]],
+                       face_normals=np.vstack([cube.face_normals, AXES[4]]),
+                       face_areas=np.append(cube.face_areas, 0.0),
+                       edge_lengths=edges)
+    return replace(cube, edge_lengths=edges)
+
+
+class TestValidateMesh:
+    @pytest.mark.parametrize("fault, message", [
+        ("vertex", "vertex beyond plane of face 0"),
+        ("dropped", "Euler characteristic V-E+F = 3 != 2"),
+        ("area", "vector area of the surface does not close up"),
+        ("zero", "non-positive edge length for faces 0,1"),
+        ("absent", "edge between absent faces 4,6")])
+    def test_rejects(self, fault, message):
+        with pytest.raises(ValueError) as err:
+            validate_mesh(broken_cube(fault))
+        assert str(err.value) == message
+
+
+def solved_mesh():
+    return continuation_solve(random_herisson(24, 3))[1]
+
+
+def summed_mesh():
+    return minkowski_sum(tetrahedron_mesh(),
+                         icosphere_mesh(1).translate([0.5, 0.0, 0.0]))
+
+
+class TestMeshViews:
+    """A mesh flattens its cycles and its edges once, on first use."""
+
+    @pytest.mark.parametrize("make", [cube_mesh, solved_mesh, summed_mesh],
+                             ids=["cube", "solver", "minkowski"])
+    def test_views_follow_the_fields(self, make):
+        mesh = make()
+        edges = mesh.edges
+        assert list(zip(edges.i.tolist(), edges.j.tolist())) == \
+            list(mesh.edge_lengths)
+        assert edges.lengths.tolist() == list(mesh.edge_lengths.values())
+        ni, nj = mesh.face_normals[edges.i], mesh.face_normals[edges.j]
+        np.testing.assert_allclose(
+            edges.sin, np.linalg.norm(np.cross(ni, nj), axis=1), atol=1e-15)
+        np.testing.assert_allclose(edges.cos, (ni * nj).sum(axis=1),
+                                   atol=1e-15)
+        assert np.array_equal(edges.face_normals, mesh.face_normals)
+        count, face, vid = mesh._cycles
+        assert count.tolist() == [len(c) for c in mesh.faces]
+        assert face.tolist() == [f for f, c in enumerate(mesh.faces)
+                                 for _ in c]
+        assert vid.tolist() == [v for c in mesh.faces for v in c]
+        assert mesh.edges is edges and mesh._cycles[2] is vid
+
+    def test_translate_keeps_the_views(self):
+        mesh = solved_mesh()
+        moved = mesh.translate([3.0, -1.0, 0.5])
+        for a, b in zip(moved._cycles + moved.edges,
+                        mesh._cycles + mesh.edges):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_jacobian_of_the_cut_and_of_its_mesh(self, seed):
+        # the edge keys of the two match (`TestPolarEdgeList`)
+        cut = _polar_hull(*jittered_case(seed))
+        jac = area_jacobian(cut)
+        assert np.abs(jac - area_jacobian(_hull_mesh(cut))).max() <= \
+            1e-12 * np.abs(jac).max()
 
 
 class TestContainment:

@@ -14,8 +14,9 @@ from blaschke3d.errors import (DegenerateAngle, DegenerateBody,
                                NewtonDivergence, OracleFailed,
                                StepSizeUnderflow, ToolkitError)
 from blaschke3d.fileio import parse_herisson_file
-from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
-                                 intersect_halfspaces, validate_mesh, volume)
+from blaschke3d.geometry import (MeshPolyhedron, SupportPolyhedron,
+                                 convex_hull, intersect_halfspaces,
+                                 validate_mesh, volume)
 from blaschke3d.herisson import (Herisson, blaschke_add, blaschke_scale,
                                  herisson_of_mesh, random_herisson)
 from blaschke3d.solver import (ContinuationConfig, _oracle_solve,
@@ -110,14 +111,14 @@ class TestAreaJacobian:
             1e-8 * max(1.0, np.linalg.norm(rhs))
 
     def test_parallel_adjacent_normals_raise(self):
-        from blaschke3d.geometry import _edge_list
         tilt = 5e-10
         normals = np.array([[0.0, 0.0, 1.0],
                             [np.sin(tilt), 0.0, np.cos(tilt)]])
-        edges = _edge_list(normals, np.array([0]), np.array([1]),
-                           np.array([1.0]))
+        body = MeshPolyhedron(vertices=np.zeros((1, 3)), faces=[[], []],
+                              face_normals=normals, face_areas=np.zeros(2),
+                              edge_lengths={(0, 1): 1.0})
         with pytest.raises(DegenerateAngle, match="faces 0,1 are parallel"):
-            area_jacobian(edges)
+            area_jacobian(body)
 
 
 def closed_rhs(directions, seed):
@@ -209,7 +210,7 @@ class TestContinuationSolve:
         assert trace.final_residual == resid
         cut = _polar_hull(sp.directions, sp.support_numbers)
         edges, slack = cut.edges, cut.slack
-        areas = 0.5 * area_jacobian(edges) @ slack
+        areas = 0.5 * area_jacobian(cut) @ slack
         assert np.abs(areas - mesh.face_areas).max() \
             <= gap * mesh.face_areas.max()
 
@@ -299,6 +300,14 @@ class TestContinuationSolve:
         for before, after, alpha in zip(history, history[1:],
                                         trace.alpha_history[1:]):
             assert after <= (1.0 - alpha / 2.0) * before
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # NaN would never trip the final residual check, and inf would take
+        # the scaled tangent body, 0 steps in, as converged
+        with pytest.raises(ValueError,
+                           match="newton_tol must be positive and finite"):
+            ContinuationConfig(newton_tol=tol)
 
     def test_step_size_underflow(self):
         # a tolerance below rounding level cannot be reached: the last step

@@ -183,6 +183,32 @@ class TestOutputSensitiveSum:
         assert sizes[0] <= 0.02 * 412_164
 
 
+    def test_a_warm_pass_flattens_only_the_new_sums(self, monkeypatch):
+        # p and q flatten their cycles once; each pass then flattens the
+        # cycles of its two sums and the edges of one: 6 np.fromiter calls
+        from blaschke3d import brunn_minkowski_check, contains_by_translation
+        from blaschke3d.geometry import integral_mean_curvature
+        turn = Rotation.from_rotvec([0.3, -0.2, 0.5]).as_matrix()
+        p = convex_hull(icosphere_mesh(1).vertices)
+        q = convex_hull(1.7 * icosphere_mesh(2).vertices @ turn.T)
+
+        def one_pass():
+            total = minkowski_sum(p, q)
+            volume(total), integral_mean_curvature(total)
+            brunn_minkowski_check(p, q)
+            contains_by_translation(total, p)
+        one_pass()
+        calls = []
+        real = np.fromiter
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np, "fromiter", counted)
+        one_pass()
+        assert len(calls) <= 6
+
+
 class TestBlaschkeSumBodies:
     def test_cube_with_itself_scales_by_sqrt2(self):
         c = cube_mesh(1.0)
