@@ -128,7 +128,7 @@ def icosphere_mesh(depth: int, radius=1.0) -> MeshPolyhedron:
              [p for s1 in (1, -1) for s2 in (1, -1)
               for p in _cyclic((0.0, s1 * 1.0, s2 * PHI))]]
     verts = np.array(verts)
-    tris = [tuple(f) for f in convex_hull(verts).faces]
+    tris = convex_hull(verts).cycles[2].reshape(-1, 3).tolist()
     cache = {}
     vlist = [tuple(v) for v in verts]
 

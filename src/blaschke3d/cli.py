@@ -3,7 +3,8 @@
 Subcommands: `construct` reconstructs a body from face data, `bsum`/`msum`
 add bodies, `check` evaluates one inequality, `fuzz` runs a seeded campaign,
 `report` measures a mesh, `sphere-check` verifies the spherical identity.
-Machine-readable output is JSON with sorted keys, byte-stable across runs.
+Machine-readable output is strict JSON with sorted keys, byte-stable across
+runs; a value that is not finite is an error, never a NaN in the output.
 
 Exit codes: 0 success (including expected a < 1 failures), 1 parse or
 validation error, 2 an inequality check failed, 3 unexpected fuzz failure.
@@ -29,7 +30,7 @@ from .sums import blaschke_sum_bodies, minkowski_sum
 
 
 def _dump(obj):
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _solver_config(args):
@@ -122,7 +123,7 @@ def _cmd_fuzz(args):
 def _cmd_report(args):
     mesh = fileio.import_off(Path(args.mesh).read_text())
     residual = vector_area_residual(mesh)
-    v, e = len(mesh.vertices), len(mesh.edge_lengths)
+    v, e = len(mesh.vertices), len(mesh.edges.i)
     f = mesh.face_count
     _dump({
         "volume": volume(mesh),

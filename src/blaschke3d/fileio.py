@@ -4,7 +4,8 @@ polygon files.
 A `.her` file starts with the face count k, followed by k lines of
 `nx ny nz F`: an outward normal (not necessarily unit) and the face area.
 Blank lines and `#` comments are allowed.  Floats are printed with 17
-significant digits, so print/parse round trips are exact.
+significant digits, so print/parse round trips are exact.  Every parser
+rejects a number that is not finite (`nan`, `inf`), naming its line.
 """
 from __future__ import annotations
 
@@ -25,6 +26,18 @@ def _content_lines(text):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _reals(parts, lineno):
+    """The numbers of one line as floats; ParseError naming the line if one
+    is malformed or not finite."""
+    try:
+        x = np.array([float(p) for p in parts])
+    except ValueError:
+        raise ParseError(f"line {lineno}: malformed number") from None
+    if not np.isfinite(x).all():
+        raise ParseError(f"line {lineno}: number not finite")
+    return x
 
 
 def parse_herisson_file(text: str) -> Herisson:
@@ -50,24 +63,20 @@ def parse_herisson_file(text: str) -> Herisson:
                          "data lines follow")
     dirs = np.empty((k, 3))
     areas = np.empty(k)
-    for row, (lineno, line) in enumerate(body):
+    for i, (lineno, line) in enumerate(body):
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(f"line {lineno}: expected 'nx ny nz area', got "
                              f"{line!r}")
-        try:
-            nx, ny, nz, area = (float(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed number") from None
-        v = np.array([nx, ny, nz])
+        row = _reals(parts, lineno)
+        v = row[:3]
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise ParseError(f"line {lineno}: zero normal")
         # leave already-unit normals untouched so round trips are exact
         if abs(norm - 1.0) > 1e-12:
             v = v / norm
-        dirs[row] = v
-        areas[row] = area
+        dirs[i], areas[i] = v, row[3]
     return validate_herisson(dirs, areas)
 
 
@@ -95,7 +104,8 @@ def export_off(p: MeshPolyhedron) -> str:
 def import_off(text: str) -> MeshPolyhedron:
     """Parse OFF text, reject non-convex input, and rebuild the mesh (face
     merge, areas, edge lengths) through `convex_hull`."""
-    lines = [line for _, line in _content_lines(text)]
+    numbered = list(_content_lines(text))
+    lines = [line for _, line in numbered]
     if not lines or lines[0] != "OFF":
         raise ParseError("missing OFF header")
     try:
@@ -105,8 +115,8 @@ def import_off(text: str) -> MeshPolyhedron:
     if len(lines) < 2 + nv + nf:
         raise ParseError("truncated OFF file")
     try:
-        verts = np.array([[float(x) for x in lines[2 + i].split()]
-                          for i in range(nv)])
+        verts = np.array([_reals(line.split(), lineno)
+                          for lineno, line in numbered[2:2 + nv]])
         faces = []
         for i in range(nf):
             parts = [int(x) for x in lines[2 + nv + i].split()]
@@ -153,10 +163,7 @@ def parse_polygon_file(text: str) -> SphericalPolygon:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected three reals")
-        try:
-            v = np.array([float(p) for p in parts])
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed number") from None
+        v = _reals(parts, lineno)
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-6:
             raise ParseError(f"line {lineno}: vertex norm {norm:.8f} is not "

@@ -11,8 +11,9 @@ a vertex of the body, lying on the three planes that span it.  One record,
 (`EdgeList`: face pairs and lengths, from adjacent facets), its slack, its
 exact face areas (`_face_areas`), the hull and the corners.  The solver's
 Newton loop, its oracle and the face complex (`_hull_mesh`) all read that
-one record.  A mesh flattens its cycles and edges (an `EdgeList` too) into
-arrays once, and every measurement reads those views.  Tolerances are
+one record.  A mesh is stored as arrays: its flat face cycles and its edges
+(an `EdgeList` too), which every measurement reads; the face lists and the
+edge-length dict are views built from them on first use.  Tolerances are
 relative to the body scale (bounding-box diagonal); inputs are assumed
 desk-scale, no exact predicates.
 """
@@ -22,7 +23,6 @@ import copy
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -62,12 +62,13 @@ def _cross(a, b):
 
 
 def as_unit_rows(directions):
-    """Validate an (k, 3) array of unit rows (norm 1 within 1e-12)."""
+    """Validate an (k, 3) array of unit rows (norm 1 within 1e-12; a row
+    with a NaN fails)."""
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     if d.ndim != 2 or d.shape[1] != 3:
         raise ValueError(f"expected an (k, 3) direction array, got {d.shape}")
     norms = np.linalg.norm(d, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
+    if not np.all(np.abs(norms - 1.0) <= 1e-12):
         raise ValueError("directions must be unit vectors (within 1e-12)")
     return d
 
@@ -163,20 +164,22 @@ def _edge_list(normals, i, j, lengths):
 class MeshPolyhedron:
     """Boundary complex of a bounded convex polyhedron.
 
-    `faces[j]` is a cycle of vertex indices, counterclockwise as seen from
+    `cycles` is the triple (count, face, vertex) of flat arrays: the length
+    of every face cycle, and the face and the vertex at every cycle
+    position.  The cycle of face j runs counterclockwise as seen from
     outside along `face_normals[j]`; it is empty when plane j does not touch
     the body in a 2-dimensional face, in which case `face_areas[j]` is 0, so
-    index j stays aligned with the generating direction list.  `edge_lengths`
-    maps unordered face-index pairs to the shared edge length (positive
-    entries only).  A mesh is immutable: its array views, the flat cycles
-    (`_cycles`) and `edges`, are computed from these fields on first use.
+    index j stays aligned with the generating direction list.  `edges` is
+    the `EdgeList` of the edges of positive length.  A mesh is immutable:
+    its views `faces` (a list of vertex-index lists) and `edge_lengths`
+    (face-index pairs to lengths, in `edges` order) are built on first use.
     """
 
     vertices: np.ndarray
-    faces: list
+    cycles: tuple
     face_normals: np.ndarray
     face_areas: np.ndarray
-    edge_lengths: dict
+    edges: EdgeList
 
     def __post_init__(self):
         object.__setattr__(self, "vertices",
@@ -212,26 +215,21 @@ class MeshPolyhedron:
         return frozenset(self.edge_lengths.keys())
 
     @cached_property
-    def _cycles(self):
-        """The face cycles as flat arrays: the length of every cycle, and the
-        face and the vertex at every cycle position, in cycle order."""
-        count = np.fromiter(map(len, self.faces), np.intp, len(self.faces))
-        face = np.repeat(np.arange(len(count)), count)
-        vid = np.fromiter(chain.from_iterable(self.faces), np.intp, len(face))
-        return count, face, vid
+    def faces(self):
+        """The face cycles as lists of vertex indices."""
+        count, _, vid = self.cycles
+        ids, ends = vid.tolist(), np.cumsum(count).tolist()
+        return [ids[e - c:e] for e, c in zip(ends, count.tolist())]
 
     @cached_property
-    def edges(self):
-        """The `EdgeList` of `edge_lengths`, in its order."""
-        n = len(self.edge_lengths)
-        i, j = np.fromiter(chain.from_iterable(self.edge_lengths), np.intp,
-                           2 * n).reshape(n, 2).T
-        return _edge_list(self.face_normals, i, j,
-                          np.fromiter(self.edge_lengths.values(), float, n))
+    def edge_lengths(self):
+        """The edge lengths keyed by face pairs (i, j), i < j."""
+        _, i, j, lengths, _, _ = self.edges
+        return dict(zip(zip(i.tolist(), j.tolist()), lengths.tolist()))
 
     def face_support_numbers(self):
         """Per-face plane offsets n_j . x for x on face j (NaN if absent)."""
-        count, face, vid = self._cycles
+        count, face, vid = self.cycles
         dots = (self.vertices[vid] * self.face_normals[face]).sum(axis=1)
         with np.errstate(invalid="ignore"):
             return np.bincount(face, dots, len(count)) / count
@@ -260,7 +258,8 @@ def _assemble_faces(verts, face, vertex, normals):
     Face f has the distinct vertices paired with f, in a cycle running
     counterclockwise about `normals[f]`; with fewer than 3 (a plane that
     touches the body at most in an edge) the cycle is empty.  Returns the
-    cycles, the edge lengths keyed by face pairs and the flat `_cycles`.
+    flat cycles (a mesh's `cycles`) and the edges: the face pairs i < j and
+    the edge lengths.
     """
     m, nf = len(verts), len(normals)
     face, vid = np.divmod(np.unique(face * m + vertex), m)
@@ -288,9 +287,6 @@ def _assemble_faces(verts, face, vertex, normals):
     nxt = np.arange(1, len(vid) + 1)
     nxt[end[live] - 1] = (end - count)[live]
 
-    ids = vid.tolist()
-    cycles = [ids[e - c:e] for e, c in zip(end.tolist(), count.tolist())]
-
     # a convex surface has each vertex pair of an edge in exactly two cycles
     a, b = vid, vid[nxt]
     key = np.minimum(a, b) * m + np.maximum(a, b)
@@ -299,8 +295,7 @@ def _assemble_faces(verts, face, vertex, normals):
     p, q = srt[pair], srt[pair + 1]
     lo, hi = np.minimum(face[p], face[q]), np.maximum(face[p], face[q])
     length = np.linalg.norm(verts[a[p]] - verts[b[p]], axis=1)
-    edges = dict(zip(zip(lo.tolist(), hi.tolist()), length.tolist()))
-    return cycles, edges, (count, face, vid)
+    return (count, face, vid), (lo, hi, length)
 
 
 def _solid_scale(pts):
@@ -445,14 +440,14 @@ def _hull_mesh(cut, shift=0.0):
     three planes of each facet are the faces through its vertex.  The face
     areas are the cut's, except that a plane left with fewer than three
     distinct vertices has no face and area 0."""
-    D = cut.edges.face_normals
+    D = cut.edges.face_normals.copy()
     corners = cut.corners + shift
     verts, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
-    faces, edge_lengths, (count, _, _) = _assemble_faces(
+    cycles, edges = _assemble_faces(
         verts, cut.polar.simplices.ravel(), np.repeat(label, 3), D)
-    areas = np.where(count > 0, cut.areas, 0.0)
-    return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
-                          face_areas=areas, edge_lengths=edge_lengths)
+    areas = np.where(cycles[0] > 0, cut.areas, 0.0)
+    return MeshPolyhedron(vertices=verts, cycles=cycles, face_normals=D,
+                          face_areas=areas, edges=_edge_list(D, *edges))
 
 
 def _intersect_arrays(directions, offsets):
@@ -492,17 +487,18 @@ def convex_hull(points) -> MeshPolyhedron:
         ([True], (np.abs(np.diff(eqs[order], axis=0)) > tolvec).any(axis=1)))
     group = np.empty(len(eqs), dtype=np.intp)
     group[order] = np.cumsum(step) - 1
-    faces, edge_lengths, (count, face, vid) = _assemble_faces(
+    (count, face, vid), edges = _assemble_faces(
         verts, np.repeat(group, 3), tris.ravel(), eqs[order[step], :3])
     # area vectors: each cycle fanned about its first vertex, whose offset
     # is zero, so the products across cycle ends add nothing
     rel = verts[vid] - verts[vid[np.repeat(np.cumsum(count) - count, count)]]
     area_vecs = 0.5 * _group_sums(face[:-1], _cross(rel[:-1], rel[1:]),
-                                  len(faces))
+                                  len(count))
     areas = np.linalg.norm(area_vecs, axis=1)
-    return MeshPolyhedron(vertices=verts, faces=faces,
-                          face_normals=area_vecs / areas[:, None],
-                          face_areas=areas, edge_lengths=edge_lengths)
+    normals = area_vecs / areas[:, None]
+    return MeshPolyhedron(vertices=verts, cycles=(count, face, vid),
+                          face_normals=normals, face_areas=areas,
+                          edges=_edge_list(normals, *edges))
 
 
 def volume(p: MeshPolyhedron) -> float:
@@ -606,7 +602,7 @@ def validate_mesh(mesh: MeshPolyhedron) -> MeshPolyhedron:
         j = live[int(np.argmax(gap > tol))]
         raise ValueError(f"vertex beyond plane of face {j}")
     v = len(mesh.vertices)
-    e = len(mesh.edge_lengths)
+    e = len(mesh.edges.i)
     f = mesh.face_count
     if v - e + f != 2:
         raise ValueError(f"Euler characteristic V-E+F = {v - e + f} != 2")

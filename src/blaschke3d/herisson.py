@@ -74,9 +74,11 @@ def validate_herisson(entries_or_directions, areas=None) -> Herisson:
     dirs, ars = _split_raw(entries_or_directions, areas)
     if len(ars) == 0:
         raise NonPositiveArea("empty herisson")
-    if np.any(ars <= 0):
-        raise NonPositiveArea(
-            f"area {float(ars.min())} at entry {int(np.argmin(ars))}")
+    bad = ~((ars > 0) & (ars < np.inf))
+    if bad.any():
+        # the least area if one is not positive, else the first NaN or inf
+        n = int(np.argmin(ars) if np.any(ars <= 0) else np.argmax(bad))
+        raise NonPositiveArea(f"area {float(ars[n])} at entry {n}")
     dirs = as_unit_rows(dirs)
     if len(dirs) != len(ars):
         raise ValueError("one area per direction required")
@@ -128,9 +130,10 @@ def blaschke_add(a: Herisson, b: Herisson) -> Herisson:
 
 
 def blaschke_scale(h: Herisson, t: float) -> Herisson:
-    """Multiply every area by t > 0 (the body scales by sqrt(t))."""
-    if not t > 0:
-        raise NonPositiveScale(f"scale factor must be positive, got {t}")
+    """Multiply every area by t, 0 < t < inf (the body scales by sqrt(t))."""
+    if not 0 < t < np.inf:
+        raise NonPositiveScale(
+            f"scale factor must be positive and finite, got {t}")
     return Herisson(directions=h.directions, areas=h.areas * t)
 
 

@@ -61,9 +61,10 @@ class SolveTrace:
     `alpha_history` holds the length of every accepted step, and
     `residual_history` the residual |F - A|_2 / |F|_2 after it, which falls
     by 1 - alpha/2 at each step.  `final_residual` is the returned mesh's
-    max |F - A| / max F.  `intersections` and `jacobians` count the
-    half-space intersections and area Jacobians computed, over accepted and
-    rejected steps alike; the returned mesh is read off the last accepted
+    max |F - A| / max F or, when the solve fails, that of the last accepted
+    body, which its error reports.  `intersections` and `jacobians` count
+    the half-space intersections and area Jacobians computed, over accepted
+    and rejected steps alike; the returned mesh is read off the last accepted
     intersection.  `combinatorial_changes` counts the accepted steps whose
     face adjacency (edges longer than `MERGE_TOL` times the longest) differs
     from the last.  `rejections` counts the rejected step lengths by cause:
@@ -199,7 +200,9 @@ def _damped_step(directions, state, target, lengths, floor, trace):
 
 
 def _failure(cause, resid, trace):
-    """The error that ends a solve whose step failed for `cause`."""
+    """The error that ends a solve whose step failed for `cause`, at the
+    relative residual `resid`, which the trace keeps as its final one."""
+    trace.final_residual = float(resid)
     what = {"diverged": "Newton update not finite",
             "budget": "no convergence within the step budget"}.get(
         cause, f"step length below 2^-30, the last rejected as {cause}")

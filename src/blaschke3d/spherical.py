@@ -60,7 +60,7 @@ class SphericalPolygon:
         if len(v) in (1, 2):
             raise InvalidPolygon("need at least 3 vertices (or none for the "
                                  "whole sphere)")
-        if len(v) and np.abs(np.linalg.norm(v, axis=1) - 1.0).max() > 1e-12:
+        if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12):
             raise InvalidPolygon("vertices must be unit vectors within 1e-12")
         object.__setattr__(self, "vertices", v)
         if len(v):

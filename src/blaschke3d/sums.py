@@ -23,8 +23,8 @@ def _normal_caps(body):
     of a spherical cap that holds its normal cone.
 
     For a mesh the axis is the mean direction of the normals of the faces
-    whose cycles (the mesh's flat `_cycles`) hold the vertex, and the
-    radius the largest angle from it to one of them.  A cap under pi/2 is
+    whose cycles (the mesh's `cycles`) hold the vertex, and the radius
+    the largest angle from it to one of them.  A cap under pi/2 is
     geodesically convex, so it holds the cone those normals span.  A wider
     cap, a vertex in no cycle and every point of a raw array get radius pi,
     which holds every direction.
@@ -33,7 +33,7 @@ def _normal_caps(body):
         pts = np.atleast_2d(np.asarray(body, float))
         return pts, np.zeros_like(pts), np.full(len(pts), np.pi)
     n = len(body.vertices)
-    _, face, vid = body._cycles
+    _, face, vid = body.cycles
     normals = body.face_normals[face]
     axes = _group_sums(vid, normals, n)
     norm = np.linalg.norm(axes, axis=1)

@@ -7,8 +7,21 @@ from scipy.spatial.distance import cdist
 
 from blaschke3d.errors import DegenerateBody
 from blaschke3d.geometry import DIRECTION_TOL, MERGE_TOL, MeshPolyhedron, \
-    SupportPolyhedron, intersect_halfspaces
+    SupportPolyhedron, _edge_list, intersect_halfspaces
 from blaschke3d.herisson import random_herisson
+
+
+def mesh_of(vertices, faces, normals, areas, edge_lengths) -> MeshPolyhedron:
+    """A mesh given by its face cycles as lists of vertex indices and its
+    edge lengths keyed by face pairs (i, j), i < j."""
+    normals = np.atleast_2d(np.asarray(normals, float))
+    count = np.array([len(c) for c in faces], dtype=np.intp)
+    cycles = (count, np.repeat(np.arange(len(faces)), count),
+              np.array([v for c in faces for v in c], dtype=np.intp))
+    i, j = np.array(list(edge_lengths), dtype=np.intp).reshape(-1, 2).T
+    lengths = np.array(list(edge_lengths.values()), dtype=float)
+    return MeshPolyhedron(vertices, cycles, normals, areas,
+                          _edge_list(normals, i, j, lengths))
 
 
 def divergence_volume(mesh: MeshPolyhedron) -> float:
@@ -179,8 +192,7 @@ def enumerate_intersection(directions, offsets) -> MeshPolyhedron:
         if length > tol:
             edge_lengths[(fi, fj)] = length
 
-    return MeshPolyhedron(vertices=verts, faces=faces, face_normals=D.copy(),
-                          face_areas=areas, edge_lengths=edge_lengths)
+    return mesh_of(verts, faces, D.copy(), areas, edge_lengths)
 
 
 def count_linprog(monkeypatch):

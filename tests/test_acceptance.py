@@ -27,7 +27,7 @@ from blaschke3d.solver import (area_jacobian, continuation_solve,
                                initial_polyhedron, oracle_solve_small)
 from blaschke3d.sums import minkowski_sum
 
-from helpers import centered, random_tangent_mesh, vertex_sets_match
+from helpers import centered, mesh_of, random_tangent_mesh, vertex_sets_match
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -69,11 +69,8 @@ def test_criterion_01_icosahedron_reconstruction(tmp_path):
             v = (0.0, s1 * PHI, s2 * 1.0)
             canonical += [v, (v[2], v[0], v[1]), (v[1], v[2], v[0])]
     canonical = np.array(canonical) * np.sqrt(5.0 / np.sqrt(3.0))
-    from blaschke3d.geometry import MeshPolyhedron
     got = centered(mesh)
-    ref = MeshPolyhedron(vertices=canonical, faces=[],
-                         face_normals=np.zeros((0, 3)),
-                         face_areas=np.zeros(0), edge_lengths={})
+    ref = mesh_of(canonical, [], np.zeros((0, 3)), np.zeros(0), {})
     assert vertex_sets_match(got, ref, 1e-5 * got.diameter())
     assert elapsed < 1.0
     _report(1, f"icosahedron rebuilt: 20 faces of area 5 (max rel err "

@@ -70,6 +70,20 @@ class TestConstruct:
         assert err.startswith("error:")
         assert not out.exists()
 
+    def test_failed_trace_is_strict_json(self, tmp_path, capsys):
+        from blaschke3d.bodies import elongated_herisson
+        from blaschke3d.fileio import format_herisson
+        her = tmp_path / "needle.her"
+        her.write_text(format_herisson(elongated_herisson(1e5, 0)))
+        code, stdout, err = run(capsys, "construct", her,
+                                "-o", tmp_path / "x.off", "--trace")
+        assert code == 1 and err.startswith("error:")
+
+        def reject(name):
+            raise AssertionError(f"{name} in the trace")
+        trace = json.loads(stdout, parse_constant=reject)
+        assert f"residual {trace['final_residual']:.2e} " in err
+
     def test_bad_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.her"
         bad.write_text("2\n1 0 0 1\n-1 0 0 1\n")
@@ -249,6 +263,33 @@ class TestSphereCheck:
         code, _, err = run(capsys, "sphere-check", poly)
         assert code == 1
         assert "error" in err
+
+
+class TestNonFiniteInput:
+    """A `nan` in an input file is a parse error naming its line."""
+
+    def test_construct(self, tmp_path, capsys):
+        her = tmp_path / "cube.her"
+        her.write_text((DATA / "cube.her").read_text().replace(
+            "1 0 0 2", "1 0 0 nan"))
+        code, _, err = run(capsys, "construct", her, "-o", tmp_path / "x.off")
+        assert (code, err) == (1, "error: line 2: number not finite\n")
+
+    def test_report(self, tmp_path, capsys):
+        off = tmp_path / "cube.off"
+        write_cube_off(off)
+        lines = off.read_text().splitlines()
+        lines[2] = "0 0 nan"
+        off.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "report", off)
+        assert (code, err) == (1, "error: line 3: number not finite\n")
+
+    def test_sphere_check(self, tmp_path, capsys):
+        poly = tmp_path / "octant.txt"
+        poly.write_text("nan 0 1\n0 1 0\n0 0 1\n")
+        code, stdout, err = run(capsys, "sphere-check", poly)
+        assert (code, stdout) == (1, "")
+        assert err == "error: line 1: number not finite\n"
 
 
 class TestReportDeterminism:

@@ -16,6 +16,8 @@ from blaschke3d.solver import continuation_solve
 from helpers import random_tangent_mesh, vertex_sets_match
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+# spellings that float() reads as numbers that are not finite
+NON_FINITE = ["nan", "inf", "-inf"]
 
 
 class TestHerissonFormat:
@@ -56,6 +58,15 @@ class TestHerissonFormat:
     def test_bad_number(self):
         with pytest.raises(ParseError, match="line"):
             parse_herisson_file("1\n1 0 zero 1\n")
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    @pytest.mark.parametrize("column", [2, 3], ids=["normal", "area"])
+    def test_non_finite_number(self, x, column):
+        row = ["-1", "1", "-1", "1"]
+        row[column] = x
+        text = "4\n1 1 1 1\n1 -1 -1 1\n" + " ".join(row) + "\n-1 -1 1 1\n"
+        with pytest.raises(ParseError, match="^line 4: number not finite$"):
+            parse_herisson_file(text)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
@@ -124,6 +135,13 @@ class TestOff:
         with pytest.raises(ParseError):
             import_off("8 6 12\n")
 
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_non_finite_vertex(self, x):
+        lines = export_off(cube_mesh(1.0)).splitlines()
+        lines[4] = f"0.5 {x} -0.5"
+        with pytest.raises(ParseError, match="^line 5: number not finite$"):
+            import_off("\n".join(lines))
+
     def test_out_of_range_face_index(self):
         text = export_off(cube_mesh(1.0)).replace("\n4 ", "\n4 9", 1)
         with pytest.raises(ParseError, match="out of range"):
@@ -142,6 +160,11 @@ class TestPolygonFormat:
     def test_rejects_far_from_unit(self):
         with pytest.raises(ParseError, match="1e-6"):
             parse_polygon_file("1.1 0 0\n0 1 0\n0 0 1\n")
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_non_finite_vertex(self, x):
+        with pytest.raises(ParseError, match="^line 2: number not finite$"):
+            parse_polygon_file(f"1 0 0\n{x} 0 1\n0 0 1\n")
 
     def test_empty_file_is_whole_sphere(self):
         assert parse_polygon_file("# nothing\n").n == 0

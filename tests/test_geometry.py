@@ -9,10 +9,10 @@ from blaschke3d.bodies import (box_mesh, cube_mesh, icosahedron_directions,
                                icosphere_mesh, tetrahedron_mesh)
 from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
                                UnboundedRegion)
-from blaschke3d.geometry import (DIRECTION_TOL, MeshPolyhedron,
-                                 SupportPolyhedron, _hull_mesh,
+from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
+                                 _hull_mesh,
                                  _interior_point, _intersect_arrays, _median,
-                                 _polar_hull,
+                                 _polar_hull, as_unit_rows,
                                  check_distinct_directions,
                                  contains_by_translation, convex_hull,
                                  integral_mean_curvature,
@@ -24,7 +24,7 @@ from blaschke3d.herisson import random_herisson
 from blaschke3d.solver import area_jacobian, continuation_solve
 from blaschke3d.sums import minkowski_sum
 from helpers import (centered, count_linprog, divergence_volume,
-                     enumerate_intersection, random_tangent_mesh,
+                     enumerate_intersection, mesh_of, random_tangent_mesh,
                      vertex_sets_match)
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
@@ -499,12 +499,10 @@ class TestMeasurements:
     def test_vector_area_open_box(self):
         cube = unit_cube()
         j = 2
-        pruned = MeshPolyhedron(
-            vertices=cube.vertices,
-            faces=[c for i, c in enumerate(cube.faces) if i != j],
-            face_normals=np.delete(cube.face_normals, j, axis=0),
-            face_areas=np.delete(cube.face_areas, j),
-            edge_lengths={})
+        pruned = mesh_of(cube.vertices,
+                         [c for i, c in enumerate(cube.faces) if i != j],
+                         np.delete(cube.face_normals, j, axis=0),
+                         np.delete(cube.face_areas, j), {})
         expect = -cube.face_areas[j] * cube.face_normals[j]
         assert np.array_equal(vector_area_residual(pruned), expect)
 
@@ -529,6 +527,7 @@ class TestMeasurements:
 def broken_cube(fault):
     """`cube_mesh()` with one fault that `validate_mesh` must reject."""
     cube = cube_mesh()
+    faces, normals, areas = cube.faces, cube.face_normals, cube.face_areas
     edges = dict(cube.edge_lengths)
     if fault == "vertex":
         vertices = cube.vertices.copy()
@@ -543,11 +542,9 @@ def broken_cube(fault):
     else:  # the last edge, (4, 5), moved onto an empty seventh face slot
         (i, _), length = edges.popitem()
         edges[(i, 6)] = length
-        return replace(cube, faces=cube.faces + [[]],
-                       face_normals=np.vstack([cube.face_normals, AXES[4]]),
-                       face_areas=np.append(cube.face_areas, 0.0),
-                       edge_lengths=edges)
-    return replace(cube, edge_lengths=edges)
+        faces, normals, areas = (faces + [[]], np.vstack([normals, AXES[4]]),
+                                 np.append(areas, 0.0))
+    return mesh_of(cube.vertices, faces, normals, areas, edges)
 
 
 class TestValidateMesh:
@@ -573,7 +570,8 @@ def summed_mesh():
 
 
 class TestMeshViews:
-    """A mesh flattens its cycles and its edges once, on first use."""
+    """A mesh stores its cycles and its edges as arrays; its face lists and
+    its edge dict are views of them, built once, on first use."""
 
     @pytest.mark.parametrize("make", [cube_mesh, solved_mesh, summed_mesh],
                              ids=["cube", "solver", "minkowski"])
@@ -583,25 +581,29 @@ class TestMeshViews:
         assert list(zip(edges.i.tolist(), edges.j.tolist())) == \
             list(mesh.edge_lengths)
         assert edges.lengths.tolist() == list(mesh.edge_lengths.values())
+        assert np.all(edges.i < edges.j) and np.all(edges.lengths > 0)
         ni, nj = mesh.face_normals[edges.i], mesh.face_normals[edges.j]
         np.testing.assert_allclose(
             edges.sin, np.linalg.norm(np.cross(ni, nj), axis=1), atol=1e-15)
         np.testing.assert_allclose(edges.cos, (ni * nj).sum(axis=1),
                                    atol=1e-15)
         assert np.array_equal(edges.face_normals, mesh.face_normals)
-        count, face, vid = mesh._cycles
+        count, face, vid = mesh.cycles
         assert count.tolist() == [len(c) for c in mesh.faces]
         assert face.tolist() == [f for f, c in enumerate(mesh.faces)
                                  for _ in c]
         assert vid.tolist() == [v for c in mesh.faces for v in c]
-        assert mesh.edges is edges and mesh._cycles[2] is vid
+        assert mesh.faces is mesh.faces
+        assert mesh.edge_lengths is mesh.edge_lengths
 
     def test_translate_keeps_the_views(self):
         mesh = solved_mesh()
         moved = mesh.translate([3.0, -1.0, 0.5])
-        for a, b in zip(moved._cycles + moved.edges,
-                        mesh._cycles + mesh.edges):
+        for a, b in zip(moved.cycles + moved.edges, mesh.cycles + mesh.edges):
             assert np.array_equal(a, b)
+        assert moved.faces == mesh.faces
+        assert list(moved.edge_lengths.items()) == \
+            list(mesh.edge_lengths.items())
 
     @pytest.mark.parametrize("seed", range(30))
     def test_jacobian_of_the_cut_and_of_its_mesh(self, seed):
@@ -709,3 +711,8 @@ class TestDirectionMatching:
     def test_directions_one_tolerance_apart_are_distinct(self):
         d = np.vstack([AXES, turned(AXES[2], 2 * DIRECTION_TOL)])
         check_distinct_directions(d)
+
+    def test_a_nan_row_is_not_a_unit_row(self):
+        d = np.vstack([AXES, [np.nan, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="unit vectors"):
+            as_unit_rows(d)

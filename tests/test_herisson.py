@@ -62,6 +62,14 @@ class TestValidate:
         with pytest.raises(NonPositiveArea):
             validate_herisson(AXES, np.array([1, 1, 1, 1, 1, 0.0]))
 
+    @pytest.mark.parametrize("areas", [[np.nan, 1, 1, 1, 1, 1],
+                                       [np.inf, np.inf, 1, 1, 1, 1]],
+                             ids=["nan", "inf"])
+    def test_non_finite_area(self, areas):
+        with pytest.raises(NonPositiveArea, match=r"^area (nan|inf) at "
+                                                  r"entry 0$"):
+            validate_herisson(AXES, np.array(areas, float))
+
     def test_duplicate_direction(self):
         dirs = np.vstack([AXES, [[1, 0, 0]]])
         with pytest.raises(DuplicateDirection):
@@ -174,6 +182,11 @@ class TestBlaschkeScale:
             blaschke_scale(cube_herisson(), 0.0)
         with pytest.raises(NonPositiveScale):
             blaschke_scale(cube_herisson(), -2.0)
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_scale(self, t):
+        with pytest.raises(NonPositiveScale, match="positive and finite"):
+            blaschke_scale(cube_herisson(), t)
 
     def test_closure_scales_exactly(self):
         h = random_herisson(9, 12)

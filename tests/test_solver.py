@@ -14,9 +14,8 @@ from blaschke3d.errors import (DegenerateAngle, DegenerateBody,
                                NewtonDivergence, OracleFailed,
                                StepSizeUnderflow, ToolkitError)
 from blaschke3d.fileio import parse_herisson_file
-from blaschke3d.geometry import (MeshPolyhedron, SupportPolyhedron,
-                                 convex_hull, intersect_halfspaces,
-                                 validate_mesh, volume)
+from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
+                                 intersect_halfspaces, validate_mesh, volume)
 from blaschke3d.herisson import (Herisson, blaschke_add, blaschke_scale,
                                  herisson_of_mesh, random_herisson)
 from blaschke3d.solver import (ContinuationConfig, _oracle_solve,
@@ -24,7 +23,7 @@ from blaschke3d.solver import (ContinuationConfig, _oracle_solve,
                                continuation_solve, initial_polyhedron,
                                oracle_solve_small)
 
-from helpers import (centered, count_linprog, random_tangent_mesh,
+from helpers import (centered, count_linprog, mesh_of, random_tangent_mesh,
                      vertex_sets_match)
 from test_geometry import corner_cases
 
@@ -114,9 +113,8 @@ class TestAreaJacobian:
         tilt = 5e-10
         normals = np.array([[0.0, 0.0, 1.0],
                             [np.sin(tilt), 0.0, np.cos(tilt)]])
-        body = MeshPolyhedron(vertices=np.zeros((1, 3)), faces=[[], []],
-                              face_normals=normals, face_areas=np.zeros(2),
-                              edge_lengths={(0, 1): 1.0})
+        body = mesh_of(np.zeros((1, 3)), [[], []], normals, np.zeros(2),
+                       {(0, 1): 1.0})
         with pytest.raises(DegenerateAngle, match="faces 0,1 are parallel"):
             area_jacobian(body)
 

@@ -54,6 +54,11 @@ class TestValidation:
         with pytest.raises(InvalidPolygon):
             SphericalPolygon(np.array([a, b, c, d]))
 
+    def test_nan_vertex_rejected(self):
+        with pytest.raises(InvalidPolygon, match="unit vectors"):
+            SphericalPolygon(np.array([[1.0, 0, 0], [0, 1.0, 0],
+                                       [0, 0, np.nan]]))
+
     def test_two_vertices_rejected(self):
         with pytest.raises(InvalidPolygon):
             SphericalPolygon(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
