@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvexInput, ParseError
-from .geometry import MeshPolyhedron, convex_hull, validate_mesh
+from .geometry import (MeshPolyhedron, _area_vectors, _group_sums,
+                       _support_values, convex_hull, validate_mesh)
 from .herisson import Herisson, validate_herisson
 from .spherical import SphericalPolygon
 
@@ -91,13 +92,13 @@ def format_herisson(h: Herisson) -> str:
 def export_off(p: MeshPolyhedron) -> str:
     """Standard OFF text: vertices at 17 significant digits, face cycles
     counterclockwise from outside.  Zero-area placeholder faces are omitted."""
-    cycles = [c for c in p.faces if c]
-    n_edges = sum(len(c) for c in cycles) // 2
-    lines = ["OFF", f"{len(p.vertices)} {len(cycles)} {n_edges}"]
-    for v in p.vertices:
-        lines.append(" ".join(_fmt(x) for x in v))
-    for c in cycles:
-        lines.append(" ".join([str(len(c))] + [str(i) for i in c]))
+    count, _, vid = p.cycles
+    count = count[count > 0]
+    ids, ends = vid.tolist(), np.cumsum(count).tolist()
+    lines = ["OFF", f"{len(p.vertices)} {len(count)} {len(vid) // 2}"]
+    lines += [" ".join(_fmt(x) for x in v) for v in p.vertices]
+    lines += [" ".join(map(str, (c, *ids[e - c:e])))
+              for c, e in zip(count.tolist(), ends)]
     return "\n".join(lines) + "\n"
 
 
@@ -117,42 +118,49 @@ def import_off(text: str) -> MeshPolyhedron:
     try:
         verts = np.array([_reals(line.split(), lineno)
                           for lineno, line in numbered[2:2 + nv]])
-        faces = []
+        count, ids = [], []
         for i in range(nf):
             parts = [int(x) for x in lines[2 + nv + i].split()]
             if len(parts) != parts[0] + 1:
                 raise ParseError(f"face {i}: vertex count mismatch")
-            faces.append(parts[1:])
+            count.append(parts[0])
+            ids += parts[1:]
     except ValueError:
         raise ParseError("malformed OFF body") from None
     if verts.shape[1:] != (3,):
         raise ParseError("OFF vertices must be 3-D")
-    for i, cyc in enumerate(faces):
-        if any(v < 0 or v >= nv for v in cyc):
-            raise ParseError(f"face {i} references a vertex out of range")
-    _check_face_planes(verts, faces)
+    count = np.array(count, dtype=np.intp)
+    face = np.repeat(np.arange(nf), count)
+    vid = np.array(ids)  # an index beyond int64 stays a Python int
+    out = (vid < 0) | (vid >= nv)
+    if out.any():
+        raise ParseError(f"face {face[np.argmax(out)]} references a vertex "
+                         "out of range")
+    _check_face_planes(verts, (count, face, vid.astype(np.intp)))
     mesh = convex_hull(verts)
     if len(mesh.vertices) != len(verts):
         raise NonConvexInput("some vertices are not extreme points")
     return validate_mesh(mesh)
 
 
-def _check_face_planes(verts, faces):
-    """Raise unless every stated face plane supports the whole vertex set."""
+def _check_face_planes(verts, cycles):
+    """Raise unless every stated face has 3 or more vertices, an area and a
+    plane supporting all the vertices; the lowest faulty face is named."""
+    count, face, vid = cycles
     scale = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
-    tol = 1e-8 * scale
-    for i, cyc in enumerate(faces):
-        if len(cyc) < 3:
+    area = _area_vectors(verts, cycles)
+    nn = np.linalg.norm(area, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN cuts nothing
+        normal = area / nn[:, None]
+        offset = (_group_sums(face, verts[vid], len(count)) * normal).sum(1) \
+            / count
+    cuts = _support_values(verts, normal) - offset > 1e-8 * scale
+    short, flat = count < 3, nn < 1e-14 * scale * scale
+    for i in np.flatnonzero(short | flat | cuts)[:1]:  # the lowest, if any
+        if short[i]:
             raise ParseError(f"face {i} has fewer than 3 vertices")
-        ring = verts[cyc]
-        normal = 0.5 * np.cross(ring, np.roll(ring, -1, axis=0)).sum(axis=0)
-        nn = np.linalg.norm(normal)
-        if nn < 1e-14 * scale * scale:
-            raise NonConvexInput(f"face {i} is degenerate")
-        normal = normal / nn
-        offset = float(ring.mean(axis=0) @ normal)
-        if (verts @ normal - offset).max() > tol:
-            raise NonConvexInput(f"face {i} plane cuts through the body")
+        raise NonConvexInput(f"face {i} is degenerate" if flat[i] else
+                             f"face {i} plane cuts through the body")
 
 
 def parse_polygon_file(text: str) -> SphericalPolygon:

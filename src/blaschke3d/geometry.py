@@ -11,9 +11,9 @@ a vertex of the body, lying on the three planes that span it.  One record,
 (`EdgeList`: face pairs and lengths, from adjacent facets), its slack, its
 exact face areas (`_face_areas`), the hull and the corners.  The solver's
 Newton loop, its oracle and the face complex (`_hull_mesh`) all read that
-one record.  A mesh is stored as arrays: its flat face cycles and its edges
-(an `EdgeList` too), which every measurement reads; the face lists and the
-edge-length dict are views built from them on first use.  Tolerances are
+one record.  A mesh is its arrays: its flat face cycles and its edges (an
+`EdgeList` too), which every measurement, check and file writer reads; its
+face area vectors come from one formula, `_area_vectors`.  Tolerances are
 relative to the body scale (bounding-box diagonal); inputs are assumed
 desk-scale, no exact predicates.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -170,9 +169,7 @@ class MeshPolyhedron:
     outside along `face_normals[j]`; it is empty when plane j does not touch
     the body in a 2-dimensional face, in which case `face_areas[j]` is 0, so
     index j stays aligned with the generating direction list.  `edges` is
-    the `EdgeList` of the edges of positive length.  A mesh is immutable:
-    its views `faces` (a list of vertex-index lists) and `edge_lengths`
-    (face-index pairs to lengths, in `edges` order) are built on first use.
+    the `EdgeList` of the edges of positive length.  A mesh is immutable.
     """
 
     vertices: np.ndarray
@@ -212,20 +209,7 @@ class MeshPolyhedron:
 
     def adjacency(self):
         """Face-adjacency graph as a frozenset of index pairs."""
-        return frozenset(self.edge_lengths.keys())
-
-    @cached_property
-    def faces(self):
-        """The face cycles as lists of vertex indices."""
-        count, _, vid = self.cycles
-        ids, ends = vid.tolist(), np.cumsum(count).tolist()
-        return [ids[e - c:e] for e, c in zip(ends, count.tolist())]
-
-    @cached_property
-    def edge_lengths(self):
-        """The edge lengths keyed by face pairs (i, j), i < j."""
-        _, i, j, lengths, _, _ = self.edges
-        return dict(zip(zip(i.tolist(), j.tolist()), lengths.tolist()))
+        return frozenset(zip(self.edges.i.tolist(), self.edges.j.tolist()))
 
     def face_support_numbers(self):
         """Per-face plane offsets n_j . x for x on face j (NaN if absent)."""
@@ -250,6 +234,14 @@ def _group_sums(group, values, n):
     """Sums of the rows of an (m, 3) array over n labelled groups."""
     return np.stack([np.bincount(group, values[:, a], n)
                      for a in range(3)], axis=1)
+
+
+def _area_vectors(verts, cycles):
+    """Vector areas of flat face cycles, each fanned about its first vertex:
+    offsets of face size wherever the body is, and zero at cycle ends."""
+    count, face, vid = cycles
+    rel = verts[vid] - verts[vid[np.repeat(np.cumsum(count) - count, count)]]
+    return 0.5 * _group_sums(face[:-1], _cross(rel[:-1], rel[1:]), len(count))
 
 
 def _assemble_faces(verts, face, vertex, normals):
@@ -487,16 +479,12 @@ def convex_hull(points) -> MeshPolyhedron:
         ([True], (np.abs(np.diff(eqs[order], axis=0)) > tolvec).any(axis=1)))
     group = np.empty(len(eqs), dtype=np.intp)
     group[order] = np.cumsum(step) - 1
-    (count, face, vid), edges = _assemble_faces(
+    cycles, edges = _assemble_faces(
         verts, np.repeat(group, 3), tris.ravel(), eqs[order[step], :3])
-    # area vectors: each cycle fanned about its first vertex, whose offset
-    # is zero, so the products across cycle ends add nothing
-    rel = verts[vid] - verts[vid[np.repeat(np.cumsum(count) - count, count)]]
-    area_vecs = 0.5 * _group_sums(face[:-1], _cross(rel[:-1], rel[1:]),
-                                  len(count))
+    area_vecs = _area_vectors(verts, cycles)
     areas = np.linalg.norm(area_vecs, axis=1)
     normals = area_vecs / areas[:, None]
-    return MeshPolyhedron(vertices=verts, cycles=(count, face, vid),
+    return MeshPolyhedron(vertices=verts, cycles=cycles,
                           face_normals=normals, face_areas=areas,
                           edges=_edge_list(normals, *edges))
 
@@ -609,9 +597,12 @@ def validate_mesh(mesh: MeshPolyhedron) -> MeshPolyhedron:
     resid = float(np.linalg.norm(vector_area_residual(mesh)))
     if resid > 1e-9 * mesh.face_areas.sum():
         raise ValueError("vector area of the surface does not close up")
-    for (i, j), length in mesh.edge_lengths.items():
-        if length <= 0:
-            raise ValueError(f"non-positive edge length for faces {i},{j}")
-        if not (mesh.faces[i] and mesh.faces[j]):
-            raise ValueError(f"edge between absent faces {i},{j}")
+    _, i, j, lengths, _, _ = mesh.edges
+    count = mesh.cycles[0]
+    bad = (lengths <= 0) | (count[i] == 0) | (count[j] == 0)
+    for n in np.flatnonzero(bad)[:1]:  # the first bad edge, if any
+        if lengths[n] <= 0:
+            raise ValueError(
+                f"non-positive edge length for faces {i[n]},{j[n]}")
+        raise ValueError(f"edge between absent faces {i[n]},{j[n]}")
     return mesh

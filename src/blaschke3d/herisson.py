@@ -53,25 +53,17 @@ class Herisson:
         return self.areas @ self.directions
 
 
-def _split_raw(entries_or_directions, areas):
-    if areas is not None:
-        return (np.atleast_2d(np.asarray(entries_or_directions, float)),
-                np.asarray(areas, float).ravel())
-    dirs = np.array([np.asarray(d, float) for d, _ in entries_or_directions])
-    ars = np.array([float(a) for _, a in entries_or_directions])
-    return dirs, ars
-
-
-def validate_herisson(entries_or_directions, areas=None) -> Herisson:
+def validate_herisson(directions, areas) -> Herisson:
     """Check the herisson invariants and repair a small closure defect.
 
-    Accepts a list of (direction, area) pairs or separate arrays.  A closure
-    residual up to 1e-4 of the total area (as left by truncated decimal
-    input) is removed by least-squares projection of the area vector onto
-    the closure subspace; a larger residual, or a repair that drives some
-    area nonpositive, is an error.
+    Takes a (k, 3) direction array and k areas.  A closure residual up to
+    1e-4 of the total area (as left by truncated decimal input) is removed
+    by least-squares projection of the area vector onto the closure
+    subspace; a larger residual, or a repair that drives some area
+    nonpositive, is an error.
     """
-    dirs, ars = _split_raw(entries_or_directions, areas)
+    dirs = np.atleast_2d(np.asarray(directions, float))
+    ars = np.asarray(areas, float).ravel()
     if len(ars) == 0:
         raise NonPositiveArea("empty herisson")
     bad = ~((ars > 0) & (ars < np.inf))

@@ -67,10 +67,12 @@ class SolveTrace:
     and rejected steps alike; the returned mesh is read off the last accepted
     intersection.  `combinatorial_changes` counts the accepted steps whose
     face adjacency (edges longer than `MERGE_TOL` times the longest) differs
-    from the last.  `rejections` counts the rejected step lengths by cause:
-    "diverged" (a non-finite update), "stalled" (too small a fall of the
-    residual), "collapse" (a face area below the floor) and "degenerate"
-    (the last centre outside the body, or no interior).
+    from the last; a full step that crosses a vertex where four or more
+    faces meet and a later one that crosses back count as two, so
+    `grunbaum.her` reports 4.  `rejections` counts the rejected step
+    lengths by cause: "diverged" (a non-finite update), "stalled" (too
+    small a fall of the residual), "collapse" (a face area below the floor)
+    and "degenerate" (the last centre outside the body, or no interior).
     """
 
     steps_taken: int = 0

@@ -24,12 +24,38 @@ def mesh_of(vertices, faces, normals, areas, edge_lengths) -> MeshPolyhedron:
                           _edge_list(normals, i, j, lengths))
 
 
+def cycle_arrays(mesh: MeshPolyhedron):
+    """The face cycles of `mesh.cycles`, one index array per face slot
+    (empty for a face without area)."""
+    count, _, vid = mesh.cycles
+    return np.split(vid, np.cumsum(count)[:-1])
+
+
+def edge_dict(edges):
+    """The lengths of an `EdgeList` keyed by face pairs (i, j), in order."""
+    return dict(zip(zip(edges.i.tolist(), edges.j.tolist()),
+                    edges.lengths.tolist()))
+
+
+def export_off_reference(mesh: MeshPolyhedron) -> str:
+    """`export_off` written from face lists, one list per face: the
+    reference that the array writer matches byte for byte."""
+    cycles = [c.tolist() for c in cycle_arrays(mesh) if len(c)]
+    n_edges = sum(len(c) for c in cycles) // 2
+    lines = ["OFF", f"{len(mesh.vertices)} {len(cycles)} {n_edges}"]
+    for v in mesh.vertices:
+        lines.append(" ".join(f"{float(x):.17g}" for x in v))
+    for c in cycles:
+        lines.append(" ".join([str(len(c))] + [str(i) for i in c]))
+    return "\n".join(lines) + "\n"
+
+
 def divergence_volume(mesh: MeshPolyhedron) -> float:
     """Independent volume oracle: fan-triangulate every face and sum
     (centroid . normal) * area / 3 over the triangles."""
     total = 0.0
-    for cyc in mesh.faces:
-        if not cyc:
+    for cyc in cycle_arrays(mesh):
+        if not len(cyc):
             continue
         ring = mesh.vertices[cyc]
         a = ring[0]

@@ -301,6 +301,17 @@ class TestReportDeterminism:
         assert code1 == code2 == 0
         assert rep1 == rep2
 
+    def test_body_far_from_the_origin(self, tmp_path, capsys):
+        from blaschke3d.bodies import icosphere_mesh
+        from blaschke3d.fileio import export_off
+        off = tmp_path / "far.off"
+        far = icosphere_mesh(2).translate(1e5 * np.array([1.0, -0.7, 0.3]))
+        off.write_text(export_off(far))
+        code, stdout, _ = run(capsys, "report", off)
+        assert code == 0
+        rep = json.loads(stdout)
+        assert rep["euler"]["ok"] and rep["euler"]["faces"] == 320
+
 
 def test_import_leaves_scipy_optimize_unloaded():
     src = Path(__file__).resolve().parent.parent / "src"

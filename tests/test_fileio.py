@@ -5,19 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blaschke3d.bodies import cube_mesh, icosahedron_herisson
+from blaschke3d.bodies import cube_mesh, icosahedron_herisson, icosphere_mesh
 from blaschke3d.errors import NonConvexInput, ParseError
 from blaschke3d.fileio import (export_off, format_herisson, import_off,
                                parse_herisson_file, parse_polygon_file)
-from blaschke3d.geometry import volume
+from blaschke3d.geometry import _intersect_arrays, volume
 from blaschke3d.herisson import herisson_of_mesh, random_herisson
 from blaschke3d.solver import continuation_solve
 
-from helpers import random_tangent_mesh, vertex_sets_match
+from helpers import cycle_arrays, export_off_reference, \
+    random_tangent_mesh, vertex_sets_match
+from test_geometry import corner_cases, summed_mesh
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 # spellings that float() reads as numbers that are not finite
 NON_FINITE = ["nan", "inf", "-inf"]
+# the direction along which `icosphere_mesh(2)` is moved far from the origin
+FAR = np.array([1.0, -0.7, 0.3])
+
+
+def off_text(verts, faces):
+    """OFF text of these vertices and face cycles (lists of indices)."""
+    lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
+    lines += [" ".join(str(x) for x in v) for v in verts]
+    lines += [" ".join(str(i) for i in [len(f), *f]) for f in faces]
+    return "\n".join(lines) + "\n"
+
+
+def cube_faces():
+    """The vertices and the face cycles of the unit cube."""
+    cube = cube_mesh(1.0)
+    return cube.vertices, [c.tolist() for c in cycle_arrays(cube)]
 
 
 class TestHerissonFormat:
@@ -78,6 +96,18 @@ class TestHerissonFormat:
 
 
 class TestOff:
+    @pytest.mark.parametrize("make", [
+        lambda: cube_mesh(1.0),
+        lambda: _intersect_arrays(*corner_cases()[0]),
+        lambda: continuation_solve(parse_herisson_file(
+            (DATA / "grunbaum.her").read_text()))[1],
+        summed_mesh, lambda: icosphere_mesh(3)],
+        ids=["cube", "untouched-plane", "grunbaum", "minkowski", "icosphere"])
+    def test_writer_matches_the_list_reference(self, make):
+        # the corner case's plane 3 has an empty cycle, which is omitted
+        mesh = make()
+        assert export_off(mesh) == export_off_reference(mesh)
+
     def test_cube_counts(self):
         text = export_off(cube_mesh(1.0))
         lines = text.splitlines()
@@ -105,7 +135,7 @@ class TestOff:
         lines = ["OFF", "6 8 12"]
         lines += [" ".join(str(x) for x in v) for v in verts]
         lines += ["3 " + " ".join(str(i) for i in f) for f in faces]
-        with pytest.raises(NonConvexInput):
+        with pytest.raises(NonConvexInput, match="face 4 plane cuts"):
             import_off("\n".join(lines))
 
     def test_one_convex_hull_per_file(self, monkeypatch):
@@ -122,14 +152,10 @@ class TestOff:
     def test_vertex_inside_a_face_rejected(self):
         # every stated face plane supports the vertex set, but the centre of
         # a face is no extreme point
-        mesh = cube_mesh(1.0)
-        verts = np.vstack([mesh.vertices,
-                           mesh.vertices[mesh.faces[0]].mean(axis=0)])
-        lines = ["OFF", f"{len(verts)} 6 12"]
-        lines += [" ".join(str(x) for x in v) for v in verts]
-        lines += [f"{len(f)} " + " ".join(map(str, f)) for f in mesh.faces]
+        verts, faces = cube_faces()
+        verts = np.vstack([verts, verts[faces[0]].mean(axis=0)])
         with pytest.raises(NonConvexInput, match="not extreme"):
-            import_off("\n".join(lines))
+            import_off(off_text(verts, faces))
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
@@ -146,6 +172,99 @@ class TestOff:
         text = export_off(cube_mesh(1.0)).replace("\n4 ", "\n4 9", 1)
         with pytest.raises(ParseError, match="out of range"):
             import_off(text)
+
+    @pytest.mark.parametrize("shift", [1e4, 1e5, 1e6])
+    def test_translated_round_trip(self, shift):
+        # the result must not depend on where the body sits
+        base = icosphere_mesh(2)
+        mesh = base.translate(shift * FAR)
+        again = import_off(export_off(mesh))
+        assert again.face_count == mesh.face_count == 320
+        assert vertex_sets_match(mesh, again, 0.0)
+        assert volume(again) == pytest.approx(volume(base), rel=1e-6)
+
+
+class TestOffRejection:
+    """Every `import_off` rejection, with its message; of several faulty
+    faces the lowest is named."""
+
+    @staticmethod
+    def rejects(error, message, verts, faces):
+        with pytest.raises(error) as err:
+            import_off(off_text(verts, faces))
+        assert str(err.value) == message
+
+    def test_vertex_count_mismatch(self):
+        # face 2 (line 12) announces 5 vertices and lists 4
+        lines = off_text(*cube_faces()).splitlines()
+        lines[12] = "5 " + lines[12][2:]
+        with pytest.raises(ParseError, match="^face 2: vertex count "
+                                             "mismatch$"):
+            import_off("\n".join(lines))
+
+    def test_out_of_range_index(self):
+        verts, faces = cube_faces()
+        faces[3][1] = -1
+        faces[5][2] = 8
+        self.rejects(ParseError, "face 3 references a vertex out of range",
+                     verts, faces)
+
+    def test_huge_index_is_out_of_range(self):
+        verts, faces = cube_faces()
+        faces[1][0] = 10 ** 30
+        self.rejects(ParseError, "face 1 references a vertex out of range",
+                     verts, faces)
+
+    def test_count_mismatch_comes_before_an_index_out_of_range(self):
+        # face 0 names vertex 99; face 4 (line 14) announces 3 and lists 4
+        verts, faces = cube_faces()
+        faces[0][0] = 99
+        lines = off_text(verts, faces).splitlines()
+        lines[14] = "3 " + lines[14][2:]
+        with pytest.raises(ParseError, match="^face 4: vertex count "
+                                             "mismatch$"):
+            import_off("\n".join(lines))
+
+    def test_fewer_than_three_vertices(self):
+        verts, faces = cube_faces()
+        faces[4] = faces[4][:2]
+        self.rejects(ParseError, "face 4 has fewer than 3 vertices",
+                     verts, faces)
+
+    def test_degenerate_face(self):
+        # three collinear vertices: two cube corners and their midpoint
+        verts, faces = cube_faces()
+        a, b = faces[2][:2]
+        verts = np.vstack([verts, 0.5 * (verts[a] + verts[b])])
+        faces[2] = [a, 8, b]
+        self.rejects(NonConvexInput, "face 2 is degenerate", verts, faces)
+
+    def test_plane_cuts_through_the_body(self):
+        # a corner of face 1 pulled halfway to the centre bends that face
+        verts, faces = cube_faces()
+        verts = verts.copy()
+        verts[faces[1][0]] *= 0.5
+        self.rejects(NonConvexInput, "face 1 plane cuts through the body",
+                     verts, faces)
+
+    @pytest.mark.parametrize("first, second", [
+        ("short", "flat"), ("flat", "short"), ("cut", "short"),
+        ("short", "cut"), ("flat", "flat")])
+    def test_lowest_faulty_face_is_named(self, first, second):
+        verts, faces = cube_faces()
+        a, b = faces[0][:2]
+        verts = np.vstack([verts, 0.5 * (verts[a] + verts[b]),
+                           [0.0, 0.0, 0.0]])
+        faults = {"short": lambda f: f[:2], "flat": lambda f: [a, 8, b],
+                  "cut": lambda f: [9, *f[1:]]}
+        faces[2] = faults[first](faces[2])
+        faces[4] = faults[second](faces[4])
+        error, message = {
+            "short": (ParseError, "face 2 has fewer than 3 vertices"),
+            "flat": (NonConvexInput, "face 2 is degenerate"),
+            "cut": (NonConvexInput, "face 2 plane cuts through the body"),
+        }[first]
+        self.rejects(error, message, verts, faces)
 
 
 class TestPolygonFormat:

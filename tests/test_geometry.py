@@ -23,9 +23,9 @@ from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
 from blaschke3d.herisson import random_herisson
 from blaschke3d.solver import area_jacobian, continuation_solve
 from blaschke3d.sums import minkowski_sum
-from helpers import (centered, count_linprog, divergence_volume,
-                     enumerate_intersection, mesh_of, random_tangent_mesh,
-                     vertex_sets_match)
+from helpers import (centered, count_linprog, cycle_arrays,
+                     divergence_volume, edge_dict, enumerate_intersection,
+                     mesh_of, random_tangent_mesh, vertex_sets_match)
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
@@ -41,8 +41,8 @@ class TestIntersectHalfspaces:
         assert len(mesh.vertices) == 8
         assert mesh.face_count == 6
         assert np.allclose(mesh.face_areas, 4.0, rtol=1e-12)
-        assert len(mesh.edge_lengths) == 12
-        for length in mesh.edge_lengths.values():
+        assert len(mesh.edges.i) == 12
+        for length in mesh.edges.lengths:
             assert length == pytest.approx(2.0, rel=1e-12)
         validate_mesh(mesh)
 
@@ -78,9 +78,9 @@ class TestIntersectHalfspaces:
         offsets = np.array([1, 1, 1, 10.0, 1, 1, 1])
         mesh = intersect_halfspaces(SupportPolyhedron(dirs, offsets))
         assert mesh.face_areas[3] == 0.0
-        assert mesh.faces[3] == []
+        assert mesh.cycles[0][3] == 0
         assert mesh.face_count == 6
-        assert not any(3 in pair for pair in mesh.edge_lengths)
+        assert not any(3 in pair for pair in mesh.adjacency())
         assert volume(mesh) == pytest.approx(8.0, rel=1e-12)
         validate_mesh(mesh)
 
@@ -98,8 +98,8 @@ class TestIntersectHalfspaces:
         dirs = np.vstack([AXES[:3], [unit((1, 1, 1))], AXES[3:]])
         offsets = np.array([1, 1, 1, np.sqrt(3.0) - 0.3, 1, 1, 1])
         mesh = intersect_halfspaces(SupportPolyhedron(dirs, offsets))
-        assert len(mesh.faces[3]) == 3
-        assert (len(mesh.vertices), len(mesh.edge_lengths),
+        assert mesh.cycles[0][3] == 3
+        assert (len(mesh.vertices), len(mesh.edges.i),
                 mesh.face_count) == (10, 15, 7)
         validate_mesh(mesh)
 
@@ -169,12 +169,12 @@ def assert_same_mesh(a, b):
     """Same live face slots, areas, edges and vertex set, to 1e-9."""
     live = b.face_areas > 0
     assert np.array_equal(a.face_areas > 0, live)
-    assert [bool(c) for c in a.faces] == live.tolist()
+    assert np.array_equal(a.cycles[0] > 0, live)
     np.testing.assert_allclose(a.face_areas, b.face_areas, rtol=1e-9)
-    assert a.edge_lengths.keys() == b.edge_lengths.keys()
-    for key, length in b.edge_lengths.items():
-        assert a.edge_lengths[key] == pytest.approx(length,
-                                                    abs=1e-9 * b.scale)
+    got, ref = edge_dict(a.edges), edge_dict(b.edges)
+    assert got.keys() == ref.keys()
+    for key, length in ref.items():
+        assert got[key] == pytest.approx(length, abs=1e-9 * b.scale)
     assert vertex_sets_match(a, b, 1e-9 * b.scale)
 
 
@@ -199,8 +199,8 @@ class TestIntersectionAgainstEnumeration:
         # or cuts off a sliver below the merge tolerance has no face
         dirs, offsets = corner_cases()[case]
         mesh = _intersect_arrays(dirs, offsets)
-        assert mesh.faces[3] == [] and mesh.face_areas[3] == 0.0
-        assert (len(mesh.vertices), len(mesh.edge_lengths),
+        assert mesh.cycles[0][3] == 0 and mesh.face_areas[3] == 0.0
+        assert (len(mesh.vertices), len(mesh.edges.i),
                 mesh.face_count) == (8, 12, 6)
         validate_mesh(mesh)
 
@@ -210,8 +210,8 @@ class TestIntersectionAgainstEnumeration:
         assert volume(mesh) == pytest.approx(divergence_volume(mesh),
                                              rel=1e-12)
         h = mesh.face_support_numbers()
-        for j, cyc in enumerate(mesh.faces):
-            if cyc:
+        for j, cyc in enumerate(cycle_arrays(mesh)):
+            if len(cyc):
                 assert h[j] == pytest.approx(
                     mesh.vertices[cyc].mean(axis=0) @ mesh.face_normals[j],
                     rel=1e-12, abs=1e-12 * mesh.scale)
@@ -224,7 +224,7 @@ class TestIntersectionAgainstEnumeration:
         dirs = np.round(icosahedron_directions(), 10)
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         mesh = _intersect_arrays(dirs, np.ones(20))
-        assert (len(mesh.vertices), len(mesh.edge_lengths)) == (12, 30)
+        assert (len(mesh.vertices), len(mesh.edges.i)) == (12, 30)
         assert_same_mesh(mesh, enumerate_intersection(dirs, np.ones(20)))
 
     @staticmethod
@@ -321,11 +321,10 @@ class TestPolarEdgeList:
         mesh = _intersect_arrays(dirs, offsets)
         cut = _polar_hull(dirs, offsets)
         edges, slack = cut.edges, cut.slack
-        got = dict(zip(zip(edges.i.tolist(), edges.j.tolist()),
-                       edges.lengths.tolist()))
+        got, ref = edge_dict(edges), edge_dict(mesh.edges)
         assert len(got) == len(edges.lengths)
-        assert got.keys() == mesh.edge_lengths.keys()
-        for key, length in mesh.edge_lengths.items():
+        assert got.keys() == ref.keys()
+        for key, length in ref.items():
             assert abs(got[key] - length) <= 1e-12 * mesh.scale
         np.testing.assert_array_equal(
             slack, offsets - dirs @ _interior_point(dirs, offsets)[0])
@@ -370,11 +369,6 @@ class TestScaledCut:
     """`_Cut.scaled(lam)` is the body scaled by lam about its centre, off
     the same hull: the cut of the half-spaces at lam h, up to a shift."""
 
-    @staticmethod
-    def edge_dict(cut):
-        return dict(zip(zip(cut.edges.i.tolist(), cut.edges.j.tolist()),
-                        cut.edges.lengths.tolist()))
-
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_the_scaled_half_spaces(self, seed):
         dirs, offsets = jittered_case(seed)
@@ -383,7 +377,7 @@ class TestScaledCut:
         ref = _polar_hull(dirs, lam * offsets)
         mesh, ref_mesh = centered(_hull_mesh(got)), centered(_hull_mesh(ref))
         tol = 1e-12 * ref_mesh.scale
-        a, b = self.edge_dict(got), self.edge_dict(ref)
+        a, b = edge_dict(got.edges), edge_dict(ref.edges)
         assert a.keys() == b.keys()
         assert max(abs(a[e] - b[e]) for e in b) <= tol
         assert np.abs(got.slack - ref.slack).max() <= tol
@@ -391,9 +385,10 @@ class TestScaledCut:
             1e-12 * ref.areas.max()
         assert np.abs(mesh.face_areas - ref_mesh.face_areas).max() <= \
             1e-12 * ref_mesh.face_areas.max()
-        assert mesh.edge_lengths.keys() == ref_mesh.edge_lengths.keys()
-        for key, length in ref_mesh.edge_lengths.items():
-            assert abs(mesh.edge_lengths[key] - length) <= tol
+        a, b = edge_dict(mesh.edges), edge_dict(ref_mesh.edges)
+        assert a.keys() == b.keys()
+        for key, length in b.items():
+            assert abs(a[key] - length) <= tol
         assert vertex_sets_match(mesh, ref_mesh, tol)
 
 
@@ -409,7 +404,7 @@ class TestIntersectionInvariance:
         assert (offsets + dirs @ t).min() < 0  # origin outside the body
         np.testing.assert_allclose(moved.face_areas, base.face_areas,
                                    rtol=1e-9)
-        assert moved.edge_lengths.keys() == base.edge_lengths.keys()
+        assert moved.adjacency() == base.adjacency()
         assert vertex_sets_match(moved.translate(-t), base, 1e-9 * base.scale)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -420,12 +415,11 @@ class TestIntersectionInvariance:
         mesh = _intersect_arrays(dirs[perm], offsets[perm])
         np.testing.assert_allclose(mesh.face_areas, base.face_areas[perm],
                                    rtol=1e-9)
-        assert [len(c) for c in mesh.faces] == \
-            [len(base.faces[j]) for j in perm]
+        assert mesh.cycles[0].tolist() == base.cycles[0][perm].tolist()
         inv = np.argsort(perm)
         moved = {tuple(sorted((int(inv[i]), int(inv[j]))))
-                 for i, j in base.edge_lengths}
-        assert set(mesh.edge_lengths) == moved
+                 for i, j in base.adjacency()}
+        assert mesh.adjacency() == moved
 
     @pytest.mark.parametrize("lam", [1e-6, 3.7, 1e6])
     def test_scale(self, lam):
@@ -434,14 +428,14 @@ class TestIntersectionInvariance:
         mesh = _intersect_arrays(dirs, lam * offsets)
         np.testing.assert_allclose(mesh.face_areas, lam ** 2 * base.face_areas,
                                    rtol=1e-9)
-        assert mesh.edge_lengths.keys() == base.edge_lengths.keys()
+        assert mesh.adjacency() == base.adjacency()
 
 
 class TestConvexHull:
     def test_cube_corners(self):
         mesh = convex_hull(unit_cube().vertices)
         assert mesh.face_count == 6
-        assert all(len(c) == 4 for c in mesh.faces)
+        assert np.all(mesh.cycles[0] == 4)
 
     def test_interior_points_ignored(self):
         pts = np.vstack([unit_cube().vertices, [[0.1, 0.2, 0.1]]])
@@ -453,7 +447,7 @@ class TestConvexHull:
         mesh = convex_hull(np.array([[0, 0, 0], [1, 0, 0],
                                      [0, 1, 0], [0, 0, 1]], float))
         assert mesh.face_count == 4
-        assert all(len(c) == 3 for c in mesh.faces)
+        assert np.all(mesh.cycles[0] == 3)
         assert volume(mesh) == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_coplanar_input_rejected(self):
@@ -468,8 +462,8 @@ class TestConvexHull:
         again = convex_hull(mesh.vertices)
         assert vertex_sets_match(mesh, again, 1e-12 * mesh.scale)
         assert again.face_count == mesh.face_count
-        cycles = {frozenset(c) for c in mesh.faces if c}
-        cycles2 = {frozenset(c) for c in again.faces}
+        cycles = {frozenset(c.tolist()) for c in cycle_arrays(mesh) if len(c)}
+        cycles2 = {frozenset(c.tolist()) for c in cycle_arrays(again)}
         assert cycles == cycles2
 
 
@@ -500,7 +494,8 @@ class TestMeasurements:
         cube = unit_cube()
         j = 2
         pruned = mesh_of(cube.vertices,
-                         [c for i, c in enumerate(cube.faces) if i != j],
+                         [c for i, c in enumerate(cycle_arrays(cube))
+                          if i != j],
                          np.delete(cube.face_normals, j, axis=0),
                          np.delete(cube.face_areas, j), {})
         expect = -cube.face_areas[j] * cube.face_normals[j]
@@ -527,8 +522,9 @@ class TestMeasurements:
 def broken_cube(fault):
     """`cube_mesh()` with one fault that `validate_mesh` must reject."""
     cube = cube_mesh()
-    faces, normals, areas = cube.faces, cube.face_normals, cube.face_areas
-    edges = dict(cube.edge_lengths)
+    faces, normals, areas = (cycle_arrays(cube), cube.face_normals,
+                             cube.face_areas)
+    edges = edge_dict(cube.edges)
     if fault == "vertex":
         vertices = cube.vertices.copy()
         vertices[0] *= 1.5
@@ -570,17 +566,14 @@ def summed_mesh():
 
 
 class TestMeshViews:
-    """A mesh stores its cycles and its edges as arrays; its face lists and
-    its edge dict are views of them, built once, on first use."""
+    """A mesh is its arrays: flat cycles in face order, and edges whose
+    angles and normals agree with the mesh's."""
 
     @pytest.mark.parametrize("make", [cube_mesh, solved_mesh, summed_mesh],
                              ids=["cube", "solver", "minkowski"])
     def test_views_follow_the_fields(self, make):
         mesh = make()
         edges = mesh.edges
-        assert list(zip(edges.i.tolist(), edges.j.tolist())) == \
-            list(mesh.edge_lengths)
-        assert edges.lengths.tolist() == list(mesh.edge_lengths.values())
         assert np.all(edges.i < edges.j) and np.all(edges.lengths > 0)
         ni, nj = mesh.face_normals[edges.i], mesh.face_normals[edges.j]
         np.testing.assert_allclose(
@@ -589,21 +582,16 @@ class TestMeshViews:
                                    atol=1e-15)
         assert np.array_equal(edges.face_normals, mesh.face_normals)
         count, face, vid = mesh.cycles
-        assert count.tolist() == [len(c) for c in mesh.faces]
-        assert face.tolist() == [f for f, c in enumerate(mesh.faces)
-                                 for _ in c]
-        assert vid.tolist() == [v for c in mesh.faces for v in c]
-        assert mesh.faces is mesh.faces
-        assert mesh.edge_lengths is mesh.edge_lengths
+        assert len(count) == len(mesh.face_normals)
+        assert face.tolist() == np.repeat(np.arange(len(count)),
+                                          count).tolist()
+        assert len(vid) == count.sum() and np.all(count[count > 0] >= 3)
 
     def test_translate_keeps_the_views(self):
         mesh = solved_mesh()
         moved = mesh.translate([3.0, -1.0, 0.5])
         for a, b in zip(moved.cycles + moved.edges, mesh.cycles + mesh.edges):
             assert np.array_equal(a, b)
-        assert moved.faces == mesh.faces
-        assert list(moved.edge_lengths.items()) == \
-            list(mesh.edge_lengths.items())
 
     @pytest.mark.parametrize("seed", range(30))
     def test_jacobian_of_the_cut_and_of_its_mesh(self, seed):

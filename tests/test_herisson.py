@@ -75,10 +75,6 @@ class TestValidate:
         with pytest.raises(DuplicateDirection):
             validate_herisson(dirs, np.ones(7))
 
-    def test_pairs_input_form(self):
-        h = validate_herisson([(d, 1.0) for d in AXES])
-        assert h.k == 6
-
 
 class TestOfMesh:
     def test_unit_cube(self):

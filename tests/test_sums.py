@@ -69,8 +69,8 @@ class TestMinkowskiSum:
         s = minkowski_sum(p, q)
         candidates = [p.face_normals, q.face_normals]
         for mesh_a, mesh_b in ((p, q),):
-            for (i, j) in mesh_a.edge_lengths:
-                for (u, v) in mesh_b.edge_lengths:
+            for i, j in zip(mesh_a.edges.i, mesh_a.edges.j):
+                for u, v in zip(mesh_b.edges.i, mesh_b.edges.j):
                     ea = np.cross(mesh_a.face_normals[i],
                                   mesh_a.face_normals[j])
                     eb = np.cross(mesh_b.face_normals[u],
@@ -159,7 +159,7 @@ class TestOutputSensitiveSum:
         ref, got = pairwise_hull(p, q), minkowski_sum(p, q)
         assert vertex_sets_match(got, ref, 1e-12 * ref.scale)
         assert got.face_count == ref.face_count
-        assert len(got.edge_lengths) == len(ref.edge_lengths)
+        assert len(got.edges.i) == len(ref.edges.i)
         assert volume(got) == pytest.approx(volume(ref), rel=1e-12)
 
     def test_needle_ends_keep_every_pair(self):
@@ -221,8 +221,9 @@ class TestBlaschkeSumBodies:
         _, ico, _ = continuation_solve(icosahedron_herisson())
         s = blaschke_sum_bodies(dod, ico)
         assert s.face_count == 32
-        pent = sum(1 for c in s.faces if len(c) == 5)
-        hexa = sum(1 for c in s.faces if len(c) == 6)
+        count = s.cycles[0]
+        pent = np.count_nonzero(count == 5)
+        hexa = np.count_nonzero(count == 6)
         assert (pent, hexa) == (12, 20)
         validate_mesh(s)
 
