@@ -145,9 +145,11 @@ def import_off(text: str) -> MeshPolyhedron:
 
 def _check_face_planes(verts, cycles):
     """Raise unless every stated face has 3 or more vertices, an area and a
-    plane supporting all the vertices; the lowest faulty face is named."""
+    plane supporting all the vertices, measured about the vertex centroid;
+    the lowest faulty face is named."""
     count, face, vid = cycles
     scale = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+    verts = verts - verts.mean(axis=0)
     area = _area_vectors(verts, cycles)
     nn = np.linalg.norm(area, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN cuts nothing

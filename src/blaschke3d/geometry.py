@@ -254,7 +254,9 @@ def _assemble_faces(verts, face, vertex, normals):
     the edge lengths.
     """
     m, nf = len(verts), len(normals)
-    face, vid = np.divmod(np.unique(face * m + vertex), m)
+    # the distinct pairs, sorted by face and then vertex
+    key = np.sort(face.astype(np.intp) * m + vertex)
+    face, vid = np.divmod(key[np.diff(key, prepend=-1) != 0], m)
     count = np.bincount(face, minlength=nf)
     count[count < 3] = 0
     keep = count[face] > 0
@@ -270,19 +272,27 @@ def _assemble_faces(verts, face, vertex, normals):
     b2 = _cross(normals, b1)
     angle = np.arctan2((rel * b2[face]).sum(axis=1),
                        (rel * b1[face]).sum(axis=1))
-    order = np.lexsort((angle, face))
-    face, vid = face[order], vid[order]
+    # order each face's run by the rank of its angle among all angles; the
+    # distinct vertices of a convex face have distinct angles, so no tie is
+    # left for a stable sort to break
+    n = len(vid)
+    by_angle = np.argsort(angle)
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_angle] = np.arange(n)
+    base = face * n
+    vid = vid[by_angle[np.sort(base + rank) - base]]
 
     # successor along each cycle; the last position wraps to the first
     end = np.cumsum(count)
     live = count > 0
-    nxt = np.arange(1, len(vid) + 1)
+    nxt = np.arange(1, n + 1)
     nxt[end[live] - 1] = (end - count)[live]
 
-    # a convex surface has each vertex pair of an edge in exactly two cycles
+    # a convex surface has each vertex pair of an edge in exactly two
+    # cycles, and the two give the same face pair and length in either order
     a, b = vid, vid[nxt]
     key = np.minimum(a, b) * m + np.maximum(a, b)
-    srt = np.argsort(key, kind="stable")
+    srt = np.argsort(key)
     pair = np.flatnonzero(key[srt[1:]] == key[srt[:-1]])
     p, q = srt[pair], srt[pair + 1]
     lo, hi = np.minimum(face[p], face[q]), np.maximum(face[p], face[q])
@@ -310,7 +320,8 @@ def _merge_close(points, tol):
         low = np.minimum(label[i], label[j])
         np.minimum.at(label, i, low)
         np.minimum.at(label, j, low)
-    _, label = np.unique(label, return_inverse=True)
+    # every label is now its cluster's least index: number them in order
+    label = (np.cumsum(label == np.arange(len(label))) - 1)[label]
     count = np.bincount(label)
     return _group_sums(label, points, len(count)) / count[:, None], label
 
@@ -326,6 +337,18 @@ def _well_centred(slack):
     """The `_CENTRE_SLACK` rule."""
     median = _median(slack)
     return median > 0.0 and slack.min() > _CENTRE_SLACK * median
+
+
+def _deepest_point(normals, offsets):
+    """The linear program max s subject to normals . x + s <= offsets, in
+    (x, s): the point deepest inside the half-spaces and its depth, or
+    their largest uniform deficit.  Returns SciPy's result.  HiGHS runs
+    without presolve, which on four variables costs more than it saves."""
+    from scipy.optimize import linprog
+    return linprog(c=[0.0, 0.0, 0.0, -1.0],
+                   A_ub=np.hstack([normals, np.ones((len(normals), 1))]),
+                   b_ub=offsets, bounds=[(None, None)] * 4, method="highs",
+                   options={"presolve": False})
 
 
 def _interior_point(D, h):
@@ -346,11 +369,7 @@ def _interior_point(D, h):
     unit_len = float(np.abs(slack).max())
     if unit_len == 0.0:
         raise DegenerateBody("intersection has empty interior")
-    from scipy.optimize import linprog
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0],
-                  A_ub=np.hstack([D, np.ones((len(D), 1))]),
-                  b_ub=slack / unit_len, bounds=[(None, None)] * 4,
-                  method="highs")
+    res = _deepest_point(D, slack / unit_len)
     if res.status != 0:
         raise DegenerateBody(f"interior-point LP failed: {res.message}")
     c = c + unit_len * res.x[:3]
@@ -557,11 +576,8 @@ def contains_by_translation(outer: MeshPolyhedron,
     live = np.where(outer.face_areas > 0)[0]
     normals = outer.face_normals[live]
     h_outer = outer.face_support_numbers()[live]
-    rhs = h_outer - _support_values(inner.vertices, normals)
-    a_ub = np.hstack([normals, np.ones((len(live), 1))])
-    from scipy.optimize import linprog
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0], A_ub=a_ub, b_ub=rhs,
-                  bounds=[(None, None)] * 4, method="highs")
+    res = _deepest_point(normals,
+                         h_outer - _support_values(inner.vertices, normals))
     if res.status != 0:
         raise RuntimeError(f"containment LP failed: {res.message}")
     t, s = res.x[:3], float(res.x[3])
@@ -578,14 +594,17 @@ def contains_by_translation(outer: MeshPolyhedron,
 def validate_mesh(mesh: MeshPolyhedron) -> MeshPolyhedron:
     """Check the boundary-complex invariants; raise ValueError on violation.
 
-    Verifies convex support (no vertex beyond any face plane), the Euler
-    characteristic, closure of the vector area, and that positive edge
-    lengths appear exactly for adjacent positive faces.
+    Verifies convex support (no vertex beyond any face plane, measured
+    about the vertex centroid so that the check does not depend on where
+    the body sits), the Euler characteristic, closure of the vector area,
+    and that positive edge lengths appear exactly for adjacent positive
+    faces.  Returns `mesh`.
     """
     tol = 1e-9 * mesh.scale
-    h = mesh.face_support_numbers()
+    about = mesh.translate(-mesh.centroid)
+    h = about.face_support_numbers()
     live = np.flatnonzero(~np.isnan(h))
-    gap = _support_values(mesh.vertices, mesh.face_normals[live]) - h[live]
+    gap = _support_values(about.vertices, about.face_normals[live]) - h[live]
     if np.any(gap > tol):
         j = live[int(np.argmax(gap > tol))]
         raise ValueError(f"vertex beyond plane of face {j}")

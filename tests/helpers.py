@@ -1,13 +1,16 @@
 """Shared test utilities: independent oracles and random-body generators."""
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import scipy.optimize
 from scipy.spatial.distance import cdist
 
+from blaschke3d import geometry
 from blaschke3d.errors import DegenerateBody
 from blaschke3d.geometry import DIRECTION_TOL, MERGE_TOL, MeshPolyhedron, \
-    SupportPolyhedron, _edge_list, intersect_halfspaces
+    SupportPolyhedron, _cross, _edge_list, _group_sums, intersect_halfspaces
 from blaschke3d.herisson import random_herisson
 
 
@@ -231,3 +234,62 @@ def count_linprog(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
     return calls
+
+
+def assemble_faces_reference(verts, face, vertex, normals):
+    """`geometry._assemble_faces` as first written, with `np.unique`, a
+    lexsort of (angle, face) and a stable argsort of the edge keys: the
+    reference that the integer-key sorts match array for array."""
+    m, nf = len(verts), len(normals)
+    face, vid = np.divmod(np.unique(face * m + vertex), m)
+    count = np.bincount(face, minlength=nf)
+    count[count < 3] = 0
+    keep = count[face] > 0
+    face, vid = face[keep], vid[keep]
+    rel = verts[vid]
+    rel -= (_group_sums(face, rel, nf) / np.maximum(count, 1)[:, None])[face]
+    seed = np.zeros((nf, 3))
+    seed[np.arange(nf), np.argmin(np.abs(normals), axis=1)] = 1.0
+    b1 = _cross(normals, seed)
+    b1 /= np.linalg.norm(b1, axis=1)[:, None]
+    b2 = _cross(normals, b1)
+    angle = np.arctan2((rel * b2[face]).sum(axis=1),
+                       (rel * b1[face]).sum(axis=1))
+    order = np.lexsort((angle, face))
+    face, vid = face[order], vid[order]
+    end = np.cumsum(count)
+    live = count > 0
+    nxt = np.arange(1, len(vid) + 1)
+    nxt[end[live] - 1] = (end - count)[live]
+    a, b = vid, vid[nxt]
+    key = np.minimum(a, b) * m + np.maximum(a, b)
+    srt = np.argsort(key, kind="stable")
+    pair = np.flatnonzero(key[srt[1:]] == key[srt[:-1]])
+    p, q = srt[pair], srt[pair + 1]
+    lo, hi = np.minimum(face[p], face[q]), np.maximum(face[p], face[q])
+    length = np.linalg.norm(verts[a[p]] - verts[b[p]], axis=1)
+    return (count, face, vid), (lo, hi, length)
+
+
+@contextmanager
+def assembly_checked():
+    """Within the block every `geometry._assemble_faces` call is checked
+    against `assemble_faces_reference` on the same arguments: the same
+    cycles and edge arrays, values and dtypes.  Yields a list that gains
+    one entry per call."""
+    calls = []
+    real = geometry._assemble_faces
+
+    def checked(verts, face, vertex, normals):
+        got = real(verts, face, vertex, normals)
+        want = assemble_faces_reference(verts, face, vertex, normals)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        calls.append(1)
+        return got
+    geometry._assemble_faces = checked
+    try:
+        yield calls
+    finally:
+        geometry._assemble_faces = real

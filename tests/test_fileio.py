@@ -173,7 +173,7 @@ class TestOff:
         with pytest.raises(ParseError, match="out of range"):
             import_off(text)
 
-    @pytest.mark.parametrize("shift", [1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("shift", [1e4, 1e5, 1e6, 1e7, 1e8])
     def test_translated_round_trip(self, shift):
         # the result must not depend on where the body sits
         base = icosphere_mesh(2)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blaschke3d.bodies import (box_mesh, cube_mesh, icosahedron_directions,
-                               icosphere_mesh, tetrahedron_mesh)
+from blaschke3d.bodies import (box_mesh, cube_mesh, grunbaum_herisson,
+                               icosahedron_directions, icosphere_mesh,
+                               tetrahedron_mesh)
 from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
                                UnboundedRegion)
 from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
@@ -23,7 +24,7 @@ from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
 from blaschke3d.herisson import random_herisson
 from blaschke3d.solver import area_jacobian, continuation_solve
 from blaschke3d.sums import minkowski_sum
-from helpers import (centered, count_linprog, cycle_arrays,
+from helpers import (assembly_checked, centered, count_linprog, cycle_arrays,
                      divergence_volume, edge_dict, enumerate_intersection,
                      mesh_of, random_tangent_mesh, vertex_sets_match)
 
@@ -467,6 +468,46 @@ class TestConvexHull:
         assert cycles == cycles2
 
 
+class TestFaceAssembly:
+    """`_assemble_faces` sorts integer keys; its cycles and edges are those
+    of `assemble_faces_reference` array for array, on hulls with merged
+    coplanar facets and on bodies with degenerate vertices."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: cube_mesh(1.0), lambda: box_mesh((1.0, 2.5, 0.3)),
+        lambda: box_mesh((3.0, 1.0, 7.0), center=(1.0, -2.0, 0.5)),
+        lambda: continuation_solve(grunbaum_herisson())[1]],
+        ids=["cube", "box", "moved-box", "grunbaum"])
+    def test_bodies(self, make):
+        with assembly_checked() as calls:
+            make()
+        assert calls
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.tuples(*[st.integers(1, 4)] * 3), st.floats(0.1, 10.0),
+           st.integers(0, 10_000))
+    def test_gridded_boxes(self, cells, spacing, seed):
+        # every point of a grid filling the box, many of them on its faces
+        # and edges: the hull keeps the 8 corners and merges 12 triangles
+        # into 6 rectangles, axis-aligned or turned
+        grid = np.stack(np.meshgrid(*[np.arange(n + 1) for n in cells],
+                                    indexing="ij"), -1).reshape(-1, 3)
+        turn = np.linalg.qr(np.random.default_rng(seed)
+                            .standard_normal((3, 3)))[0]
+        for pts in (spacing * grid, spacing * grid @ turn.T):
+            with assembly_checked() as calls:
+                convex_hull(pts)
+            assert calls
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(4, 200), st.integers(0, 10_000))
+    def test_random_point_clouds(self, n, seed):
+        pts = np.random.default_rng(seed).standard_normal((n, 3))
+        with assembly_checked() as calls:
+            convex_hull(pts)
+        assert calls
+
+
 class TestMeasurements:
     def test_unit_cube_volume(self):
         assert volume(unit_cube()) == pytest.approx(1.0, rel=1e-12)
@@ -554,6 +595,19 @@ class TestValidateMesh:
         with pytest.raises(ValueError) as err:
             validate_mesh(broken_cube(fault))
         assert str(err.value) == message
+
+    def test_far_from_the_origin(self):
+        # planes are measured about the vertex centroid, so the check does
+        # not depend on where the body sits
+        mesh = icosphere_mesh(2).translate(1e7 * np.array([1.0, -0.7, 0.3]))
+        assert validate_mesh(mesh) is mesh
+
+    def test_rounded_far_from_the_origin(self):
+        # moved by 1e8 the vertices round by about 1e-8, beyond 1e-9 of the
+        # scale off the planes of the unmoved normals
+        mesh = icosphere_mesh(2).translate(1e8 * np.array([1.0, -0.7, 0.3]))
+        with pytest.raises(ValueError, match="vertex beyond plane of face"):
+            validate_mesh(mesh)
 
 
 def solved_mesh():

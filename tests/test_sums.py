@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.spatial.transform import Rotation
 
 import blaschke3d.sums as sums
@@ -10,15 +11,15 @@ from blaschke3d.bodies import (cube_herisson, cube_mesh,
                                grunbaum_herisson, icosahedron_herisson,
                                icosphere_mesh, near_duplicate_herisson,
                                rotated_tetrahedron_pair)
-from blaschke3d.geometry import (convex_hull, support_value, validate_mesh,
-                                 volume)
+from blaschke3d.geometry import (_deepest_point, convex_hull, support_value,
+                                 validate_mesh, volume)
 from blaschke3d.herisson import (blaschke_add, herisson_of_mesh,
                                  random_herisson)
 from blaschke3d.solver import continuation_solve
 from blaschke3d.sums import blaschke_sum_bodies, minkowski_sum
 
-from helpers import (centered, mesh_of, random_tangent_mesh,
-                     vertex_sets_match)
+from helpers import (assembly_checked, centered, mesh_of,
+                     random_tangent_mesh, vertex_sets_match)
 
 
 def sample_directions(n, seed=0):
@@ -147,6 +148,39 @@ SUM_CASES = {
         mesh_of(_CUBE.vertices, [], np.zeros((0, 3)), [], {}),
         solved(random_herisson(12, 0))),
 }
+
+
+@pytest.mark.parametrize("name", SUM_CASES)
+def test_face_assembly_matches_the_reference(name):
+    # the operands (solves of random herissons at k = 6 to 192, Gruenbaum's
+    # body, turned icospheres) and the sum, every hull and every solve's mesh
+    with assembly_checked() as calls:
+        minkowski_sum(*SUM_CASES[name]())
+    assert calls
+
+
+@pytest.mark.parametrize("name", ["ico1+ico2", "ico2+ico2", "ico1+ico3"])
+def test_deepest_point_matches_the_presolved_program(name):
+    # the translate-inside programs of a sum and its operands, both ways
+    # round: without presolve HiGHS reaches the optimum that it reaches with
+    p, q = SUM_CASES[name]()
+    total = minkowski_sum(p, q)
+    for outer, inner in ((total, p), (total, q), (p, total)):
+        live = outer.face_areas > 0
+        normals = outer.face_normals[live]
+        rhs = outer.face_support_numbers()[live] \
+            - (inner.vertices @ normals.T).max(axis=0)
+        got = _deepest_point(normals, rhs)
+        want = scipy.optimize.linprog(
+            c=[0.0, 0.0, 0.0, -1.0],
+            A_ub=np.hstack([normals, np.ones((len(normals), 1))]),
+            b_ub=rhs, bounds=[(None, None)] * 4, method="highs")
+        assert got.status == want.status == 0
+        tol = 1e-12 * outer.scale
+        fits = [x[3] >= -1e-9 * outer.scale for x in (got.x, want.x)]
+        assert fits[0] == fits[1] == (inner is not total)
+        assert abs(got.x[3] - want.x[3]) <= tol
+        assert np.abs(got.x[:3] - want.x[:3]).max() <= tol
 
 
 class TestOutputSensitiveSum:
