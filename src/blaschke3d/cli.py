@@ -26,6 +26,7 @@ from .inequalities import (FuzzConfig, _Body, brunn_minkowski_check,
                            exponent_check, fuzz_campaign, kneser_suss_check,
                            monotonicity_check, sum_comparison_check)
 from .solver import ContinuationConfig, continuation_solve
+from .spherical import spherical_identity_residual
 from .sums import blaschke_sum_bodies, minkowski_sum
 
 
@@ -139,7 +140,6 @@ def _cmd_report(args):
 
 def _cmd_sphere_check(args):
     poly = fileio.parse_polygon_file(Path(args.polygon).read_text())
-    from .spherical import spherical_identity_residual
     res = spherical_identity_residual(poly, args.refine)
     _dump({"residual": [float(x) for x in res],
            "norm": float(np.linalg.norm(res)),

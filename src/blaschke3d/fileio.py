@@ -103,8 +103,9 @@ def export_off(p: MeshPolyhedron) -> str:
 
 
 def import_off(text: str) -> MeshPolyhedron:
-    """Parse OFF text, reject non-convex input, and rebuild the mesh (face
-    merge, areas, edge lengths) through `convex_hull`."""
+    """Parse OFF text, reject non-convex input and face lists that do not
+    close the surface, and rebuild the mesh (face merge, areas, edge
+    lengths) through `convex_hull`."""
     numbered = list(_content_lines(text))
     lines = [line for _, line in numbered]
     if not lines or lines[0] != "OFF":
@@ -136,8 +137,12 @@ def import_off(text: str) -> MeshPolyhedron:
     if out.any():
         raise ParseError(f"face {face[np.argmax(out)]} references a vertex "
                          "out of range")
-    _check_face_planes(verts, (count, face, vid.astype(np.intp)))
+    cycles = (count, face, vid.astype(np.intp))
+    area = _check_face_planes(verts, cycles)
     mesh = convex_hull(verts)
+    total = mesh.face_areas.sum()
+    if not _edges_pair_up(cycles, nv) or abs(area - total) > 1e-9 * total:
+        raise NonConvexInput("faces do not close the surface")
     if len(mesh.vertices) != len(verts):
         raise NonConvexInput("some vertices are not extreme points")
     return validate_mesh(mesh)
@@ -146,7 +151,7 @@ def import_off(text: str) -> MeshPolyhedron:
 def _check_face_planes(verts, cycles):
     """Raise unless every stated face has 3 or more vertices, an area and a
     plane supporting all the vertices, measured about the vertex centroid;
-    the lowest faulty face is named."""
+    the lowest faulty face is named.  Returns the faces' total area."""
     count, face, vid = cycles
     scale = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
     verts = verts - verts.mean(axis=0)
@@ -163,6 +168,19 @@ def _check_face_planes(verts, cycles):
             raise ParseError(f"face {i} has fewer than 3 vertices")
         raise NonConvexInput(f"face {i} is degenerate" if flat[i] else
                              f"face {i} plane cuts through the body")
+    return nn.sum()
+
+
+def _edges_pair_up(cycles, nv):
+    """Whether every directed edge of the face cycles (each of 3 or more
+    vertices) appears exactly once, and so does its reverse."""
+    count, _, vid = cycles
+    ends = np.cumsum(count)
+    succ = np.arange(1, len(vid) + 1)
+    succ[ends - 1] = ends - count
+    key = np.sort(vid * nv + vid[succ])
+    back = np.sort(vid[succ] * nv + vid)
+    return bool((np.diff(key) > 0).all() and (key == back).all())
 
 
 def parse_polygon_file(text: str) -> SphericalPolygon:

@@ -78,15 +78,16 @@ def match_directions(a, b):
     return np.where(gap <= DIRECTION_TOL, hit, -1)
 
 
-def check_distinct_directions(directions, tol=DIRECTION_TOL):
-    """Raise DuplicateDirection if two rows are closer than `tol` radians."""
+def check_distinct_directions(directions):
+    """Raise DuplicateDirection if two rows are closer than DIRECTION_TOL
+    radians."""
     d = np.asarray(directions, float)
-    i, j = cKDTree(d).query_pairs(tol, output_type="ndarray").T
+    i, j = cKDTree(d).query_pairs(DIRECTION_TOL, output_type="ndarray").T
     gap = np.linalg.norm(d[i] - d[j], axis=1)
-    if np.any(gap < tol):
+    if np.any(gap < DIRECTION_TOL):
         n = int(np.argmin(gap))
-        raise DuplicateDirection(
-            f"directions {i[n]} and {j[n]} coincide within {tol} rad")
+        raise DuplicateDirection(f"directions {i[n]} and {j[n]} coincide "
+                                 f"within {DIRECTION_TOL} rad")
 
 
 def check_positive_spanning(directions):

@@ -15,16 +15,22 @@ Conventions.  The polygon's vertices run counterclockwise as seen from
 outside the sphere with D on the left of the walk; along each arc the
 outward boundary normal is then T x p (tangent direction cross position),
 which the hemisphere's closed form pins down.  An empty vertex list means
-D is the whole sphere.
+D is the whole sphere.  The polygon must be simple: no two non-adjacent
+arcs cross or touch (arcs on one great circle are not compared), which one
+array pass over all arc pairs decides.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidPolygon
-from .geometry import unit
+from .geometry import _row_blocks, unit
+
+# the one tolerance of the simple-polygon test, an angle in radians
+_ARC_TOL = 1e-9
 
 # degree-4 symmetric triangle rule (6 points, positive weights); composite
 # refinement then converges at fifth order, comfortably above the required
@@ -69,52 +75,56 @@ class SphericalPolygon:
             anti = np.linalg.norm(v + nxt, axis=1)
             if same.min() <= 1e-9 or anti.min() <= 1e-9:
                 raise InvalidPolygon("consecutive vertices equal or antipodal")
-            _check_simple(v)
+            _check_simple(v, nxt)
 
     @property
     def n(self):
         return len(self.vertices)
 
 
-def _check_simple(v):
-    """Reject polygons whose non-adjacent arcs cross."""
+def _check_simple(v, nxt):
+    """Reject polygons where two non-adjacent arcs cross or touch, naming
+    the first pair in (i, j) order; all pairs are tested in row blocks.
+
+    Arc k runs from a_k = v[k] to b_k = nxt[k] about its unit pole w_k.  The
+    circles of arcs i and j meet at +-p, p = (w_i x w_j) / g, g = |w_i x w_j|,
+    and p lies on arc k iff the sines (a_k x p).w_k and (p x b_k).w_k are
+    >= -tol.  For arcs i and j these four sines are a_i.w_j, -b_i.w_j,
+    -a_j.w_i and b_j.w_i over g; -p lies on both iff all four are <= tol.
+    Arcs with g <= tol lie on one circle and are not compared.
+    """
     n = len(v)
-    arcs = [(v[i], v[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _arcs_cross(*arcs[i], *arcs[j]):
-                raise InvalidPolygon(
-                    f"boundary arcs {i} and {j} intersect")
+    cross = np.cross(v, nxt)
+    w = cross / np.linalg.norm(cross, axis=1)[:, None]
+    for rows in _row_blocks(n, 3 * n):
+        gap = np.linalg.norm(np.cross(w[rows, None], w), axis=2)
+        sines = np.stack([v[rows] @ w.T, -(nxt[rows] @ w.T),
+                          -(w[rows] @ v.T), w[rows] @ nxt.T])
+        tol = _ARC_TOL * gap
+        hit = (sines.min(axis=0) >= -tol) | (sines.max(axis=0) <= tol)
+        apart = np.arange(n) - np.arange(n)[rows, None]  # j - i
+        hit &= (gap > _ARC_TOL) & (apart >= 2) & (apart <= n - 2)
+        for i, j in np.argwhere(hit)[:1]:
+            raise InvalidPolygon(
+                f"boundary arcs {rows.start + i} and {j} intersect")
 
 
-def _arcs_cross(a, b, c, d):
-    w1 = np.cross(a, b)
-    w2 = np.cross(c, d)
-    line = np.cross(w1, w2)
-    norm = np.linalg.norm(line)
-    if norm < 1e-12:
-        return False  # same great circle; overlap treated as non-crossing
-    for p in (line / norm, -line / norm):
-        if _on_minor_arc(p, a, b) and _on_minor_arc(p, c, d):
-            return True
-    return False
+def _octant_triangles():
+    """The whole sphere as eight flat octant triangles (a, b, c), wound
+    counterclockwise from outside: b, c swap where det = sign product < 0."""
+    tris = []
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        a, b, c = np.diag(signs)
+        tris.append((a, b, c) if np.prod(signs) > 0 else (a, c, b))
+    return tuple(np.array(corner) for corner in zip(*tris))
 
 
-def _on_minor_arc(p, a, b, tol=1e-9):
-    whole = np.arccos(np.clip(a @ b, -1, 1))
-    part = (np.arccos(np.clip(a @ p, -1, 1))
-            + np.arccos(np.clip(p @ b, -1, 1)))
-    return part <= whole + tol
-
-
-_OCTANT_SIGNS = [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1)
-                 for sz in (1, -1)]
+_OCTANTS = _octant_triangles()
 
 
 def _fan_triangles(poly):
-    """Signed flat triangles whose radial projections tile D.
+    """Signed flat triangles, as three (m, 3) corner arrays a, b, c, whose
+    radial projections tile D.
 
     Uses a fan apex from the winding of the vertex loop; triangles opposite
     in orientation subtract, so the apex need not lie inside D.  The whole
@@ -122,15 +132,7 @@ def _fan_triangles(poly):
     """
     v = poly.vertices
     if len(v) == 0:
-        tris = []
-        for sx, sy, sz in _OCTANT_SIGNS:
-            a = np.array([float(sx), 0.0, 0.0])
-            b = np.array([0.0, float(sy), 0.0])
-            c = np.array([0.0, 0.0, float(sz)])
-            if np.linalg.det(np.stack([a, b, c])) < 0:
-                b, c = c, b
-            tris.append((a, b, c))
-        return tris
+        return _OCTANTS
     nxt = np.roll(v, -1, axis=0)
     winding = np.cross(v, nxt).sum(axis=0)
     if np.linalg.norm(winding) > 1e-9:
@@ -142,15 +144,12 @@ def _fan_triangles(poly):
         apex = unit(mean)
     if np.abs(v @ apex + 1.0).min() < 1e-6:
         raise InvalidPolygon("fan apex antipodal to a vertex")
-    return [(apex, v[i], nxt[i]) for i in range(len(v))]
+    return np.broadcast_to(apex, v.shape), v, nxt
 
 
-def _subdivide(tris, depth):
+def _subdivide(a, b, c, depth):
     """Split every flat triangle into 4 at edge midpoints, `depth` times;
     the union is exactly the original flat triangle set."""
-    a = np.array([t[0] for t in tris])
-    b = np.array([t[1] for t in tris])
-    c = np.array([t[2] for t in tris])
     for _ in range(depth):
         ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
         a = np.concatenate([a, ab, ca, ab])
@@ -164,7 +163,7 @@ def _surface_position_integral(poly, refinement):
     pulled back through the radial projection x -> x/|x|, whose area element
     is (x . M) / (2 |x|^3) per unit barycentric area with M the triangle's
     edge cross product; M's sign makes oppositely wound triangles cancel."""
-    a, b, c = _subdivide(_fan_triangles(poly), refinement)
+    a, b, c = _subdivide(*_fan_triangles(poly), refinement)
     m = np.cross(b - a, c - a)
     total = np.zeros(3)
     for lam, wq in zip(_TRI_BARY, _TRI_W):
@@ -197,7 +196,5 @@ def spherical_identity_residual(poly: SphericalPolygon,
     """
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
-    if not isinstance(poly, SphericalPolygon):
-        poly = SphericalPolygon(np.asarray(poly, float))
     return (2.0 * _surface_position_integral(poly, refinement)
             + _boundary_normal_integral(poly))

@@ -157,6 +157,14 @@ class TestOff:
         with pytest.raises(NonConvexInput, match="not extreme"):
             import_off(off_text(verts, faces))
 
+    def test_triangulated_cube_imports(self):
+        # twelve triangles close the surface; the hull merges them to six
+        verts, faces = cube_faces()
+        halves = [t for a, b, c, d in faces for t in ([a, b, c], [a, c, d])]
+        mesh = import_off(off_text(verts, halves))
+        assert mesh.face_count == 6
+        assert volume(mesh) == pytest.approx(1.0, rel=1e-12)
+
     def test_missing_header(self):
         with pytest.raises(ParseError):
             import_off("8 6 12\n")
@@ -246,6 +254,25 @@ class TestOffRejection:
         verts[faces[1][0]] *= 0.5
         self.rejects(NonConvexInput, "face 1 plane cuts through the body",
                      verts, faces)
+
+    def test_open_surface(self):
+        # two of the cube's six faces
+        verts, faces = cube_faces()
+        self.rejects(NonConvexInput, "faces do not close the surface",
+                     verts, faces[:2])
+
+    def test_face_listed_twice(self):
+        verts, faces = cube_faces()
+        self.rejects(NonConvexInput, "faces do not close the surface",
+                     verts, faces + faces[3:4])
+
+    def test_edges_without_their_reverse(self):
+        # -z and +z (faces 2 and 3) each twice in place of -x and +x (faces
+        # 0 and 5): the total and the vector area are the cube's, so only
+        # the edges tell
+        verts, faces = cube_faces()
+        self.rejects(NonConvexInput, "faces do not close the surface",
+                     verts, faces[1:5] + faces[2:4])
 
     @pytest.mark.parametrize("first, second", [
         ("short", "flat"), ("flat", "short"), ("cut", "short"),
