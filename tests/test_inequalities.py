@@ -2,21 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from blaschke3d.bodies import (box_herisson, box_mesh, cube_herisson,
                                cube_mesh, dodecahedron_herisson,
-                               icosahedron_herisson, rotated_tetrahedron_pair)
-from blaschke3d import inequalities
+                               icosahedron_herisson, icosphere_mesh,
+                               rotated_tetrahedron_pair, tetrahedron_mesh)
+from blaschke3d import geometry, inequalities, sums
 from blaschke3d.errors import PremiseViolated
-from blaschke3d.geometry import volume
+from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
+                                 intersect_halfspaces, support_value, unit,
+                                 volume)
 from blaschke3d.herisson import (Herisson, blaschke_add, blaschke_scale,
                                  random_herisson)
-from blaschke3d.inequalities import (FuzzConfig, InequalityReport,
+from blaschke3d.inequalities import (FuzzConfig, InequalityReport, _Pair,
                                      brunn_minkowski_check, exponent_check,
                                      fuzz_campaign, homothety_ratio,
                                      kneser_suss_check, lemma_inequality,
                                      monotonicity_check, sum_comparison_check)
 from blaschke3d.solver import continuation_solve
+from blaschke3d.sums import minkowski_sum
 
 
 def shuffled(h, seed):
@@ -260,48 +265,128 @@ class TestFuzzCampaign:
 
 class TestWorkPerPath:
     """Each volume of a pair is computed at most once, and only when a
-    report needs it."""
+    report needs it; Vol(P+Q) never builds the body P+Q."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"solve": 0, "minkowski": 0}
+        # counted where they are defined: `inequalities` imports neither
+        # `minkowski_sum` nor `convex_hull`
+        counts = {"solve": 0, "minkowski": 0, "hull": 0}
 
-        def counted(name, fn):
+        def count(module, attr, name):
+            fn = getattr(module, attr)
+
             def wrapper(*args, **kwargs):
                 counts[name] += 1
                 return fn(*args, **kwargs)
-            return wrapper
-        monkeypatch.setattr(inequalities, "continuation_solve",
-                            counted("solve", inequalities.continuation_solve))
-        monkeypatch.setattr(inequalities, "minkowski_sum",
-                            counted("minkowski", inequalities.minkowski_sum))
+            monkeypatch.setattr(module, attr, wrapper)
+        count(inequalities, "continuation_solve", "solve")
+        count(sums, "minkowski_sum", "minkowski")
+        count(geometry, "convex_hull", "hull")
         return counts
 
     def test_brunn_minkowski_on_meshes_solves_nothing(self, calls):
         brunn_minkowski_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)))
-        assert calls == {"solve": 0, "minkowski": 1}
+        assert calls == {"solve": 0, "minkowski": 0, "hull": 0}
+
+    def test_brunn_minkowski_on_meshes_makes_no_hull(self, monkeypatch):
+        # every Qhull run of the library, a point hull or a polar hull,
+        # constructs geometry's hull class
+        runs, real = [], geometry._Qhull
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+        p, q = icosphere_mesh(2), box_mesh((1.0, 2.0, 0.5))
+        monkeypatch.setattr(geometry, "_Qhull", counted)
+        rep = brunn_minkowski_check(p, q)
+        assert runs == [] and rep.verdict == "holds"
 
     def test_kneser_suss_on_meshes_solves_the_sum_only(self, calls):
         kneser_suss_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)))
-        assert calls == {"solve": 1, "minkowski": 0}
+        assert calls == {"solve": 1, "minkowski": 0, "hull": 0}
 
     def test_monotonicity_on_meshes_solves_nothing(self, calls):
         rep = monotonicity_check(cube_mesh(1.0), cube_mesh(2.0))
         assert rep.lhs == pytest.approx(8.0, rel=1e-12)
-        assert calls == {"solve": 0, "minkowski": 0}
+        assert calls == {"solve": 0, "minkowski": 0, "hull": 0}
 
     def test_exponent_check_builds_each_sum_once(self, calls):
         exponent_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)), 0.5)
-        assert calls == {"solve": 1, "minkowski": 1}
+        assert calls == {"solve": 1, "minkowski": 0, "hull": 0}
 
     def test_fuzz_trial_with_every_check(self, calls):
         fuzz_campaign(FuzzConfig(trials=1, seed=4))
-        assert calls == {"solve": 3, "minkowski": 1}
+        assert calls == {"solve": 3, "minkowski": 0, "hull": 0}
 
     def test_fuzz_trial_with_brunn_minkowski_only(self, calls):
         fuzz_campaign(FuzzConfig(trials=1, seed=4, checks=("bm",)))
-        assert calls == {"solve": 2, "minkowski": 1}
+        assert calls == {"solve": 2, "minkowski": 0, "hull": 0}
 
     def test_fuzz_trial_without_minkowski_sums(self, calls):
         fuzz_campaign(FuzzConfig(trials=1, seed=4, checks=("ks", "thm71")))
-        assert calls == {"solve": 3, "minkowski": 0}
+        assert calls == {"solve": 3, "minkowski": 0, "hull": 0}
+
+
+def _turned(mesh, seed, scale=(1.0, 1.0, 1.0)):
+    """A randomly rotated copy of a mesh, scaled along the axes first."""
+    turn = Rotation.random(random_state=seed).as_matrix()
+    return convex_hull(mesh.vertices * scale @ turn.T)
+
+
+class TestMinkowskiVolume:
+    """Vol(P+Q) from mixed volumes matches the volume of the hulled sum."""
+
+    @staticmethod
+    def mixed(p, q):
+        return _Pair(p, q).minkowski_volume
+
+    @staticmethod
+    def hulled(p, q):
+        return volume(minkowski_sum(p, q))
+
+    @pytest.mark.parametrize("dp,dq", [(1, 2), (2, 2), (1, 3)])
+    def test_rotated_scaled_icospheres(self, dp, dq):
+        rng = np.random.default_rng([dp, dq])
+        p = _turned(icosphere_mesh(dp), 2 * dp + dq, rng.uniform(0.5, 2.0, 3))
+        q = _turned(icosphere_mesh(dq), 3 * dq + dp, rng.uniform(0.5, 2.0, 3))
+        assert self.mixed(p, q) == pytest.approx(self.hulled(p, q),
+                                                 rel=1e-12)
+
+    def test_rotated_tetrahedra(self):
+        t = tetrahedron_mesh()
+        pairs = [rotated_tetrahedron_pair(), (_turned(t, 1), _turned(t, 11)),
+                 (_turned(t, 2), _turned(t, 12))]
+        for p, q in pairs:
+            assert self.mixed(p, q) == pytest.approx(self.hulled(p, q),
+                                                     rel=1e-12)
+
+    def test_cube_plus_cube(self):
+        assert abs(self.mixed(cube_mesh(1.0), cube_mesh(1.0)) - 8.0) <= 1e-14
+
+    def test_solved_pair_with_an_absent_face(self):
+        # P is a solved body cut once more by a plane that misses it: the
+        # plane keeps its slot with area 0 and an empty cycle
+        p, q = (continuation_solve(random_herisson(k, k))[1] for k in (9, 11))
+        d = unit([0.3, -0.5, 0.8])
+        dirs = np.vstack([p.face_normals, d])
+        offsets = np.append(p.face_support_numbers(),
+                            support_value(p, d) + 0.5 * p.scale)
+        cut = intersect_halfspaces(SupportPolyhedron(dirs, offsets))
+        assert cut.face_areas[-1] == 0.0 and cut.cycles[0][-1] == 0
+        assert self.mixed(cut, q) == pytest.approx(self.hulled(cut, q),
+                                                   rel=1e-12)
+
+    def test_operand_order_does_not_matter(self):
+        p = _turned(icosphere_mesh(1), 5, (1.0, 2.0, 0.5))
+        q = _turned(box_mesh((1.0, 2.0, 0.5)), 6)
+        assert self.mixed(p, q) == pytest.approx(self.mixed(q, p), rel=1e-15)
+
+    @pytest.mark.parametrize("far,rel", [(1e3, 1e-12), (1e7, 1e-9)])
+    def test_operands_far_from_the_origin(self, far, rel):
+        p = _turned(icosphere_mesh(2), 7, (1.0, 2.0, 0.5))
+        q = _turned(icosphere_mesh(1), 8, (0.5, 1.0, 1.5))
+        want = self.hulled(p, q)
+        got = self.mixed(p.translate(far * np.array([1.0, -0.7, 0.3])),
+                         q.translate(far * np.array([-0.2, 0.9, 0.5])))
+        assert got == pytest.approx(want, rel=rel)
