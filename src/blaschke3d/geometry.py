@@ -4,7 +4,9 @@ Bounded convex polyhedra appear in two forms: a half-space representation
 (`SupportPolyhedron`: outward unit directions plus support numbers) and an
 explicit boundary complex (`MeshPolyhedron`: vertices, face cycles, areas,
 edge lengths).  Each conversion is one Qhull hull (Barber, Dobkin &
-Huhdanpaa 1996).  `convex_hull` merges coplanar hull triangles into faces.
+Huhdanpaa 1996).  `convex_hull` merges hull triangles whose planes lie
+within 1e-9 into faces, by the `_merge_close` that merges corners, and a
+vertex lies on at least three faces (`_assemble_faces`).
 `intersect_halfspaces` hulls the polar points of the planes: each facet is
 a vertex of the body, lying on the three planes that span it.  One record,
 `_Cut`, holds what that hull gives: the bare edge list of the body
@@ -232,9 +234,9 @@ def _row_blocks(rows, cols):
 
 
 def _group_sums(group, values, n):
-    """Sums of the rows of an (m, 3) array over n labelled groups."""
+    """Sums of the rows of an (m, d) array over n labelled groups."""
     return np.stack([np.bincount(group, values[:, a], n)
-                     for a in range(3)], axis=1)
+                     for a in range(values.shape[1])], axis=1)
 
 
 def _area_vectors(verts, cycles):
@@ -245,23 +247,24 @@ def _area_vectors(verts, cycles):
     return 0.5 * _group_sums(face[:-1], _cross(rel[:-1], rel[1:]), len(count))
 
 
-def _assemble_faces(verts, face, vertex, normals):
-    """Build face cycles from (face, vertex) incidence pairs.
-
-    Face f has the distinct vertices paired with f, in a cycle running
-    counterclockwise about `normals[f]`; with fewer than 3 (a plane that
-    touches the body at most in an edge) the cycle is empty.  Returns the
-    flat cycles (a mesh's `cycles`) and the edges: the face pairs i < j and
-    the edge lengths.
-    """
-    m, nf = len(verts), len(normals)
-    # the distinct pairs, sorted by face and then vertex
-    key = np.sort(face.astype(np.intp) * m + vertex)
+def _assemble_faces(points, face, point, normals):
+    """Build face cycles from (face, point) incidence pairs: a point on 3
+    distinct faces or more is a vertex (on fewer it lies inside a face or
+    an edge), and face f has the distinct vertices paired with f, in a
+    cycle running counterclockwise about `normals[f]`; with fewer than 3 (a
+    plane that touches the body at most in an edge) the cycle is empty.
+    Returns the vertices, in point order, the flat cycles (a mesh's
+    `cycles`) and the edges: the face pairs i < j and the edge lengths."""
+    m, nf = len(points), len(normals)
+    # the distinct pairs, sorted by face and then point
+    key = np.sort(face.astype(np.intp) * m + point)
     face, vid = np.divmod(key[np.diff(key, prepend=-1) != 0], m)
-    count = np.bincount(face, minlength=nf)
+    on = np.bincount(vid, minlength=m) >= 3
+    count = np.bincount(face[on[vid]], minlength=nf)
     count[count < 3] = 0
-    keep = count[face] > 0
-    face, vid = face[keep], vid[keep]
+    keep = on[vid] & (count[face] > 0)
+    face, vid = face[keep], (np.cumsum(on) - 1)[vid[keep]]
+    verts = points[on]
     rel = verts[vid]
     rel -= (_group_sums(face, rel, nf) / np.maximum(count, 1)[:, None])[face]
 
@@ -298,7 +301,7 @@ def _assemble_faces(verts, face, vertex, normals):
     p, q = srt[pair], srt[pair + 1]
     lo, hi = np.minimum(face[p], face[q]), np.maximum(face[p], face[q])
     length = np.linalg.norm(verts[a[p]] - verts[b[p]], axis=1)
-    return (count, face, vid), (lo, hi, length)
+    return verts, (count, face, vid), (lo, hi, length)
 
 
 def _solid_scale(pts):
@@ -316,7 +319,8 @@ def _merge_close(points, tol):
     """Clusters of points chained by gaps of at most `tol`: their means and
     the cluster label of every point."""
     label = np.arange(len(points))
-    i, j = cKDTree(points).query_pairs(tol, output_type="ndarray").T
+    tree = cKDTree(points, balanced_tree=False)  # midpoint splits build fast
+    i, j = tree.query_pairs(tol, output_type="ndarray").T
     while not np.array_equal(label[i], label[j]):
         low = np.minimum(label[i], label[j])
         np.minimum.at(label, i, low)
@@ -454,9 +458,9 @@ def _hull_mesh(cut, shift=0.0):
     distinct vertices has no face and area 0."""
     D = cut.edges.face_normals.copy()
     corners = cut.corners + shift
-    verts, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
-    cycles, edges = _assemble_faces(
-        verts, cut.polar.simplices.ravel(), np.repeat(label, 3), D)
+    points, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
+    verts, cycles, edges = _assemble_faces(
+        points, cut.polar.simplices.ravel(), np.repeat(label, 3), D)
     areas = np.where(cycles[0] > 0, cut.areas, 0.0)
     return MeshPolyhedron(vertices=verts, cycles=cycles, face_normals=D,
                           face_areas=areas, edges=_edge_list(D, *edges))
@@ -480,30 +484,26 @@ def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
 
 
 def convex_hull(points) -> MeshPolyhedron:
-    """Convex hull with coplanar facets merged into geometric faces."""
+    """Convex hull with coplanar facets merged into geometric faces: hull
+    triangles whose plane rows (offsets over the scale) chain by gaps of at
+    most 1e-9 are one face, numbered in lexsorted row order.  A plane left
+    with fewer than 3 vertices touches the body in an edge: its slot stays
+    empty and keeps its normal."""
     pts = np.atleast_2d(np.asarray(points, float))
     scale = _solid_scale(pts)
     try:
         hull = _Qhull(pts)
     except QhullError as exc:
         raise DegenerateBody("degenerate point set") from exc
-    verts, eqs = pts[hull.vertices], hull.equations
-    index = np.empty(len(pts), dtype=np.intp)
-    index[hull.vertices] = np.arange(len(hull.vertices))
-    tris = index[hull.simplices]
-    # triangles whose plane equations agree within tolerance, chained along
-    # the lexsorted equations, form one face
-    order = np.lexsort(eqs.T[::-1])
-    tolvec = np.array([1e-9, 1e-9, 1e-9, 1e-9 * max(1.0, scale)])
-    step = np.concatenate(
-        ([True], (np.abs(np.diff(eqs[order], axis=0)) > tolvec).any(axis=1)))
-    group = np.empty(len(eqs), dtype=np.intp)
-    group[order] = np.cumsum(step) - 1
-    cycles, edges = _assemble_faces(
-        verts, np.repeat(group, 3), tris.ravel(), eqs[order[step], :3])
+    order = np.lexsort(hull.equations.T[::-1])
+    planes, label = _merge_close(
+        hull.equations[order] / [1.0, 1.0, 1.0, max(1.0, scale)], 1e-9)
+    verts, cycles, edges = _assemble_faces(
+        pts, np.repeat(label, 3), hull.simplices[order].ravel(), planes[:, :3])
     area_vecs = _area_vectors(verts, cycles)
     areas = np.linalg.norm(area_vecs, axis=1)
-    normals = area_vecs / areas[:, None]
+    normals = planes[:, :3].copy()
+    np.divide(area_vecs, areas[:, None], out=normals, where=areas[:, None] > 0)
     return MeshPolyhedron(vertices=verts, cycles=cycles,
                           face_normals=normals, face_areas=areas,
                           edges=_edge_list(normals, *edges))

@@ -236,16 +236,22 @@ def count_linprog(monkeypatch):
     return calls
 
 
-def assemble_faces_reference(verts, face, vertex, normals):
+def assemble_faces_reference(points, face, point, normals):
     """`geometry._assemble_faces` as first written, with `np.unique`, a
     lexsort of (angle, face) and a stable argsort of the edge keys: the
-    reference that the integer-key sorts match array for array."""
-    m, nf = len(verts), len(normals)
-    face, vid = np.divmod(np.unique(face * m + vertex), m)
-    count = np.bincount(face, minlength=nf)
+    reference that the integer-key sorts match array for array.  A point
+    on fewer than 3 distinct faces is no vertex, counted with `np.unique`."""
+    m, nf = len(points), len(normals)
+    face, vid = np.divmod(np.unique(face * m + point), m)
+    ids, faces_on = np.unique(vid, return_counts=True)
+    vertex_ids = ids[faces_on >= 3]
+    on = np.isin(vid, vertex_ids)
+    count = np.bincount(face[on], minlength=nf)
     count[count < 3] = 0
-    keep = count[face] > 0
-    face, vid = face[keep], vid[keep]
+    keep = on & (count[face] > 0)
+    face, vid = face[keep], np.searchsorted(vertex_ids, vid[keep])
+    verts = points[vertex_ids]
+    m = len(verts)
     rel = verts[vid]
     rel -= (_group_sums(face, rel, nf) / np.maximum(count, 1)[:, None])[face]
     seed = np.zeros((nf, 3))
@@ -268,22 +274,23 @@ def assemble_faces_reference(verts, face, vertex, normals):
     p, q = srt[pair], srt[pair + 1]
     lo, hi = np.minimum(face[p], face[q]), np.maximum(face[p], face[q])
     length = np.linalg.norm(verts[a[p]] - verts[b[p]], axis=1)
-    return (count, face, vid), (lo, hi, length)
+    return verts, (count, face, vid), (lo, hi, length)
 
 
 @contextmanager
 def assembly_checked():
     """Within the block every `geometry._assemble_faces` call is checked
     against `assemble_faces_reference` on the same arguments: the same
-    cycles and edge arrays, values and dtypes.  Yields a list that gains
-    one entry per call."""
+    vertices, cycles and edge arrays, values and dtypes.  Yields a list
+    that gains one entry per call."""
     calls = []
     real = geometry._assemble_faces
 
-    def checked(verts, face, vertex, normals):
-        got = real(verts, face, vertex, normals)
-        want = assemble_faces_reference(verts, face, vertex, normals)
-        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+    def checked(points, face, point, normals):
+        got = real(points, face, point, normals)
+        want = assemble_faces_reference(points, face, point, normals)
+        for g, w in zip((got[0],) + got[1] + got[2],
+                        (want[0],) + want[1] + want[2]):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
         calls.append(1)

@@ -274,6 +274,18 @@ class TestOffRejection:
         self.rejects(NonConvexInput, "faces do not close the surface",
                      verts, faces[1:5] + faces[2:4])
 
+    def test_vertex_within_the_merge_tolerance_of_a_face(self):
+        # the unit cube with its top face fanned about a point 1e-12 above
+        # the centre: the point lies on one face, so it is no vertex
+        verts = np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 0, 1],
+                          [0, 1, 0], [0, 1, 1], [1, 1, 0], [1, 1, 1],
+                          [0.5, 0.5, 1 + 1e-12]])
+        faces = [[5, 4, 0, 1], [5, 1, 8], [2, 3, 1, 0], [3, 8, 1],
+                 [6, 2, 0, 4], [7, 5, 8], [7, 6, 4, 5], [7, 8, 3],
+                 [6, 7, 3, 2]]
+        self.rejects(NonConvexInput, "some vertices are not extreme points",
+                     verts, faces)
+
     @pytest.mark.parametrize("first, second", [
         ("short", "flat"), ("flat", "short"), ("cut", "short"),
         ("short", "cut"), ("flat", "flat")])

@@ -507,6 +507,38 @@ class TestFaceAssembly:
             convex_hull(pts)
         assert calls
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["box", "cloud"]),
+           st.sampled_from(["face", "edge"]), st.integers(0, 10_000))
+    def test_point_near_a_face_or_an_edge_is_no_vertex(self, body, near,
+                                                      seed):
+        # one more point at most 1e-12 * scale off the inside of a face or
+        # of an edge: Qhull may keep it, on fewer than 3 merged faces
+        rng = np.random.default_rng(seed)
+        if body == "box":
+            turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            pts = box_mesh(rng.uniform(0.2, 5.0, 3)).vertices @ turn.T
+        else:
+            pts = rng.standard_normal((rng.integers(8, 40), 3))
+        clean = convex_hull(pts)
+        faces = [c for c in cycle_arrays(clean) if len(c)]
+        ring = clean.vertices[faces[rng.integers(len(faces))]]
+        if near == "edge":
+            k, t = rng.integers(len(ring)), rng.uniform(0.2, 0.8)
+            x = t * ring[k] + (1.0 - t) * ring[(k + 1) % len(ring)]
+        else:
+            w = rng.uniform(0.2, 1.0, len(ring))
+            x = w @ ring / w.sum()
+        off = rng.standard_normal(3)
+        x += rng.uniform(0.0, 1e-12) * clean.scale * off / np.linalg.norm(off)
+        with assembly_checked() as calls:
+            mesh = convex_hull(np.vstack([pts, x]))
+        assert calls
+        assert len(mesh.vertices) == len(clean.vertices)
+        assert mesh.face_count == clean.face_count
+        assert np.isfinite(mesh.face_normals).all()
+        validate_mesh(mesh)
+
 
 class TestMeasurements:
     def test_unit_cube_volume(self):

@@ -1,8 +1,10 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.spatial import ConvexHull
 from scipy.spatial.transform import Rotation
 
 import blaschke3d.sums as sums
@@ -11,6 +13,7 @@ from blaschke3d.bodies import (cube_herisson, cube_mesh,
                                grunbaum_herisson, icosahedron_herisson,
                                icosphere_mesh, near_duplicate_herisson,
                                rotated_tetrahedron_pair)
+from blaschke3d.fileio import export_off, import_off, parse_herisson_file
 from blaschke3d.geometry import (_deepest_point, convex_hull, support_value,
                                  validate_mesh, volume)
 from blaschke3d.herisson import (blaschke_add, herisson_of_mesh,
@@ -99,6 +102,14 @@ def solved(h):
     return continuation_solve(h)[1]
 
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def shipped(name):
+    """The mesh that `msum` makes of a shipped `.her` file."""
+    return solved(parse_herisson_file((DATA / name).read_text()))
+
+
 def pairwise_hull(p, q):
     """The reference sum: the hull of every pairwise vertex sum."""
     vp, vq = (np.atleast_2d(getattr(b, "vertices", b)) for b in (p, q))
@@ -147,6 +158,11 @@ SUM_CASES = {
     "faceless+k12": lambda: (
         mesh_of(_CUBE.vertices, [], np.zeros((0, 3)), [], {}),
         solved(random_herisson(12, 0))),
+    # Qhull keeps 6 pair sums that rounding puts off a face's plane, each
+    # inside a face or an edge; `grunbaum_herisson()` rounds otherwise and
+    # its sum has none
+    "grunbaum.her+icosahedron.her": lambda: (shipped("grunbaum.her"),
+                                             shipped("icosahedron.her")),
 }
 
 
@@ -157,6 +173,22 @@ def test_face_assembly_matches_the_reference(name):
     with assembly_checked() as calls:
         minkowski_sum(*SUM_CASES[name]())
     assert calls
+
+
+@pytest.mark.parametrize("name", SUM_CASES)
+def test_sum_is_a_mesh_that_reads_back(name):
+    total = minkowski_sum(*SUM_CASES[name]())
+    validate_mesh(total)
+    assert import_off(export_off(total)).face_count == total.face_count
+
+
+def test_shipped_grunbaum_and_icosahedron():
+    # 62 hull triangles on 26 planes, and 33 hull points of which 6 lie on
+    # fewer than 3 faces
+    total = minkowski_sum(*SUM_CASES["grunbaum.her+icosahedron.her"]())
+    assert (total.face_count, len(total.vertices)) == (26, 27)
+    assert volume(total) == \
+        pytest.approx(ConvexHull(total.vertices).volume, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["ico1+ico2", "ico2+ico2", "ico1+ico3"])
