@@ -22,7 +22,7 @@ import numpy as np
 from . import fileio
 from .errors import NewtonDivergence, StepSizeUnderflow, ToolkitError
 from .geometry import (integral_mean_curvature, vector_area_residual, volume)
-from .inequalities import (FuzzConfig, _Body, brunn_minkowski_check,
+from .inequalities import (FuzzConfig, _Pair, brunn_minkowski_check,
                            exponent_check, fuzz_campaign, kneser_suss_check,
                            monotonicity_check, sum_comparison_check)
 from .solver import ContinuationConfig, continuation_solve
@@ -32,12 +32,6 @@ from .sums import blaschke_sum_bodies, minkowski_sum
 
 def _dump(obj):
     print(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
-
-
-def _solver_config(args):
-    if args.tol is None:
-        return ContinuationConfig()
-    return ContinuationConfig(newton_tol=args.tol)
 
 
 def _load_input(path):
@@ -55,7 +49,8 @@ def _dump_trace(trace):
 def _cmd_construct(args):
     herisson = fileio.parse_herisson_file(Path(args.input).read_text())
     try:
-        _, mesh, trace = continuation_solve(herisson, _solver_config(args))
+        _, mesh, trace = continuation_solve(
+            herisson, ContinuationConfig(newton_tol=args.tol))
     except (StepSizeUnderflow, NewtonDivergence) as exc:
         if args.trace:
             _dump_trace(exc.trace)
@@ -68,46 +63,37 @@ def _cmd_construct(args):
 
 def _cmd_bsum(args):
     body = blaschke_sum_bodies(_load_input(args.a), _load_input(args.b),
-                               _solver_config(args))
+                               ContinuationConfig(newton_tol=args.tol))
     Path(args.output).write_text(fileio.export_off(body))
     return 0
 
 
 def _cmd_msum(args):
-    p, q = (_Body(_load_input(f)).mesh for f in (args.a, args.b))
-    body = minkowski_sum(p, q)
+    pair = _Pair(_load_input(args.a), _load_input(args.b))
+    body = minkowski_sum(pair.p.mesh, pair.q.mesh)
     Path(args.output).write_text(fileio.export_off(body))
     return 0
 
 
-def _one_report(check):
-    def run(p, q, cfg, a):
-        report = check(p, q, cfg=cfg)
-        return report.to_dict(), not report.ok
-    return run
-
-
-def _exponent_reports(p, q, cfg, a):
-    rep4, rep5 = exponent_check(p, q, a, cfg)
-    failed = not (rep4.ok and rep5.ok)
-    return ({"power_minkowski": rep4.to_dict(),
-             "power_blaschke": rep5.to_dict(),
-             "failure_expected": failed and a < 1.0}, failed and a >= 1.0)
-
-
-# kind -> check giving its JSON output and whether it failed
-_CHECKS = {"bm": _one_report(brunn_minkowski_check),
-           "ks": _one_report(kneser_suss_check),
-           "monotone": _one_report(monotonicity_check),
-           "sumcmp": _one_report(sum_comparison_check),
-           "exponent": _exponent_reports}
+_CHECKS = {"bm": brunn_minkowski_check, "ks": kneser_suss_check,
+           "monotone": monotonicity_check, "sumcmp": sum_comparison_check,
+           "exponent": exponent_check}
 
 
 def _cmd_check(args):
-    out, failed = _CHECKS[args.kind](_load_input(args.a), _load_input(args.b),
-                                     _solver_config(args), args.a_exp)
-    _dump(out)
-    return 2 if failed else 0
+    p, q = _load_input(args.a), _load_input(args.b)
+    cfg = ContinuationConfig(newton_tol=args.tol)
+    if args.kind == "exponent":
+        # both reports; a failure is expected, and exits 0, when a < 1
+        rep4, rep5 = exponent_check(p, q, args.a_exp, cfg)
+        failed = not (rep4.ok and rep5.ok)
+        _dump({"power_minkowski": rep4.to_dict(),
+               "power_blaschke": rep5.to_dict(),
+               "failure_expected": failed and args.a_exp < 1.0})
+        return 2 if failed and args.a_exp >= 1.0 else 0
+    report = _CHECKS[args.kind](p, q, cfg)
+    _dump(report.to_dict())
+    return 0 if report.ok else 2
 
 
 def _cmd_fuzz(args):
@@ -158,7 +144,8 @@ def _build_parser():
                        help="reconstruct a body from a .her file")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--tol", type=float, help="relative area tolerance")
+    p.add_argument("--tol", type=float, default=ContinuationConfig.newton_tol,
+                   help="relative area tolerance")
     p.add_argument("--trace", action="store_true",
                    help="print solve diagnostics as JSON")
     p.set_defaults(func=_cmd_construct)
@@ -167,7 +154,7 @@ def _build_parser():
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=ContinuationConfig.newton_tol)
     p.set_defaults(func=_cmd_bsum)
 
     p = sub.add_parser("msum", help="Minkowski sum of two bodies")
@@ -182,7 +169,7 @@ def _build_parser():
     p.add_argument("b")
     p.add_argument("--a", dest="a_exp", type=float, default=1.0,
                    help="exponent factor for 'exponent'")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=ContinuationConfig.newton_tol)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("fuzz", help="seeded random inequality campaign")

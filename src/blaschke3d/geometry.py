@@ -570,18 +570,22 @@ def contains_by_translation(outer: MeshPolyhedron,
                             inner: MeshPolyhedron) -> ContainmentResult:
     """Decide whether some translate of `inner` fits inside `outer`.
 
-    Maximizes the slack s subject to n_i . t + s <= h_i - h_inner(n_i) over
+    Maximizes the slack s subject to n_i . t' + s <= h_i - h_inner(n_i) over
     the facet directions of `outer`; a translate exists iff the optimum is
-    >= -1e-9 * scale.
+    >= -1e-9 * scale.  Outer's offsets h_i are taken about outer's vertex
+    centroid and inner's support numbers about inner's, as in
+    `validate_mesh`, so the verdict does not depend on where the bodies sit.
+    `translation` is in the caller's frame: t' plus the centroids' gap.
     """
     live = np.where(outer.face_areas > 0)[0]
     normals = outer.face_normals[live]
-    h_outer = outer.face_support_numbers()[live]
-    res = _deepest_point(normals,
-                         h_outer - _support_values(inner.vertices, normals))
+    h_outer = outer.translate(-outer.centroid).face_support_numbers()[live]
+    h_inner = _support_values(inner.vertices - inner.centroid, normals)
+    res = _deepest_point(normals, h_outer - h_inner)
     if res.status != 0:
         raise RuntimeError(f"containment LP failed: {res.message}")
-    t, s = res.x[:3], float(res.x[3])
+    t = res.x[:3] + (outer.centroid - inner.centroid)
+    s = float(res.x[3])
     ok = s >= -1e-9 * outer.scale
     cert = None
     if not ok:

@@ -98,7 +98,9 @@ class _Pair:
     """Bodies P and Q, their Blaschke sum P#Q (face data added), and one
     report builder per inequality.  Each of Vol(P), Vol(Q), Vol(P+Q) and
     Vol(P#Q) is computed at most once, when a report first reads it;
-    Vol(P+Q) comes from the operands, not from a body P+Q."""
+    Vol(P+Q) comes from the operands, not from a body P+Q.  The Blaschke
+    sum of `sums` and the `bsum` and `msum` commands read their bodies
+    here too."""
 
     def __init__(self, p, q, cfg=None):
         self.p, self.q, self.cfg = _Body(p, cfg), _Body(q, cfg), cfg

@@ -1,7 +1,8 @@
 """The two additions on convex bodies.
 
 The Minkowski sum adds points (support functions add); the Blaschke sum adds
-face-area data per direction and reconstructs the body.  In 3-space the two
+face-area data per direction and reconstructs the body, and is the body P#Q
+of the pair evaluator that the inequality checks read.  In 3-space the two
 differ: summing a body with a rotated copy of itself can create faces out of
 edge pairs, which Blaschke addition never does.
 """
@@ -10,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import MeshPolyhedron, _group_sums, _row_blocks, convex_hull
-from .herisson import Herisson, blaschke_add, herisson_of_mesh
-from .solver import ContinuationConfig, continuation_solve
+from .herisson import Herisson
+from .inequalities import _Pair
+from .solver import ContinuationConfig
 
 # Angle (radians) by which two caps may miss and still count as meeting:
 # room for the rounding of the face normals and of the angles.
@@ -75,7 +77,6 @@ def blaschke_sum_bodies(p: MeshPolyhedron | Herisson,
                         q: MeshPolyhedron | Herisson,
                         cfg: ContinuationConfig | None = None) -> MeshPolyhedron:
     """Body whose per-direction face areas are the sums of the operands',
-    each given by its mesh or by its face data (used as is)."""
-    p, q = (b if isinstance(b, Herisson) else herisson_of_mesh(b)
-            for b in (p, q))
-    return continuation_solve(blaschke_add(p, q), cfg)[1]
+    each given by its mesh or by its face data (used as is): the body P#Q
+    of the checks' pair evaluator, reconstructed with `cfg`."""
+    return _Pair(p, q, cfg).blaschke.mesh

@@ -115,7 +115,7 @@ class TestSums:
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
-        for module in (sums, inequalities, cli):
+        for module in (inequalities, cli):
             monkeypatch.setattr(module, "continuation_solve", counted)
         code, _, _ = run(capsys, "bsum", DATA / "dodecahedron.her",
                          DATA / "icosahedron.her", "-o", tmp_path / "s.off")
@@ -215,6 +215,79 @@ class TestCheck:
         code, _, err = run(capsys, "check", "monotone", big, small)
         assert code == 1
         assert "direction" in err
+
+
+def her_pair(tmp_path):
+    """P and a body P#Q whose face data dominate P's, as .her files."""
+    from blaschke3d.fileio import format_herisson, parse_herisson_file
+    from blaschke3d.herisson import blaschke_add
+    p = DATA / "dodecahedron.her"
+    both = [parse_herisson_file(f.read_text())
+            for f in (p, DATA / "icosahedron.her")]
+    q = tmp_path / "sum.her"
+    q.write_text(format_herisson(blaschke_add(*both)))
+    return p, q
+
+
+def off_pair(tmp_path):
+    """An icosphere and a larger one, as OFF files."""
+    from blaschke3d.bodies import icosphere_mesh
+    from blaschke3d.fileio import export_off
+    p, q = tmp_path / "small.off", tmp_path / "big.off"
+    p.write_text(export_off(icosphere_mesh(1)))
+    q.write_text(export_off(icosphere_mesh(1, radius=1.5)))
+    return p, q
+
+
+def load(path):
+    from blaschke3d.fileio import parse_herisson_file
+    text = Path(path).read_text()
+    if str(path).endswith(".her"):
+        return parse_herisson_file(text)
+    return import_off(text)
+
+
+def dumped(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class TestReportsVerbatim:
+    """`check` prints the library's report as it is, and exits by its
+    verdict."""
+
+    @pytest.mark.parametrize("pair", [her_pair, off_pair], ids=["her", "off"])
+    @pytest.mark.parametrize("kind, check", [
+        ("bm", inequalities.brunn_minkowski_check),
+        ("ks", inequalities.kneser_suss_check),
+        ("monotone", inequalities.monotonicity_check),
+        ("sumcmp", inequalities.sum_comparison_check)])
+    def test_one_report(self, tmp_path, capsys, pair, kind, check):
+        a, b = pair(tmp_path)
+        report = check(load(a), load(b))
+        code, stdout, _ = run(capsys, "check", kind, a, b)
+        assert stdout == dumped(report.to_dict())
+        assert code == (0 if report.ok else 2)
+
+    @pytest.mark.parametrize("pair", [her_pair, off_pair], ids=["her", "off"])
+    @pytest.mark.parametrize("a_exp", [0.5, 1.5])
+    def test_exponent(self, tmp_path, capsys, pair, a_exp):
+        a, b = pair(tmp_path)
+        rep4, rep5 = inequalities.exponent_check(load(a), load(b), a_exp)
+        failed = not (rep4.ok and rep5.ok)
+        code, stdout, _ = run(capsys, "check", "exponent", "--a", a_exp, a, b)
+        assert stdout == dumped({"power_minkowski": rep4.to_dict(),
+                                 "power_blaschke": rep5.to_dict(),
+                                 "failure_expected": failed and a_exp < 1.0})
+        assert code == (2 if failed and a_exp >= 1.0 else 0)
+
+    def test_msum_reconstructs_a_her_operand(self, tmp_path, capsys):
+        from blaschke3d.fileio import export_off
+        _, b = off_pair(tmp_path)
+        a, out = DATA / "grunbaum.her", tmp_path / "m.off"
+        code, _, _ = run(capsys, "msum", a, b, "-o", out)
+        want = sums.minkowski_sum(solver.continuation_solve(load(a))[1],
+                                  load(b))
+        assert code == 0 and out.read_text() == export_off(want)
 
 
 class TestFuzz:

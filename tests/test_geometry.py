@@ -714,6 +714,24 @@ class TestContainment:
         combo = w @ res.certificate["directions"]
         assert np.linalg.norm(combo) <= 1e-9 * w.sum()
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("far", [1e6, 1e7, 3e7])
+    def test_translate_of_itself_far_apart(self, depth, far):
+        # both bodies are measured about their vertex centroids, so a body
+        # fits in a translate of itself wherever the two sit
+        shift = far * np.array([1.0, -0.7, 0.3])
+        body = icosphere_mesh(depth)
+        outer, inner = body.translate(shift), body.translate(-shift)
+        res = contains_by_translation(outer, inner)
+        tol = 1e-9 * outer.scale
+        assert res.contained and res.margin >= -tol
+        # inner + translation, measured about outer's centroid
+        c = outer.centroid
+        moved = (inner.vertices - inner.centroid) \
+            + (res.translation - (c - inner.centroid))
+        h = outer.translate(-c).face_support_numbers()
+        assert np.all(moved @ outer.face_normals.T <= h + tol)
+
     @pytest.mark.parametrize("seed", [1, 4])
     def test_containment_implies_volume_order(self, seed):
         inner = random_tangent_mesh(8, seed, jitter=0.05)
