@@ -6,10 +6,10 @@ the volume inequalities relating the two additions.
 """
 from .errors import (ClosureViolation, DegenerateAngle, DegenerateBody,
                      DuplicateDirection, GenerationFailed, InvalidPolygon,
-                     NewtonDivergence, NonConvexInput, NonPositiveArea,
-                     NonPositiveScale, OracleFailed, ParseError,
-                     PremiseViolated, RankDeficient, StepSizeUnderflow,
-                     ToolkitError, UnboundedRegion)
+                     LinearProgramFailed, NewtonDivergence, NonConvexInput,
+                     NonPositiveArea, NonPositiveScale, OracleFailed,
+                     ParseError, PremiseViolated, RankDeficient,
+                     StepSizeUnderflow, ToolkitError, UnboundedRegion)
 from .fileio import (export_off, format_herisson, import_off,
                      parse_herisson_file, parse_polygon_file)
 from .geometry import (ContainmentResult, MeshPolyhedron, SupportPolyhedron,

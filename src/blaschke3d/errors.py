@@ -16,6 +16,11 @@ class DegenerateBody(ToolkitError):
     """The body has empty interior (or fewer than 4 usable points)."""
 
 
+class LinearProgramFailed(ToolkitError):
+    """The deepest-point linear program found no optimum: its normals do
+    not positively span 3-space, or it ran out of pivots."""
+
+
 class DegenerateAngle(ToolkitError):
     """Two adjacent faces are (anti)parallel within tolerance."""
 

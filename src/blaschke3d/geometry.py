@@ -31,7 +31,8 @@ from scipy.spatial import ConvexHull as _Qhull
 from scipy.spatial import QhullError, cKDTree
 from scipy.spatial.distance import pdist
 
-from .errors import DegenerateBody, DuplicateDirection, UnboundedRegion
+from .errors import (DegenerateBody, DuplicateDirection, LinearProgramFailed,
+                     UnboundedRegion)
 
 # Two directions within this angle (radians; equal to chord length at this
 # magnitude) count as one direction.
@@ -43,6 +44,8 @@ MERGE_TOL = 1e-9
 # of the median slack; failing both, on the Chebyshev centre (a linear
 # program).  A small slack puts a polar point far out and costs precision.
 _CENTRE_SLACK = 0.05
+# Pivot cap of `_deepest_point`, whose programs take 4 to 20 pivots.
+_PIVOTS = 500
 
 
 def unit(v):
@@ -345,15 +348,53 @@ def _well_centred(slack):
 
 
 def _deepest_point(normals, offsets):
-    """The linear program max s subject to normals . x + s <= offsets, in
-    (x, s): the point deepest inside the half-spaces and its depth, or
-    their largest uniform deficit.  Returns SciPy's result.  HiGHS runs
-    without presolve, which on four variables costs more than it saves."""
-    from scipy.optimize import linprog
-    return linprog(c=[0.0, 0.0, 0.0, -1.0],
-                   A_ub=np.hstack([normals, np.ones((len(normals), 1))]),
-                   b_ub=offsets, bounds=[(None, None)] * 4, method="highs",
-                   options={"presolve": False})
+    """The linear program max s subject to normals . t + s <= offsets: the
+    point t deepest inside the half-spaces and its depth s, or their largest
+    uniform deficit.  Returns x = (t, s) and the weights y of the rows:
+    y >= 0, sum y = 1, y @ normals = 0 and y @ offsets = s, the Farkas
+    certificate when s < 0.
+
+    A dual simplex on four tight rows.  It starts from the artificial
+    bounds x_k <= M = 1e6 max|offsets|, of which only s <= M has weight.
+    Each pivot enters the most violated row and, by a ratio test over the
+    four basic weights, drops the first whose weight reaches zero, so y @
+    offsets falls to s.  The start's three bounds on t have no weight, so
+    the first three steps may have zero length; after a fourth in a row the
+    violated row of least index enters, and a tie always drops the least
+    index (Bland's rule), so the pivots cannot cycle.  It stops when no slack
+    is below -1e-12 max|offsets|.  Raises LinearProgramFailed if a bound
+    x_k <= M is still tight there (the normals do not positively span
+    3-space) or after `_PIVOTS` pivots.
+    """
+    m = len(normals)
+    rows = np.vstack([np.column_stack([normals, np.ones(m)]), np.eye(4)])
+    scale = float(np.abs(offsets).max()) or 1.0
+    rhs = np.concatenate([offsets, np.full(4, 1e6 * scale)])
+    basis = np.arange(m, m + 4)
+    stalled = 0
+    for _ in range(_PIVOTS):
+        inv = np.linalg.inv(rows[basis])
+        x, y = inv @ rhs[basis], inv[3]
+        y = np.where(y > 1e-12, y, 0.0)  # a weight of rounding size is 0
+        slack = offsets - rows[:m] @ x
+        slack[basis[basis < m]] = 0.0  # tight, whatever the rounding
+        short = np.flatnonzero(slack < -1e-12 * scale)
+        if len(short) == 0:
+            if basis.max() >= m:
+                raise LinearProgramFailed(
+                    "normals do not positively span 3-space")
+            weights = np.zeros(m)
+            weights[basis] = y
+            return x, weights
+        enter = short[0] if stalled > 3 else short[np.argmin(slack[short])]
+        lam = rows[enter] @ inv
+        ratio = np.full(4, np.inf)
+        up = lam > 1e-12
+        ratio[up] = y[up] / lam[up]
+        tied = np.flatnonzero(ratio == ratio.min())
+        basis[tied[np.argmin(basis[tied])]] = enter
+        stalled = stalled + 1 if ratio.min() == 0.0 else 0
+    raise LinearProgramFailed(f"no optimum after {_PIVOTS} pivots")
 
 
 def _interior_point(D, h):
@@ -374,14 +415,15 @@ def _interior_point(D, h):
     unit_len = float(np.abs(slack).max())
     if unit_len == 0.0:
         raise DegenerateBody("intersection has empty interior")
-    res = _deepest_point(D, slack / unit_len)
-    if res.status != 0:
-        raise DegenerateBody(f"interior-point LP failed: {res.message}")
-    c = c + unit_len * res.x[:3]
+    try:
+        x = _deepest_point(D, slack / unit_len)[0]
+    except LinearProgramFailed as exc:
+        raise DegenerateBody(f"interior-point LP failed: {exc}") from exc
+    c = c + unit_len * x[:3]
     slack = h - D @ c
     if slack.min() <= MERGE_TOL * unit_len:
         raise DegenerateBody("empty half-space intersection"
-                             if res.x[3] < 0 else
+                             if x[3] < 0 else
                              "intersection has empty interior")
     return c, slack
 
@@ -581,15 +623,12 @@ def contains_by_translation(outer: MeshPolyhedron,
     normals = outer.face_normals[live]
     h_outer = outer.translate(-outer.centroid).face_support_numbers()[live]
     h_inner = _support_values(inner.vertices - inner.centroid, normals)
-    res = _deepest_point(normals, h_outer - h_inner)
-    if res.status != 0:
-        raise RuntimeError(f"containment LP failed: {res.message}")
-    t = res.x[:3] + (outer.centroid - inner.centroid)
-    s = float(res.x[3])
+    x, weights = _deepest_point(normals, h_outer - h_inner)
+    t = x[:3] + (outer.centroid - inner.centroid)
+    s = float(x[3])
     ok = s >= -1e-9 * outer.scale
     cert = None
     if not ok:
-        weights = -np.asarray(res.ineqlin.marginals, float)
         cert = {"directions": normals, "weights": weights, "deficit": s}
     return ContainmentResult(contained=ok,
                              translation=t if ok else None,

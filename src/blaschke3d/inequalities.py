@@ -284,10 +284,6 @@ def fuzz_campaign(cfg: FuzzConfig) -> dict:
     failures, and counts trials where the Kneser-Suss equality verdict and
     the homothety detector disagree.
     """
-    # Load the LP solver before the first trial: which trial first needs an
-    # interior-point or containment LP depends on the seed, and so would the
-    # campaign's memory and the cost of that trial.
-    import scipy.optimize  # noqa: F401
     stats = {name: {"holds": 0, "equality": 0, "fails": 0,
                     "worst_residual": np.inf, "failure_seeds": []}
              for name in cfg.checks}

@@ -224,16 +224,41 @@ def enumerate_intersection(directions, offsets) -> MeshPolyhedron:
     return mesh_of(verts, faces, D.copy(), areas, edge_lengths)
 
 
-def count_linprog(monkeypatch):
-    """A list that gains one entry per `scipy.optimize.linprog` call."""
+def count_deepest_point(monkeypatch):
+    """A list that gains one entry per `geometry._deepest_point` call."""
     calls = []
-    real = scipy.optimize.linprog
+    real = geometry._deepest_point
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(geometry, "_deepest_point", counted)
     return calls
+
+
+def deepest_point_checked(normals, offsets, tol):
+    """`geometry._deepest_point` checked against SciPy's HiGHS (with
+    presolve; nonzero offsets): the same depth s within `tol`, a point t
+    that reaches it, and weights that certify it (y >= 0, sum y = 1,
+    y @ normals = 0, y @ offsets = s).  Returns (t, s), the weights and
+    SciPy's result."""
+    got, weights = geometry._deepest_point(normals, offsets)
+    # HiGHS's feasibility tolerances are absolute: pose its program in
+    # units of the largest offset, and scale its solution back
+    unit = np.abs(offsets).max()
+    want = scipy.optimize.linprog(
+        c=[0.0, 0.0, 0.0, -1.0],
+        A_ub=np.hstack([normals, np.ones((len(normals), 1))]),
+        b_ub=offsets / unit, bounds=[(None, None)] * 4, method="highs")
+    assert want.status == 0
+    want.x = unit * want.x
+    s = got[3]
+    assert abs(s - want.x[3]) <= tol
+    assert abs((offsets - normals @ got[:3]).min() - s) <= tol
+    assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
+    assert np.abs(weights @ normals).max() <= 1e-12
+    assert abs(weights @ offsets - s) <= tol
+    return got, weights, want
 
 
 def assemble_faces_reference(points, face, point, normals):

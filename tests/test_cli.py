@@ -387,10 +387,32 @@ class TestReportDeterminism:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
+    # only the oracle's L-BFGS-B needs scipy.optimize: the import, the
+    # translate-inside test both ways, a monotonicity check, a short fuzz
+    # campaign and a Chebyshev-centre interior point all leave it unloaded
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, blaschke3d; print('scipy.optimize' in sys.modules)"
+    code = """if True:
+        import sys
+        import numpy as np
+        import blaschke3d as b3
+        from blaschke3d.bodies import box_mesh, cube_herisson, cube_mesh
+        from blaschke3d.geometry import _interior_point
+        loaded = ["scipy.optimize" in sys.modules]
+        b3.contains_by_translation(cube_mesh(2.0), cube_mesh(1.0))
+        b3.contains_by_translation(cube_mesh(10.0), box_mesh((1, 1, 50)))
+        b3.monotonicity_check(cube_herisson(1.0), cube_herisson(2.0))
+        loaded.append("scipy.optimize" in sys.modules)
+        b3.fuzz_campaign(b3.FuzzConfig(trials=3))
+        loaded.append("scipy.optimize" in sys.modules)
+        axes = np.vstack([np.eye(3), -np.eye(3)])[[0, 3, 1, 4, 2, 5]]
+        dirs = np.vstack([axes[:3], [np.ones(3) / np.sqrt(3.0)], axes[3:]])
+        offsets = np.array([1, 1, 1, 10, 1, 1, 1.0])
+        _interior_point(dirs, offsets + dirs @ np.array([30.0, -20.0, 10.0]))
+        loaded.append("scipy.optimize" in sys.modules)
+        print(loaded)
+    """
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True,
                           timeout=120)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False, False, False]"

@@ -9,9 +9,9 @@ from blaschke3d.bodies import (box_mesh, cube_mesh, grunbaum_herisson,
                                icosahedron_directions, icosphere_mesh,
                                tetrahedron_mesh)
 from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
-                               UnboundedRegion)
+                               LinearProgramFailed, UnboundedRegion)
 from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
-                                 _hull_mesh,
+                                 _deepest_point, _hull_mesh,
                                  _interior_point, _intersect_arrays, _median,
                                  _polar_hull, as_unit_rows,
                                  check_distinct_directions,
@@ -24,9 +24,10 @@ from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
 from blaschke3d.herisson import random_herisson
 from blaschke3d.solver import area_jacobian, continuation_solve
 from blaschke3d.sums import minkowski_sum
-from helpers import (assembly_checked, centered, count_linprog, cycle_arrays,
-                     divergence_volume, edge_dict, enumerate_intersection,
-                     mesh_of, random_tangent_mesh, vertex_sets_match)
+from helpers import (assembly_checked, centered, count_deepest_point,
+                     cycle_arrays, deepest_point_checked, divergence_volume,
+                     edge_dict, enumerate_intersection, mesh_of,
+                     random_tangent_mesh, vertex_sets_match)
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
@@ -269,7 +270,7 @@ class TestIntersectionAgainstEnumeration:
     def test_translated_corner_case_takes_the_chebyshev_centre(self,
                                                               monkeypatch):
         # neither the origin nor the least-squares point is inside
-        calls = count_linprog(monkeypatch)
+        calls = count_deepest_point(monkeypatch)
         dirs, offsets = corner_cases()[0]
         shifted = offsets + dirs @ np.array([30.0, -20.0, 10.0])
         c, slack = _interior_point(dirs, shifted)
@@ -707,12 +708,19 @@ class TestContainment:
         assert np.linalg.norm(res.translation) <= 1e-6 * mesh.scale
 
     def test_long_box_does_not_fit(self):
-        res = contains_by_translation(cube_mesh(10.0), box_mesh((1, 1, 50)))
-        assert not res.contained
-        assert res.certificate is not None
-        w = res.certificate["weights"]
-        combo = w @ res.certificate["directions"]
-        assert np.linalg.norm(combo) <= 1e-9 * w.sum()
+        # the certificate weighs outer's face constraints: weights >= 0 that
+        # sum to 1, a zero normal sum and a total slack equal to the margin
+        outer, inner = cube_mesh(10.0), box_mesh((1, 1, 50))
+        res = contains_by_translation(outer, inner)
+        assert not res.contained and res.translation is None
+        cert = res.certificate
+        w, dirs = cert["weights"], cert["directions"]
+        assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+        assert np.abs(w @ dirs).max() <= 1e-12
+        offsets = outer.face_support_numbers() \
+            - np.array([support_value(inner, n) for n in dirs])
+        assert abs(w @ offsets - res.margin) <= 1e-12 * outer.scale
+        assert cert["deficit"] == res.margin < 0.0
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("far", [1e6, 1e7, 3e7])
@@ -738,6 +746,58 @@ class TestContainment:
         outer = convex_hull(inner.vertices * 1.4 + np.array([0.3, 0, -0.2]))
         assert contains_by_translation(outer, inner).contained
         assert volume(inner) <= volume(outer)
+
+
+class TestDeepestPoint:
+    """`_deepest_point` against SciPy's HiGHS (`deepest_point_checked`): the
+    same depth s to 1e-12 of the offsets' scale, reached by its t, and
+    certified by its weights."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_spanning_normals(self, seed):
+        # a herisson's directions positively span 3-space; offsets of
+        # either sign and any scale, so that s has either sign
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(4, 80))
+        offsets = rng.uniform(-1.0, 2.0, k) * 10.0 ** rng.uniform(-6, 6)
+        normals = random_herisson(k, seed).directions
+        deepest_point_checked(normals, offsets,
+                              1e-12 * np.abs(offsets).max())
+
+    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("shift", [(0, 0, 0), (30.0, -20.0, 10.0)])
+    def test_corner_cases(self, case, shift):
+        dirs, offsets = corner_cases()[case]
+        offsets = offsets + dirs @ np.array(shift, float)
+        deepest_point_checked(dirs, offsets, 1e-12 * np.abs(offsets).max())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cube_in_cube_ties(self, seed):
+        # boxes of integer extents, each face row repeated up to 3 times:
+        # many rows tie for most violated and many weights tie at 0
+        rng = np.random.default_rng(seed)
+        outer, inner = rng.integers(1, 5, 3), rng.integers(1, 5, 3)
+        offsets = np.tile(outer - inner, 2) / 2.0
+        if not offsets.any():
+            offsets[0] = 1.0
+        reps = int(rng.integers(1, 4))
+        order = rng.permutation(6 * reps)
+        dirs, offsets = np.tile(AXES, (reps, 1))[order], \
+            np.tile(offsets, reps)[order]
+        deepest_point_checked(dirs, offsets, 1e-12 * np.abs(offsets).max())
+
+    def test_normals_in_a_half_space_raise(self):
+        # every normal points up, so moving t down deepens every half-space
+        # without bound: s is unbounded
+        tilted = np.array([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]])
+        scattered = np.random.default_rng(0).standard_normal((20, 3))
+        scattered[:, 2] = np.abs(scattered[:, 2]) + 0.01
+        for dirs in (tilted, scattered):
+            dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+            with pytest.raises(LinearProgramFailed,
+                               match="do not positively span"):
+                _deepest_point(dirs, np.ones(len(dirs)))
 
 
 @settings(max_examples=20, deadline=None)

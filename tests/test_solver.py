@@ -23,8 +23,8 @@ from blaschke3d.solver import (ContinuationConfig, _oracle_solve,
                                continuation_solve, initial_polyhedron,
                                oracle_solve_small)
 
-from helpers import (centered, count_linprog, mesh_of, random_tangent_mesh,
-                     vertex_sets_match)
+from helpers import (centered, count_deepest_point, mesh_of,
+                     random_tangent_mesh, vertex_sets_match)
 from test_geometry import corner_cases
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
@@ -527,7 +527,7 @@ class TestCentreCarriedOn:
         # needed the linear program
         pts = np.random.default_rng(7).standard_normal((60, 3))
         h = herisson_of_mesh(convex_hull(pts * (100.0, 1.0, 0.1)))
-        calls = count_linprog(monkeypatch)
+        calls = count_deepest_point(monkeypatch)
         _, mesh, trace = continuation_solve(h)
         assert len(calls) <= 1
         assert trace.final_residual <= 1e-9
@@ -537,7 +537,7 @@ class TestCentreCarriedOn:
         # trial 32 of `fuzz --seed 0`: the second body needed the linear
         # program in 8 of its 13 intersections
         hp, hq = random_herisson(7, 545), random_herisson(8, 546)
-        calls = count_linprog(monkeypatch)
+        calls = count_deepest_point(monkeypatch)
         for h in (hp, hq, blaschke_add(hp, hq)):
             calls.clear()
             _, _, trace = continuation_solve(h)
