@@ -12,20 +12,16 @@ _AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                   [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
 
 
-def cube_mesh(edge=1.0, center=(0.0, 0.0, 0.0)) -> MeshPolyhedron:
-    c = np.asarray(center, float)
-    half = edge / 2.0
-    corners = np.array([[x, y, z] for x in (-half, half)
-                        for y in (-half, half) for z in (-half, half)])
-    return convex_hull(corners + c)
-
-
 def box_mesh(extents, center=(0.0, 0.0, 0.0)) -> MeshPolyhedron:
     ex = np.asarray(extents, float) / 2.0
     c = np.asarray(center, float)
     corners = np.array([[sx * ex[0], sy * ex[1], sz * ex[2]]
                         for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
     return convex_hull(corners + c)
+
+
+def cube_mesh(edge=1.0, center=(0.0, 0.0, 0.0)) -> MeshPolyhedron:
+    return box_mesh((edge, edge, edge), center)
 
 
 def cube_herisson(face_area=1.0) -> Herisson:

@@ -7,13 +7,15 @@ Machine-readable output is strict JSON with sorted keys, byte-stable across
 runs; a value that is not finite is an error, never a NaN in the output.
 
 Exit codes: 0 success (including expected a < 1 failures), 1 parse or
-validation error, 2 an inequality check failed, 3 unexpected fuzz failure.
+validation error, 2 an inequality check failed, 3 unexpected fuzz failure,
+141 (128 + SIGPIPE) stdout was a pipe whose reader had gone.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -198,7 +200,14 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader is gone: exit as SIGPIPE would
+        # stdout's descriptor now points nowhere, so its unsent bytes and
+        # the interpreter's last flush go there without an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ToolkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -151,7 +151,8 @@ def import_off(text: str) -> MeshPolyhedron:
 def _check_face_planes(verts, cycles):
     """Raise unless every stated face has 3 or more vertices, an area and a
     plane supporting all the vertices, measured about the vertex centroid;
-    the lowest faulty face is named.  Returns the faces' total area."""
+    the lowest faulty face is named, as wound clockwise if its reversed
+    plane supports them.  Returns the faces' total area."""
     count, face, vid = cycles
     scale = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
     verts = verts - verts.mean(axis=0)
@@ -166,8 +167,12 @@ def _check_face_planes(verts, cycles):
     for i in np.flatnonzero(short | flat | cuts)[:1]:  # the lowest, if any
         if short[i]:
             raise ParseError(f"face {i} has fewer than 3 vertices")
-        raise NonConvexInput(f"face {i} is degenerate" if flat[i] else
-                             f"face {i} plane cuts through the body")
+        if flat[i]:
+            raise NonConvexInput(f"face {i} is degenerate")
+        if (verts @ normal[i]).min() - offset[i] >= -1e-8 * scale:
+            raise NonConvexInput(
+                f"face {i} is wound clockwise seen from outside")
+        raise NonConvexInput(f"face {i} plane cuts through the body")
     return nn.sum()
 
 

@@ -39,10 +39,10 @@ from .errors import (DegenerateBody, DuplicateDirection, LinearProgramFailed,
 DIRECTION_TOL = 1e-9
 # Vertices closer than this, times the body scale, are one vertex.
 MERGE_TOL = 1e-9
-# The polar hull is centred on the origin or else on the least-squares point
-# of the planes, whichever first has its smallest slack above this fraction
-# of the median slack; failing both, on the Chebyshev centre (a linear
-# program).  A small slack puts a polar point far out and costs precision.
+# The polar hull is centred on the origin if its smallest slack there is
+# above this fraction of the median slack, else on the Chebyshev centre (a
+# linear program).  A small slack puts a polar point far out and costs
+# precision.
 _CENTRE_SLACK = 0.05
 # Pivot cap of `_deepest_point`, whose programs take 4 to 20 pivots.
 _PIVOTS = 500
@@ -341,12 +341,6 @@ def _median(x):
     return 0.5 * (part[mid[0]] + part[mid[1]])
 
 
-def _well_centred(slack):
-    """The `_CENTRE_SLACK` rule."""
-    median = _median(slack)
-    return median > 0.0 and slack.min() > _CENTRE_SLACK * median
-
-
 def _deepest_point(normals, offsets):
     """The linear program max s subject to normals . t + s <= offsets: the
     point t deepest inside the half-spaces and its depth s, or their largest
@@ -401,17 +395,16 @@ def _interior_point(D, h):
     """A point strictly inside {x : D x <= h} and its slack h - D x.
 
     The origin (slack h) if it passes the `_CENTRE_SLACK` rule, else the
+    centre of the largest inscribed ball: a linear program, posed about the
     least-squares point of the planes (3x3 normal equations; the directions
-    span 3-space) if it does, else the centre of the largest inscribed ball
-    (a linear program, posed about the least-squares point in units of its
-    largest slack so that tolerances are relative to the body).
+    span 3-space) in units of its largest slack, so that a body far from the
+    origin keeps its precision and tolerances are relative to the body.
     """
-    if _well_centred(h):
+    median = _median(h)
+    if median > 0.0 and h.min() > _CENTRE_SLACK * median:
         return np.zeros(3), h
     c = np.linalg.solve(D.T @ D, D.T @ h)
     slack = h - D @ c
-    if _well_centred(slack):
-        return c, slack
     unit_len = float(np.abs(slack).max())
     if unit_len == 0.0:
         raise DegenerateBody("intersection has empty interior")
@@ -491,16 +484,15 @@ def _face_areas(edges, slack):
             + np.bincount(j, w * (si - cos * sj), k))
 
 
-def _hull_mesh(cut, shift=0.0):
-    """The boundary complex of a `_Cut`'s body, its corners moved by
-    `shift` (c puts the body back in place; 0 leaves it about c): corner
+def _hull_mesh(cut):
+    """The boundary complex of a `_Cut`'s body, about its centre c: corner
     copies from coplanar polar points are merged into one vertex, and the
     three planes of each facet are the faces through its vertex.  The face
     areas are the cut's, except that a plane left with fewer than three
     distinct vertices has no face and area 0."""
     D = cut.edges.face_normals.copy()
-    corners = cut.corners + shift
-    points, label = _merge_close(corners, MERGE_TOL * _solid_scale(corners))
+    points, label = _merge_close(cut.corners,
+                                 MERGE_TOL * _solid_scale(cut.corners))
     verts, cycles, edges = _assemble_faces(
         points, cut.polar.simplices.ravel(), np.repeat(label, 3), D)
     areas = np.where(cycles[0] > 0, cut.areas, 0.0)
@@ -508,21 +500,16 @@ def _hull_mesh(cut, shift=0.0):
                           face_areas=areas, edges=_edge_list(D, *edges))
 
 
-def _intersect_arrays(directions, offsets):
-    """Core half-space intersection on raw arrays, whose directions must
-    positively span 3-space (as `SupportPolyhedron` checks): the
-    `_hull_mesh` of `_polar_hull`, moved back by c."""
-    cut = _polar_hull(directions, offsets)
-    return _hull_mesh(cut, cut.c)
-
-
 def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
-    """Boundary complex of the intersection of the half-spaces of `p`.
+    """Boundary complex of the intersection of the half-spaces of `p`: the
+    `_hull_mesh` of their `_polar_hull`, moved back from its centre (the
+    origin, or the Chebyshev centre when the origin is too near a plane).
 
     Planes that do not touch the body keep their index slot with area 0 and
     an empty cycle, so face j always corresponds to direction j.
     """
-    return _intersect_arrays(p.directions, p.support_numbers)
+    cut = _polar_hull(p.directions, p.support_numbers)
+    return _hull_mesh(cut).translate(cut.c)
 
 
 def convex_hull(points) -> MeshPolyhedron:

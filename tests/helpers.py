@@ -69,6 +69,12 @@ def divergence_volume(mesh: MeshPolyhedron) -> float:
     return total
 
 
+def intersect(directions, offsets) -> MeshPolyhedron:
+    """`intersect_halfspaces` of the half-spaces x . directions[j] <=
+    offsets[j], through a validated `SupportPolyhedron`."""
+    return intersect_halfspaces(SupportPolyhedron(directions, offsets))
+
+
 def random_tangent_mesh(k: int, seed: int, jitter=0.0):
     """Mesh of a random polyhedron circumscribing the unit sphere, with all
     k faces present; optional support-number jitter keeps faces alive by

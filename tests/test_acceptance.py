@@ -27,7 +27,8 @@ from blaschke3d.solver import (area_jacobian, continuation_solve,
                                initial_polyhedron, oracle_solve_small)
 from blaschke3d.sums import minkowski_sum
 
-from helpers import centered, mesh_of, random_tangent_mesh, vertex_sets_match
+from helpers import (centered, intersect, mesh_of, random_tangent_mesh,
+                     vertex_sets_match)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -201,15 +202,14 @@ def test_criterion_09_jacobian_against_finite_differences():
         jac = area_jacobian(mesh)
         scale = np.abs(jac).max()
 
-        from blaschke3d.geometry import _intersect_arrays
         offsets = mesh.face_support_numbers()
         eps = 1e-6
         for j in range(k):
             hp, hm = offsets.copy(), offsets.copy()
             hp[j] += eps
             hm[j] -= eps
-            col = (_intersect_arrays(mesh.face_normals, hp).face_areas
-                   - _intersect_arrays(mesh.face_normals, hm).face_areas) \
+            col = (intersect(mesh.face_normals, hp).face_areas
+                   - intersect(mesh.face_normals, hm).face_areas) \
                 / (2 * eps)
             err = np.abs(col - jac[:, j])
             rel = err / np.maximum(np.abs(jac[:, j]), 1e-3 * scale)

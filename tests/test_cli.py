@@ -386,6 +386,30 @@ class TestReportDeterminism:
         assert rep["euler"]["ok"] and rep["euler"]["faces"] == 320
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_141(tmp_path, unbuffered):
+    # the pipe's reader is gone before the command starts: no error
+    # message, and the exit code of a process killed by SIGPIPE, whether
+    # stdout is block-buffered (a pipe's default) or unbuffered
+    off = tmp_path / "cube.off"
+    write_cube_off(off)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "blaschke3d.cli", "report", str(off)],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # only the oracle's L-BFGS-B needs scipy.optimize: the import, the
     # translate-inside test both ways, a monotonicity check, a short fuzz

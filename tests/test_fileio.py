@@ -9,11 +9,11 @@ from blaschke3d.bodies import cube_mesh, icosahedron_herisson, icosphere_mesh
 from blaschke3d.errors import NonConvexInput, ParseError
 from blaschke3d.fileio import (export_off, format_herisson, import_off,
                                parse_herisson_file, parse_polygon_file)
-from blaschke3d.geometry import _intersect_arrays, volume
+from blaschke3d.geometry import volume
 from blaschke3d.herisson import herisson_of_mesh, random_herisson
 from blaschke3d.solver import continuation_solve
 
-from helpers import cycle_arrays, export_off_reference, \
+from helpers import cycle_arrays, export_off_reference, intersect, \
     random_tangent_mesh, vertex_sets_match
 from test_geometry import corner_cases, summed_mesh
 
@@ -98,7 +98,7 @@ class TestHerissonFormat:
 class TestOff:
     @pytest.mark.parametrize("make", [
         lambda: cube_mesh(1.0),
-        lambda: _intersect_arrays(*corner_cases()[0]),
+        lambda: intersect(*corner_cases()[0]),
         lambda: continuation_solve(parse_herisson_file(
             (DATA / "grunbaum.her").read_text()))[1],
         summed_mesh, lambda: icosphere_mesh(3)],
@@ -253,6 +253,18 @@ class TestOffRejection:
         verts = verts.copy()
         verts[faces[1][0]] *= 0.5
         self.rejects(NonConvexInput, "face 1 plane cuts through the body",
+                     verts, faces)
+
+    @pytest.mark.parametrize("reversed_faces, named", [
+        ((0, 1, 2, 3), 0), ((2,), 2)])
+    def test_clockwise_face(self, reversed_faces, named):
+        # a tetrahedron with some faces wound clockwise seen from outside
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
+        faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
+        for i in reversed_faces:
+            faces[i] = faces[i][::-1]
+        self.rejects(NonConvexInput,
+                     f"face {named} is wound clockwise seen from outside",
                      verts, faces)
 
     def test_open_surface(self):

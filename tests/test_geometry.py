@@ -12,7 +12,7 @@ from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
                                LinearProgramFailed, UnboundedRegion)
 from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
                                  _deepest_point, _hull_mesh,
-                                 _interior_point, _intersect_arrays, _median,
+                                 _interior_point, _median,
                                  _polar_hull, as_unit_rows,
                                  check_distinct_directions,
                                  contains_by_translation, convex_hull,
@@ -26,7 +26,7 @@ from blaschke3d.solver import area_jacobian, continuation_solve
 from blaschke3d.sums import minkowski_sum
 from helpers import (assembly_checked, centered, count_deepest_point,
                      cycle_arrays, deepest_point_checked, divergence_volume,
-                     edge_dict, enumerate_intersection, mesh_of,
+                     edge_dict, enumerate_intersection, intersect, mesh_of,
                      random_tangent_mesh, vertex_sets_match)
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
@@ -66,13 +66,11 @@ class TestIntersectHalfspaces:
 
     def test_empty_intersection_rejected(self):
         with pytest.raises(DegenerateBody):
-            from blaschke3d.geometry import _intersect_arrays
-            _intersect_arrays(AXES, -np.ones(6))
+            intersect(AXES, -np.ones(6))
 
     def test_point_intersection_rejected(self):
         with pytest.raises(DegenerateBody):
-            from blaschke3d.geometry import _intersect_arrays
-            _intersect_arrays(AXES, np.zeros(6))
+            intersect(AXES, np.zeros(6))
 
     def test_untouched_plane_keeps_its_index_slot(self):
         from blaschke3d.geometry import unit
@@ -186,13 +184,13 @@ class TestIntersectionAgainstEnumeration:
     @pytest.mark.parametrize("seed", range(30))
     def test_random_jittered_bodies(self, seed):
         dirs, offsets = jittered_case(seed)
-        assert_same_mesh(_intersect_arrays(dirs, offsets),
+        assert_same_mesh(intersect(dirs, offsets),
                          enumerate_intersection(dirs, offsets))
 
     @pytest.mark.parametrize("case", range(5))
     def test_untouched_and_corner_planes(self, case):
         dirs, offsets = corner_cases()[case]
-        assert_same_mesh(_intersect_arrays(dirs, offsets),
+        assert_same_mesh(intersect(dirs, offsets),
                          enumerate_intersection(dirs, offsets))
 
     @pytest.mark.parametrize("case", [0, 1, 3, 4])
@@ -200,7 +198,7 @@ class TestIntersectionAgainstEnumeration:
         # a plane that misses the cube, touches it at a vertex or an edge,
         # or cuts off a sliver below the merge tolerance has no face
         dirs, offsets = corner_cases()[case]
-        mesh = _intersect_arrays(dirs, offsets)
+        mesh = intersect(dirs, offsets)
         assert mesh.cycles[0][3] == 0 and mesh.face_areas[3] == 0.0
         assert (len(mesh.vertices), len(mesh.edges.i),
                 mesh.face_count) == (8, 12, 6)
@@ -208,7 +206,7 @@ class TestIntersectionAgainstEnumeration:
 
     @pytest.mark.parametrize("case", range(5))
     def test_volume_with_absent_faces(self, case):
-        mesh = _intersect_arrays(*corner_cases()[case])
+        mesh = intersect(*corner_cases()[case])
         assert volume(mesh) == pytest.approx(divergence_volume(mesh),
                                              rel=1e-12)
         h = mesh.face_support_numbers()
@@ -225,7 +223,7 @@ class TestIntersectionAgainstEnumeration:
         # vertex into nearby copies, as in a .her file written to 10 digits
         dirs = np.round(icosahedron_directions(), 10)
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        mesh = _intersect_arrays(dirs, np.ones(20))
+        mesh = intersect(dirs, np.ones(20))
         assert (len(mesh.vertices), len(mesh.edges.i)) == (12, 30)
         assert_same_mesh(mesh, enumerate_intersection(dirs, np.ones(20)))
 
@@ -246,16 +244,17 @@ class TestIntersectionAgainstEnumeration:
             np.testing.assert_array_equal(c, np.zeros(3))
             np.testing.assert_array_equal(slack, offsets)
 
-    def test_centre_is_the_least_squares_point(self):
+    def test_centre_is_chebyshev_otherwise(self, monkeypatch):
         # translated by 3 times its scale, each body leaves the origin
-        # outside, and the least-squares point of the planes is kept
+        # outside, and one linear program gives the centre
+        calls = count_deepest_point(monkeypatch)
         for dirs, offsets, _ in self.centre_cases():
-            scale = _intersect_arrays(dirs, offsets).scale
+            scale = intersect(dirs, offsets).scale
             offsets = offsets + dirs @ (3.0 * scale * unit((1.0, -2.0, 0.5)))
             assert offsets.min() < 0
+            del calls[:]
             c, slack = _interior_point(dirs, offsets)
-            ref = np.linalg.lstsq(dirs, offsets, rcond=None)[0]
-            assert np.abs(c - ref).max() <= 1e-12 * scale
+            assert len(calls) == 1 and slack.min() > 0
             np.testing.assert_array_equal(slack, offsets - dirs @ c)
 
     @pytest.mark.parametrize("k", [4, 5, 12, 48])
@@ -269,14 +268,14 @@ class TestIntersectionAgainstEnumeration:
 
     def test_translated_corner_case_takes_the_chebyshev_centre(self,
                                                               monkeypatch):
-        # neither the origin nor the least-squares point is inside
+        # the origin is outside, and so is the least-squares point
         calls = count_deepest_point(monkeypatch)
         dirs, offsets = corner_cases()[0]
         shifted = offsets + dirs @ np.array([30.0, -20.0, 10.0])
         c, slack = _interior_point(dirs, shifted)
         assert len(calls) == 1 and slack.min() > 0
         np.testing.assert_array_equal(slack, shifted - dirs @ c)
-        assert_same_mesh(_intersect_arrays(dirs, shifted),
+        assert_same_mesh(intersect(dirs, shifted),
                          enumerate_intersection(dirs, shifted))
 
     def test_a_corner_case_needs_the_chebyshev_centre(self):
@@ -293,7 +292,7 @@ class TestAreasFromTheJacobian:
 
     @staticmethod
     def assert_areas_from_jacobian(dirs, offsets):
-        mesh = _intersect_arrays(dirs, offsets)
+        mesh = intersect(dirs, offsets)
         jac = area_jacobian(mesh)
         inside = _interior_point(dirs, offsets)[0]
         outside = inside + np.array([0.6, -0.8, 0.0]) * mesh.scale
@@ -320,7 +319,7 @@ class TestPolarEdgeList:
 
     @staticmethod
     def assert_edges_match_mesh(dirs, offsets):
-        mesh = _intersect_arrays(dirs, offsets)
+        mesh = intersect(dirs, offsets)
         cut = _polar_hull(dirs, offsets)
         edges, slack = cut.edges, cut.slack
         got, ref = edge_dict(edges), edge_dict(mesh.edges)
@@ -359,7 +358,7 @@ class TestPolarEdgeList:
         areas = 0.5 * area_jacobian(cut) @ slack
         width = np.sqrt(2.0) * (2.0 - np.sqrt(2.0) * offsets[3])
         assert areas[3] == pytest.approx(2 * width, rel=1e-3)
-        assert _intersect_arrays(dirs, offsets).face_areas[3] == 0.0
+        assert intersect(dirs, offsets).face_areas[3] == 0.0
         keys = set(zip(edges.i.tolist(), edges.j.tolist()))
         assert {(0, 3), (2, 3)} <= keys and (0, 2) not in keys
         assert {(3, 5), (3, 6)} <= keys
@@ -398,23 +397,40 @@ class TestIntersectionInvariance:
     @pytest.mark.parametrize("seed", range(6))
     def test_translation(self, seed):
         dirs, offsets = jittered_case(seed)
-        base = _intersect_arrays(dirs, offsets)
+        base = intersect(dirs, offsets)
         rng = np.random.default_rng(seed + 500)
         t = rng.standard_normal(3)
         t *= rng.uniform(1.0, 10.0) * base.scale / np.linalg.norm(t)
-        moved = _intersect_arrays(dirs, offsets + dirs @ t)
+        moved = intersect(dirs, offsets + dirs @ t)
         assert (offsets + dirs @ t).min() < 0  # origin outside the body
         np.testing.assert_allclose(moved.face_areas, base.face_areas,
                                    rtol=1e-9)
         assert moved.adjacency() == base.adjacency()
         assert vertex_sets_match(moved.translate(-t), base, 1e-9 * base.scale)
 
+    @pytest.mark.parametrize("size", [1e3, 1e6])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_far_translation(self, seed, size):
+        # so far out that the centre is the linear program's; the rounding
+        # grows with the distance |t|, about 1e-14 |t| at most
+        dirs, offsets = jittered_case(seed)
+        base = intersect(dirs, offsets)
+        rng = np.random.default_rng(seed + 500)
+        t = rng.standard_normal(3)
+        t *= size * base.scale / np.linalg.norm(t)
+        tol = 1e-13 * np.linalg.norm(t)
+        moved = intersect(dirs, offsets + dirs @ t)
+        assert np.abs(moved.face_areas - base.face_areas).max() <= \
+            tol / base.scale * base.face_areas.max()
+        assert moved.adjacency() == base.adjacency()
+        assert vertex_sets_match(moved.translate(-t), base, tol)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_permutation(self, seed):
         dirs, offsets = jittered_case(seed)
         perm = np.random.default_rng(seed).permutation(len(offsets))
-        base = _intersect_arrays(dirs, offsets)
-        mesh = _intersect_arrays(dirs[perm], offsets[perm])
+        base = intersect(dirs, offsets)
+        mesh = intersect(dirs[perm], offsets[perm])
         np.testing.assert_allclose(mesh.face_areas, base.face_areas[perm],
                                    rtol=1e-9)
         assert mesh.cycles[0].tolist() == base.cycles[0][perm].tolist()
@@ -426,8 +442,8 @@ class TestIntersectionInvariance:
     @pytest.mark.parametrize("lam", [1e-6, 3.7, 1e6])
     def test_scale(self, lam):
         dirs, offsets = jittered_case(7)
-        base = _intersect_arrays(dirs, offsets)
-        mesh = _intersect_arrays(dirs, lam * offsets)
+        base = intersect(dirs, offsets)
+        mesh = intersect(dirs, lam * offsets)
         np.testing.assert_allclose(mesh.face_areas, lam ** 2 * base.face_areas,
                                    rtol=1e-9)
         assert mesh.adjacency() == base.adjacency()

@@ -23,7 +23,7 @@ from blaschke3d.solver import (ContinuationConfig, _oracle_solve,
                                continuation_solve, initial_polyhedron,
                                oracle_solve_small)
 
-from helpers import (centered, count_deepest_point, mesh_of,
+from helpers import (centered, count_deepest_point, intersect, mesh_of,
                      random_tangent_mesh, vertex_sets_match)
 from test_geometry import corner_cases
 
@@ -34,15 +34,14 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def fd_jacobian(directions, offsets, eps=1e-6):
-    from blaschke3d.geometry import _intersect_arrays
     k = len(offsets)
     jac = np.empty((k, k))
     for j in range(k):
         hp, hm = offsets.copy(), offsets.copy()
         hp[j] += eps
         hm[j] -= eps
-        jac[:, j] = (_intersect_arrays(directions, hp).face_areas
-                     - _intersect_arrays(directions, hm).face_areas) \
+        jac[:, j] = (intersect(directions, hp).face_areas
+                     - intersect(directions, hm).face_areas) \
             / (2 * eps)
     return jac
 
@@ -160,17 +159,15 @@ class TestSolveKernelFree:
     def test_absent_face_gives_nan(self, case):
         # a plane without a face has a zero Jacobian row, a fourth kernel
         # direction the pinning term does not reach
-        from blaschke3d.geometry import _intersect_arrays
         dirs, offsets = corner_cases()[case]
-        jac = area_jacobian(_intersect_arrays(dirs, offsets))
+        jac = area_jacobian(intersect(dirs, offsets))
         assert not jac[3].any()
         sol = _solve_kernel_free(jac, closed_rhs(dirs, case), dirs)
         assert not np.isfinite(sol).any()
 
     def test_corner_slice_stays_finite(self):
-        from blaschke3d.geometry import _intersect_arrays
         dirs, offsets = corner_cases()[2]
-        jac = area_jacobian(_intersect_arrays(dirs, offsets))
+        jac = area_jacobian(intersect(dirs, offsets))
         sol = _solve_kernel_free(jac, closed_rhs(dirs, 2), dirs)
         assert np.isfinite(sol).all()
 
@@ -352,8 +349,8 @@ class TestOneSolveState:
         def refuse(*args, **kwargs):
             raise AssertionError("the solve intersected outside its state")
         for module in (geometry, solver):
-            for name in ("_intersect_arrays", "intersect_halfspaces"):
-                monkeypatch.setattr(module, name, refuse, raising=False)
+            monkeypatch.setattr(module, "intersect_halfspaces", refuse,
+                                raising=False)
         calls, real = [], solver._polar_hull
 
         def counted(*args):
