@@ -9,7 +9,8 @@ class ToolkitError(Exception):
 
 class UnboundedRegion(ToolkitError):
     """Directions do not positively span 3-space, so the half-space
-    intersection is unbounded."""
+    intersection is unbounded; the cut of the half-spaces or the
+    deepest-point linear program finds it."""
 
 
 class DegenerateBody(ToolkitError):
@@ -17,8 +18,7 @@ class DegenerateBody(ToolkitError):
 
 
 class LinearProgramFailed(ToolkitError):
-    """The deepest-point linear program found no optimum: its normals do
-    not positively span 3-space, or it ran out of pivots."""
+    """The deepest-point linear program ran out of pivots."""
 
 
 class DegenerateAngle(ToolkitError):

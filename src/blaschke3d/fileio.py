@@ -103,9 +103,9 @@ def export_off(p: MeshPolyhedron) -> str:
 
 
 def import_off(text: str) -> MeshPolyhedron:
-    """Parse OFF text, reject non-convex input and face lists that do not
-    close the surface, and rebuild the mesh (face merge, areas, edge
-    lengths) through `convex_hull`."""
+    """Parse OFF text (counts not negative, exactly the announced lines),
+    reject non-convex input and face lists that do not close the surface,
+    and rebuild the mesh (face merge, areas, edge lengths) by `convex_hull`."""
     numbered = list(_content_lines(text))
     lines = [line for _, line in numbered]
     if not lines or lines[0] != "OFF":
@@ -113,9 +113,14 @@ def import_off(text: str) -> MeshPolyhedron:
     try:
         nv, nf, _ = (int(x) for x in lines[1].split())
     except (ValueError, IndexError):
-        raise ParseError("malformed OFF counts line") from None
+        nv = nf = -1
+    if min(nv, nf) < 0:
+        raise ParseError("malformed OFF counts line")
     if len(lines) < 2 + nv + nf:
         raise ParseError("truncated OFF file")
+    if len(lines) > 2 + nv + nf:
+        raise ParseError(f"counts line announces {nf} faces but "
+                         f"{len(lines) - 2 - nv} face lines follow")
     try:
         verts = np.array([_reals(line.split(), lineno)
                           for lineno, line in numbered[2:2 + nv]])

@@ -95,27 +95,12 @@ def check_distinct_directions(directions):
                                  f"within {DIRECTION_TOL} rad")
 
 
-def check_positive_spanning(directions):
-    """Raise UnboundedRegion unless the origin is strictly inside the convex
-    hull of the direction endpoints (equivalently, the directions positively
-    span 3-space and every half-space intersection with these normals is
-    bounded)."""
-    d = np.asarray(directions, float)
-    try:
-        hull = _Qhull(d)
-    except QhullError as exc:
-        raise UnboundedRegion(
-            "directions do not positively span 3-space") from exc
-    # hull equations: n.x + b <= 0 inside; strict interior needs b < 0
-    if np.any(hull.equations[:, 3] > -1e-10):
-        raise UnboundedRegion(
-            "origin is not strictly inside the hull of the directions")
-
-
 @dataclass(frozen=True)
 class SupportPolyhedron:
     """Half-space representation: the body is the set of points x with
-    x . directions[j] <= support_numbers[j] for all j."""
+    x . directions[j] <= support_numbers[j] for all j.  Construction checks
+    the rows (unit, at least 4, distinct, one support number each); the cut
+    (`_polar_hull`) reports an unbounded, empty or flat system."""
 
     directions: np.ndarray
     support_numbers: np.ndarray
@@ -128,7 +113,6 @@ class SupportPolyhedron:
         if len(h) != d.shape[0]:
             raise ValueError("one support number per direction required")
         check_distinct_directions(d)
-        check_positive_spanning(d)
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "support_numbers", h)
 
@@ -356,9 +340,9 @@ def _deepest_point(normals, offsets):
     the first three steps may have zero length; after a fourth in a row the
     violated row of least index enters, and a tie always drops the least
     index (Bland's rule), so the pivots cannot cycle.  It stops when no slack
-    is below -1e-12 max|offsets|.  Raises LinearProgramFailed if a bound
+    is below -1e-12 max|offsets|.  Raises UnboundedRegion if a bound
     x_k <= M is still tight there (the normals do not positively span
-    3-space) or after `_PIVOTS` pivots.
+    3-space) and LinearProgramFailed after `_PIVOTS` pivots.
     """
     m = len(normals)
     rows = np.vstack([np.column_stack([normals, np.ones(m)]), np.eye(4)])
@@ -375,7 +359,7 @@ def _deepest_point(normals, offsets):
         short = np.flatnonzero(slack < -1e-12 * scale)
         if len(short) == 0:
             if basis.max() >= m:
-                raise LinearProgramFailed(
+                raise UnboundedRegion(
                     "normals do not positively span 3-space")
             weights = np.zeros(m)
             weights[basis] = y
@@ -396,14 +380,18 @@ def _interior_point(D, h):
 
     The origin (slack h) if it passes the `_CENTRE_SLACK` rule, else the
     centre of the largest inscribed ball: a linear program, posed about the
-    least-squares point of the planes (3x3 normal equations; the directions
-    span 3-space) in units of its largest slack, so that a body far from the
-    origin keeps its precision and tolerances are relative to the body.
+    least-squares point of the planes (3x3 normal equations) in units of its
+    largest slack, so that a body far from the origin keeps its precision
+    and tolerances are relative to the body.  UnboundedRegion if the normal
+    equations are singular (directions in a plane) or the LP is unbounded.
     """
     median = _median(h)
     if median > 0.0 and h.min() > _CENTRE_SLACK * median:
         return np.zeros(3), h
-    c = np.linalg.solve(D.T @ D, D.T @ h)
+    try:
+        c = np.linalg.solve(D.T @ D, D.T @ h)
+    except np.linalg.LinAlgError:
+        raise UnboundedRegion("directions lie in a plane") from None
     slack = h - D @ c
     unit_len = float(np.abs(slack).max())
     if unit_len == 0.0:
@@ -452,7 +440,10 @@ def _polar_hull(directions, offsets):
     -a / b (about c) of the body, which lies on the three planes spanning
     the facet.  Faces a and b meet between the corners of the facets
     sharing the polar edge {a, b}; the edge list keeps those of positive
-    length, and the face areas come from it exactly.
+    length, and the face areas come from it exactly.  With positive slack
+    the body is bounded exactly when the origin is strictly inside the hull:
+    UnboundedRegion if Qhull finds the polar points flat or a facet has
+    -a . n_j = b s_j > -1e-10 at a vertex j (at unit slack, b itself).
     """
     D = np.asarray(directions, float)
     h = np.asarray(offsets, float)
@@ -462,7 +453,11 @@ def _polar_hull(directions, offsets):
     try:
         polar = _Qhull(D / slack[:, None])
     except QhullError as exc:
-        raise DegenerateBody("degenerate half-space intersection") from exc
+        raise UnboundedRegion(
+            "directions do not positively span 3-space") from exc
+    if np.any(polar.equations[:, 3] * slack[polar.simplices[:, 0]] > -1e-10):
+        raise UnboundedRegion(
+            "origin is not strictly inside the hull of the directions")
     corners = -polar.equations[:, :3] / polar.equations[:, 3:]
     f, m = np.nonzero(polar.neighbors > np.arange(len(corners))[:, None])
     g = polar.neighbors[f, m]
@@ -504,10 +499,10 @@ def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
     """Boundary complex of the intersection of the half-spaces of `p`: the
     `_hull_mesh` of their `_polar_hull`, moved back from its centre (the
     origin, or the Chebyshev centre when the origin is too near a plane).
-
     Planes that do not touch the body keep their index slot with area 0 and
-    an empty cycle, so face j always corresponds to direction j.
-    """
+    an empty cycle, so face j always corresponds to direction j.  Raises
+    UnboundedRegion if the directions do not positively span 3-space, and
+    DegenerateBody if the intersection is empty or flat."""
     cut = _polar_hull(p.directions, p.support_numbers)
     return _hull_mesh(cut).translate(cut.c)
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateAngle, DegenerateBody, NewtonDivergence,
-                     OracleFailed, StepSizeUnderflow)
+                     OracleFailed, StepSizeUnderflow, UnboundedRegion)
 from .geometry import (MERGE_TOL, MeshPolyhedron, SupportPolyhedron,
-                       _hull_mesh, _polar_hull, check_positive_spanning)
+                       _hull_mesh, _polar_hull)
 from .herisson import Herisson
 
 # The step lengths tried, 1 down to 2^-30, and the number of accepted
@@ -171,7 +171,7 @@ def _damped_step(directions, state, target, lengths, floor, trace):
     dh solves J dh = target - areas, and the step is the first alpha of
     `lengths` whose body at slack + alpha dh passes, else it is rejected as
     "degenerate" (a support number not positive, so the last centre, the
-    origin, is outside, which takes no intersection; or no interior),
+    origin, is outside, which takes no intersection; or a refused cut),
     "collapse" (a face area below `floor`) or "stalled" (|target - areas|_2
     not down by 1 - alpha/2).  Returns (alpha, new state), or (cause, None)
     with the `SolveTrace.rejections` key of the last rejection.
@@ -187,7 +187,7 @@ def _damped_step(directions, state, target, lengths, floor, trace):
         h = state.slack + alpha * dh
         try:
             new = _hull_state(directions, h, trace) if h.min() > 0 else None
-        except DegenerateBody:
+        except (DegenerateBody, UnboundedRegion):
             new = None
         if new is None:
             cause = "degenerate"
@@ -289,7 +289,6 @@ def _oracle_solve(h):
     moved is followed by another from the last point it accepted.  Raises
     OracleFailed when the areas miss F by more than 1e-5 of the largest."""
     from scipy.optimize import minimize
-    check_positive_spanning(h.directions)
     weights = h.areas / h.total_area
     empty = []
 

@@ -5,6 +5,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import scipy.optimize
+from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import cdist
 
 from blaschke3d import geometry
@@ -73,6 +74,23 @@ def intersect(directions, offsets) -> MeshPolyhedron:
     """`intersect_halfspaces` of the half-spaces x . directions[j] <=
     offsets[j], through a validated `SupportPolyhedron`."""
     return intersect_halfspaces(SupportPolyhedron(directions, offsets))
+
+
+def positively_spanning_reference(directions) -> bool:
+    """Whether the origin lies strictly inside the convex hull of the
+    direction endpoints, every facet offset below -1e-10 (the rule of
+    `SupportPolyhedron` before the cut decided boundedness): then every
+    half-space intersection with these normals is bounded."""
+    try:
+        hull = ConvexHull(np.asarray(directions, float))
+    except QhullError:
+        return False
+    return bool(np.all(hull.equations[:, 3] <= -1e-10))
+
+
+def support_values_reference(points, normals):
+    """`geometry._support_values` in one product, without row blocks."""
+    return (points @ normals.T).max(axis=0)
 
 
 def random_tangent_mesh(k: int, seed: int, jitter=0.0):

@@ -210,6 +210,23 @@ class TestOffRejection:
                                              "mismatch$"):
             import_off("\n".join(lines))
 
+    @pytest.mark.parametrize("counts, body", [
+        ("-1 -2 0", []), ("4 -1 6", ["0 0 0", "1 0 0", "0 1 0", "0 0 1"])],
+        ids=["both", "faces"])
+    def test_negative_counts(self, counts, body):
+        with pytest.raises(ParseError, match="^malformed OFF counts line$"):
+            import_off("\n".join(["OFF", counts, *body]) + "\n")
+
+    @pytest.mark.parametrize("extra", ["3 0 1 2", "hello world"])
+    def test_lines_after_the_faces(self, extra):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
+        faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
+        text = off_text(verts, faces)
+        import_off(text)
+        with pytest.raises(ParseError, match="^counts line announces 4 faces "
+                                             "but 5 face lines follow$"):
+            import_off(text + extra + "\n")
+
     def test_out_of_range_index(self):
         verts, faces = cube_faces()
         faces[3][1] = -1

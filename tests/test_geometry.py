@@ -9,12 +9,12 @@ from blaschke3d.bodies import (box_mesh, cube_mesh, grunbaum_herisson,
                                icosahedron_directions, icosphere_mesh,
                                tetrahedron_mesh)
 from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
-                               LinearProgramFailed, UnboundedRegion)
+                               UnboundedRegion)
 from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
                                  _deepest_point, _hull_mesh,
                                  _interior_point, _median,
-                                 _polar_hull, as_unit_rows,
-                                 check_distinct_directions,
+                                 _polar_hull, _row_blocks, _support_values,
+                                 as_unit_rows, check_distinct_directions,
                                  contains_by_translation, convex_hull,
                                  integral_mean_curvature,
                                  intersect_halfspaces, match_directions,
@@ -27,10 +27,13 @@ from blaschke3d.sums import minkowski_sum
 from helpers import (assembly_checked, centered, count_deepest_point,
                      cycle_arrays, deepest_point_checked, divergence_volume,
                      edge_dict, enumerate_intersection, intersect, mesh_of,
-                     random_tangent_mesh, vertex_sets_match)
+                     positively_spanning_reference, random_tangent_mesh,
+                     support_values_reference, vertex_sets_match)
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
+# four directions 27 degrees above the horizontal: they bound no body
+UP = np.array([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]])
 
 
 def unit_cube():
@@ -59,10 +62,10 @@ class TestIntersectHalfspaces:
         validate_mesh(mesh)
 
     def test_unbounded_directions_rejected(self):
-        up = np.array([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]])
-        up = up / np.linalg.norm(up, axis=1)[:, None]
+        # the support polyhedron is built; its cut finds it unbounded
+        up = UP / np.linalg.norm(UP, axis=1)[:, None]
         with pytest.raises(UnboundedRegion):
-            SupportPolyhedron(up, np.ones(4))
+            intersect(up, np.ones(4))
 
     def test_empty_intersection_rejected(self):
         with pytest.raises(DegenerateBody):
@@ -142,6 +145,85 @@ class TestIntersectHalfspaces:
                                                           offsets))
             assert volume(mesh) == pytest.approx(divergence_volume(mesh),
                                                  rel=1e-9)
+
+
+def cap_directions(k, rng):
+    """k random unit directions with z >= 0.01: no bounded body has them."""
+    z = rng.uniform(0.01, 1.0, k)
+    phi = rng.uniform(0.0, 2.0 * np.pi, k)
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def plane_directions(k, rng):
+    """k distinct unit directions in a random plane through the origin."""
+    phi = 2.0 * np.pi * (np.arange(k) + rng.uniform(0.0, 0.5, k)) / k
+    rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return np.stack([np.cos(phi), np.sin(phi), 0.0 * phi], axis=1) \
+        @ rotation.T
+
+
+class TestBoundedness:
+    """The cut of the half-spaces decides boundedness: `intersect_halfspaces`
+    raises UnboundedRegion exactly when the directions' own hull leaves the
+    origin within 1e-10 of its boundary or outside it, the rule that
+    `SupportPolyhedron` applied at construction before."""
+
+    # the cube's directions less -z: the origin is on the hull's boundary
+    FIVE = AXES[:5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["herisson", "cap",
+                                                    "plane"]),
+           st.booleans())
+    def test_refused_exactly_where_the_reference_refuses(self, seed, kind,
+                                                        lp_centre):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(4, 40))
+        dirs = {"herisson": lambda: random_herisson(k, seed).directions,
+                "cap": lambda: cap_directions(k, rng),
+                "plane": lambda: plane_directions(k, rng)}[kind]()
+        # uniform offsets keep the origin as the centre; one offset at 1e-3
+        # of the rest moves it to the linear program's
+        offsets = np.full(k, 10.0 ** rng.uniform(-3, 3))
+        if lp_centre:
+            offsets[rng.integers(k)] *= 1e-3
+        try:
+            intersect(dirs, offsets)
+            refused = False
+        except UnboundedRegion:
+            refused = True
+        assert refused == (not positively_spanning_reference(dirs))
+
+    @pytest.mark.parametrize("dirs, small, message", [
+        (UP, None, "directions do not positively span"),
+        (FIVE, None, "origin is not strictly inside"),
+        (FIVE, 0, "origin is not strictly inside"),
+        (UP, 0, "normals do not positively span"),
+        (AXES[[0, 1, 2, 3]], None, "directions do not positively span"),
+        (AXES[[0, 1, 2, 3]], 0, "directions lie in a plane")],
+        ids=["coplanar-polar-points", "margin", "margin-lp-centre",
+             "lp", "plane", "plane-lp-centre"])
+    def test_each_path_raises(self, dirs, small, message):
+        # the Qhull of the polar points, the margin rule on its facets, the
+        # linear program's artificial bound and the singular least-squares
+        # centre
+        dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        offsets = np.ones(len(dirs))
+        if small is not None:
+            offsets[small] = 1e-3
+        sp = SupportPolyhedron(dirs, offsets)
+        with pytest.raises(UnboundedRegion, match=message):
+            intersect_halfspaces(sp)
+
+    def test_construction_still_checks_rows(self):
+        # and raises DuplicateDirection (test_solver's hand-built case)
+        with pytest.raises(ValueError, match="at least 4"):
+            SupportPolyhedron(AXES[:3], np.ones(3))
+        with pytest.raises(ValueError, match="one support number"):
+            SupportPolyhedron(AXES, np.ones(5))
+        with pytest.raises(ValueError, match="unit vectors"):
+            SupportPolyhedron(2.0 * AXES, np.ones(6))
 
 
 def corner_cases():
@@ -608,6 +690,21 @@ class TestMeasurements:
         assert integral_mean_curvature(mesh) == \
             pytest.approx(4 * np.pi * r, rel=0.01)
 
+    def test_support_values_match_one_product(self):
+        # 2,000 points x 500 normals make 8 row blocks of 65 normals or
+        # fewer; a NaN normal row gives a NaN support value in either.
+        # Coordinates are multiples of 1/16 and 1/8, so every dot product
+        # is exact whatever order the matrix product sums it in, and the
+        # two agree bit for bit
+        rng = np.random.default_rng(4)
+        points = rng.integers(-64, 65, (2000, 3)) / 16.0
+        normals = rng.integers(-16, 17, (500, 3)) / 8.0
+        normals[[0, 131, 499]] = np.nan
+        assert len(_row_blocks(500, 2000)) == 8
+        np.testing.assert_array_equal(_support_values(points, normals),
+                                      support_values_reference(points,
+                                                               normals))
+
 
 def broken_cube(fault):
     """`cube_mesh()` with one fault that `validate_mesh` must reject."""
@@ -811,7 +908,7 @@ class TestDeepestPoint:
         scattered[:, 2] = np.abs(scattered[:, 2]) + 0.01
         for dirs in (tilted, scattered):
             dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-            with pytest.raises(LinearProgramFailed,
+            with pytest.raises(UnboundedRegion,
                                match="do not positively span"):
                 _deepest_point(dirs, np.ones(len(dirs)))
 

@@ -12,7 +12,8 @@ from blaschke3d.bodies import (cube_herisson, elongated_herisson,
                                tetrahedron_mesh)
 from blaschke3d.errors import (DegenerateAngle, DegenerateBody,
                                NewtonDivergence, OracleFailed,
-                               StepSizeUnderflow, ToolkitError)
+                               StepSizeUnderflow, ToolkitError,
+                               UnboundedRegion)
 from blaschke3d.fileio import parse_herisson_file
 from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
                                  intersect_halfspaces, validate_mesh, volume)
@@ -25,7 +26,7 @@ from blaschke3d.solver import (ContinuationConfig, _oracle_solve,
 
 from helpers import (centered, count_deepest_point, intersect, mesh_of,
                      random_tangent_mesh, vertex_sets_match)
-from test_geometry import corner_cases
+from test_geometry import UP, corner_cases
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
@@ -333,15 +334,19 @@ class TestContinuationSolve:
                    for cause, n in trace.rejections.items() if n)
 
 
+# the shipped inputs and a random 48-face herisson, one solve each
+SOLVED = pytest.mark.parametrize("h", [
+    *(parse_herisson_file(p.read_text()) for p in sorted(DATA.glob("*.her"))),
+    random_herisson(48, 0)],
+    ids=[*(p.name for p in sorted(DATA.glob("*.her"))), "k48-s0"])
+
+
 class TestOneSolveState:
     """One state runs through a solve: every body is one `_polar_hull`, from
     the tangent body to the returned mesh, which is read off the last
     accepted hull instead of a second intersection."""
 
-    @pytest.mark.parametrize("h", [
-        *(parse_herisson_file(p.read_text())
-          for p in sorted(DATA.glob("*.her"))), random_herisson(48, 0)],
-        ids=[*(p.name for p in sorted(DATA.glob("*.her"))), "k48-s0"])
+    @SOLVED
     def test_every_body_is_one_counted_polar_hull(self, h, monkeypatch):
         import blaschke3d.geometry as geometry
         import blaschke3d.solver as solver
@@ -361,6 +366,20 @@ class TestOneSolveState:
         assert len(calls) == trace.intersections
         assert trace.final_residual <= 1e-12
         validate_mesh(mesh)
+
+    @SOLVED
+    def test_one_qhull_per_intersection(self, h, monkeypatch):
+        # the tangent body's cut also decides that the directions bound a
+        # body, so the solve hulls nothing else
+        import blaschke3d.geometry as geometry
+        calls, real = [], geometry._Qhull
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(geometry, "_Qhull", counted)
+        _, _, trace = continuation_solve(h)
+        assert len(calls) == trace.intersections
 
     @pytest.mark.parametrize("name, least, most", [
         ("cube.her", 0, 0), ("dodecahedron.her", 0, 0),
@@ -389,11 +408,12 @@ class TestOneSolveState:
 
 
 class TestDirectionsCheckedOnce:
-    """A solve checks its directions once, in its tangent body, and the
-    support polyhedron it returns reuses them; one built by hand still runs
-    both checks."""
+    """A solve checks its directions for distinctness once, in its tangent
+    body, and the support polyhedron it returns reuses them; one built by
+    hand still runs the check.  The tangent body's cut decides that they
+    bound a body."""
 
-    CHECKS = ("check_positive_spanning", "check_distinct_directions")
+    CHECKS = ("check_distinct_directions",)
 
     def count_checks(self, monkeypatch):
         import blaschke3d.geometry as geometry
@@ -416,12 +436,28 @@ class TestDirectionsCheckedOnce:
         assert np.allclose(sp.support_numbers, mesh.face_support_numbers(),
                            rtol=0.0, atol=1e-12 * mesh.scale)
 
-    def test_a_support_polyhedron_built_by_hand_runs_both(self, monkeypatch):
+    def test_a_support_polyhedron_built_by_hand_runs_the_check(
+            self, monkeypatch):
         calls = self.count_checks(monkeypatch)
         SupportPolyhedron(AXES, np.ones(6))
         assert calls == dict.fromkeys(self.CHECKS, 1)
         with pytest.raises(ToolkitError):
             SupportPolyhedron(AXES[[0, 1, 2, 3, 4, 4]], np.ones(6))
+
+
+class TestUnboundedDirections:
+    """Directions that bound no body raise UnboundedRegion from the first
+    cut of every solve: its tangent body's."""
+
+    @pytest.mark.parametrize("dirs", [UP, AXES[:5], AXES[[0, 1, 2, 3]]],
+                             ids=["coplanar-polar-points", "margin", "plane"])
+    @pytest.mark.parametrize("solve", [
+        continuation_solve, lambda h: initial_polyhedron(h.directions),
+        _oracle_solve], ids=["continuation", "initial", "oracle"])
+    def test_raise_unbounded_region(self, dirs, solve):
+        dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        with pytest.raises(UnboundedRegion):
+            solve(Herisson(dirs, np.ones(len(dirs))))
 
 
 class TestExactAreas:
