@@ -15,9 +15,11 @@ exact face areas (`_face_areas`), the hull and the corners.  The solver's
 Newton loop, its oracle and the face complex (`_hull_mesh`) all read that
 one record.  A mesh is its arrays: its flat face cycles and its edges (an
 `EdgeList` too), which every measurement, check and file writer reads; its
-face area vectors come from one formula, `_area_vectors`.  Tolerances are
-relative to the body scale (bounding-box diagonal); inputs are assumed
-desk-scale, no exact predicates.
+face area vectors come from one formula, `_area_vectors`.  Which faces meet
+is one rule, `_adjacency` (the edges longer than 1e-9 of the longest), which
+the solve's combinatorial-change count reads.  Tolerances are relative to
+the body scale (bounding-box diagonal); inputs are assumed desk-scale, no
+exact predicates.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import ConvexHull as _Qhull
 from scipy.spatial import QhullError, cKDTree
-from scipy.spatial.distance import pdist
 
 from .errors import (DegenerateBody, DuplicateDirection, LinearProgramFailed,
                      UnboundedRegion)
@@ -116,10 +117,6 @@ class SupportPolyhedron:
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "support_numbers", h)
 
-    @property
-    def k(self):
-        return self.directions.shape[0]
-
     def _with_support_numbers(self, h):
         """The body with these directions, already checked, and support
         numbers h."""
@@ -147,6 +144,13 @@ def _edge_list(normals, i, j, lengths):
     ni, nj = normals[i], normals[j]
     sin = np.linalg.norm(_cross(ni, nj), axis=1)
     return EdgeList(normals, i, j, lengths, sin, (ni * nj).sum(axis=1))
+
+
+def _adjacency(edges):
+    """The face pairs of the edges longer than `MERGE_TOL` times the
+    longest, the edges a mesh keeps after merging its close vertices."""
+    keep = edges.lengths > MERGE_TOL * edges.lengths.max()
+    return frozenset(zip(edges.i[keep].tolist(), edges.j[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -190,16 +194,6 @@ class MeshPolyhedron:
     @property
     def centroid(self):
         return self.vertices.mean(axis=0)
-
-    def diameter(self):
-        """Exact diameter (max pairwise vertex distance)."""
-        if len(self.vertices) < 2:
-            return 0.0
-        return float(pdist(self.vertices).max())
-
-    def adjacency(self):
-        """Face-adjacency graph as a frozenset of index pairs."""
-        return frozenset(zip(self.edges.i.tolist(), self.edges.j.tolist()))
 
     def face_support_numbers(self):
         """Per-face plane offsets n_j . x for x on face j (NaN if absent)."""
@@ -292,7 +286,10 @@ def _assemble_faces(points, face, point, normals):
 
 
 def _solid_scale(pts):
-    """Bounding-box diagonal of points that must span 3-space."""
+    """Bounding-box diagonal of points that must be finite and span
+    3-space."""
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateBody("non-finite point coordinates")
     if len(pts) < 4:
         raise DegenerateBody("need at least 4 points")
     scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DegenerateAngle, DegenerateBody, NewtonDivergence,
                      OracleFailed, StepSizeUnderflow, UnboundedRegion)
-from .geometry import (MERGE_TOL, MeshPolyhedron, SupportPolyhedron,
+from .geometry import (MeshPolyhedron, SupportPolyhedron, _adjacency,
                        _hull_mesh, _polar_hull)
 from .herisson import Herisson
 
@@ -66,13 +66,13 @@ class SolveTrace:
     the half-space intersections and area Jacobians computed, over accepted
     and rejected steps alike; the returned mesh is read off the last accepted
     intersection.  `combinatorial_changes` counts the accepted steps whose
-    face adjacency (edges longer than `MERGE_TOL` times the longest) differs
-    from the last; a full step that crosses a vertex where four or more
-    faces meet and a later one that crosses back count as two, so
-    `grunbaum.her` reports 4.  `rejections` counts the rejected step
-    lengths by cause: "diverged" (a non-finite update), "stalled" (too
-    small a fall of the residual), "collapse" (a face area below the floor)
-    and "degenerate" (the last centre outside the body, or no interior).
+    face adjacency (`geometry._adjacency`) differs from the last; a full
+    step that crosses a vertex where four or more faces meet and a later
+    one that crosses back count as two, so `grunbaum.her` reports 4.
+    `rejections` counts the rejected step lengths by cause: "diverged" (a
+    non-finite update), "stalled" (too small a fall of the residual),
+    "collapse" (a face area below the floor) and "degenerate" (the last
+    centre outside the body, or no interior).
     """
 
     steps_taken: int = 0
@@ -156,13 +156,6 @@ def _solve_kernel_free(jac, rhs, directions):
         return np.linalg.solve(pinned, rhs)
     except np.linalg.LinAlgError:
         return np.full(len(rhs), np.nan)
-
-
-def _adjacency(edges):
-    """The face pairs of the edges longer than `MERGE_TOL` times the
-    longest, the edges a mesh keeps after merging its close vertices."""
-    keep = edges.lengths > MERGE_TOL * edges.lengths.max()
-    return frozenset(zip(edges.i[keep].tolist(), edges.j[keep].tolist()))
 
 
 def _damped_step(directions, state, target, lengths, floor, trace):

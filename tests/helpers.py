@@ -123,6 +123,11 @@ def centered(mesh: MeshPolyhedron) -> MeshPolyhedron:
     return mesh.translate(-mesh.centroid)
 
 
+def diameter(mesh: MeshPolyhedron) -> float:
+    """Exact diameter: the largest distance between two vertices."""
+    return float(cdist(mesh.vertices, mesh.vertices).max())
+
+
 # -- reference half-space intersection by triple-plane enumeration ----------
 
 # Determinant floor for a usable triple plane intersection.

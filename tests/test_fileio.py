@@ -38,6 +38,12 @@ def cube_faces():
     return cube.vertices, [c.tolist() for c in cycle_arrays(cube)]
 
 
+def tetrahedron_faces():
+    """The vertices and the face cycles of the corner tetrahedron."""
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
+    return verts, [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
+
+
 class TestHerissonFormat:
     def test_grunbaum_file(self):
         h = parse_herisson_file((DATA / "grunbaum.her").read_text())
@@ -93,6 +99,38 @@ class TestHerissonFormat:
         again = parse_herisson_file(format_herisson(h))
         assert np.array_equal(again.directions, h.directions)
         assert np.array_equal(again.areas, h.areas)
+
+
+class TestHerissonRejection:
+    """Every `parse_herisson_file` rejection, with its message."""
+
+    @staticmethod
+    def rejects(message, text):
+        with pytest.raises(ParseError) as err:
+            parse_herisson_file(text)
+        assert str(err.value) == message
+
+    def test_empty_input(self):
+        self.rejects("empty input", "# a comment\n\n")
+
+    def test_face_count_not_an_integer(self):
+        self.rejects("line 2: expected the face count, got 'four'",
+                     "# tetrahedron\nfour\n1 1 1 1\n")
+
+    def test_face_count_not_positive(self):
+        self.rejects("line 1: face count must be positive", "0\n")
+
+    def test_too_many_data_lines(self):
+        self.rejects("header announces 2 faces but 3 data lines follow",
+                     "2\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
+
+    def test_data_line_without_four_fields(self):
+        self.rejects("line 3: expected 'nx ny nz area', got '1 -1 -1'",
+                     "4\n1 1 1 1\n1 -1 -1\n-1 1 -1 1\n-1 -1 1 1\n")
+
+    def test_zero_normal(self):
+        self.rejects("line 2: zero normal",
+                     "4\n0 0 0 1\n1 -1 -1 1\n-1 1 -1 1\n-1 -1 1 1\n")
 
 
 class TestOff:
@@ -217,11 +255,34 @@ class TestOffRejection:
         with pytest.raises(ParseError, match="^malformed OFF counts line$"):
             import_off("\n".join(["OFF", counts, *body]) + "\n")
 
+    @pytest.mark.parametrize("counts", ["4 4.5 6", "4 4"],
+                             ids=["not-integer", "too-few"])
+    def test_malformed_counts(self, counts):
+        lines = off_text(*tetrahedron_faces()).splitlines()
+        lines[1] = counts
+        with pytest.raises(ParseError) as err:
+            import_off("\n".join(lines) + "\n")
+        assert str(err.value) == "malformed OFF counts line"
+
+    def test_truncated(self):
+        lines = off_text(*tetrahedron_faces()).splitlines()
+        with pytest.raises(ParseError) as err:
+            import_off("\n".join(lines[:-1]) + "\n")
+        assert str(err.value) == "truncated OFF file"
+
+    def test_face_index_not_an_integer(self):
+        verts, faces = tetrahedron_faces()
+        faces[3] = [1, 2, "3.0"]
+        self.rejects(ParseError, "malformed OFF body", verts, faces)
+
+    def test_vertices_not_3d(self):
+        verts, faces = tetrahedron_faces()
+        self.rejects(ParseError, "OFF vertices must be 3-D",
+                     verts[:, :2], faces)
+
     @pytest.mark.parametrize("extra", ["3 0 1 2", "hello world"])
     def test_lines_after_the_faces(self, extra):
-        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
-        faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
-        text = off_text(verts, faces)
+        text = off_text(*tetrahedron_faces())
         import_off(text)
         with pytest.raises(ParseError, match="^counts line announces 4 faces "
                                              "but 5 face lines follow$"):
@@ -276,8 +337,7 @@ class TestOffRejection:
         ((0, 1, 2, 3), 0), ((2,), 2)])
     def test_clockwise_face(self, reversed_faces, named):
         # a tetrahedron with some faces wound clockwise seen from outside
-        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
-        faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
+        verts, faces = tetrahedron_faces()
         for i in reversed_faces:
             faces[i] = faces[i][::-1]
         self.rejects(NonConvexInput,
@@ -347,6 +407,11 @@ class TestPolygonFormat:
     def test_rejects_far_from_unit(self):
         with pytest.raises(ParseError, match="1e-6"):
             parse_polygon_file("1.1 0 0\n0 1 0\n0 0 1\n")
+
+    def test_rejects_a_line_without_three_reals(self):
+        with pytest.raises(ParseError) as err:
+            parse_polygon_file("1 0\n0 1 0\n0 0 1\n")
+        assert str(err.value) == "line 1: expected three reals"
 
     @pytest.mark.parametrize("x", NON_FINITE)
     def test_non_finite_vertex(self, x):

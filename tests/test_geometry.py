@@ -11,7 +11,7 @@ from blaschke3d.bodies import (box_mesh, cube_mesh, grunbaum_herisson,
 from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
                                UnboundedRegion)
 from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
-                                 _deepest_point, _hull_mesh,
+                                 _adjacency, _deepest_point, _hull_mesh,
                                  _interior_point, _median,
                                  _polar_hull, _row_blocks, _support_values,
                                  as_unit_rows, check_distinct_directions,
@@ -83,7 +83,7 @@ class TestIntersectHalfspaces:
         assert mesh.face_areas[3] == 0.0
         assert mesh.cycles[0][3] == 0
         assert mesh.face_count == 6
-        assert not any(3 in pair for pair in mesh.adjacency())
+        assert not any(3 in pair for pair in _adjacency(mesh.edges))
         assert volume(mesh) == pytest.approx(8.0, rel=1e-12)
         validate_mesh(mesh)
 
@@ -487,7 +487,7 @@ class TestIntersectionInvariance:
         assert (offsets + dirs @ t).min() < 0  # origin outside the body
         np.testing.assert_allclose(moved.face_areas, base.face_areas,
                                    rtol=1e-9)
-        assert moved.adjacency() == base.adjacency()
+        assert _adjacency(moved.edges) == _adjacency(base.edges)
         assert vertex_sets_match(moved.translate(-t), base, 1e-9 * base.scale)
 
     @pytest.mark.parametrize("size", [1e3, 1e6])
@@ -504,7 +504,7 @@ class TestIntersectionInvariance:
         moved = intersect(dirs, offsets + dirs @ t)
         assert np.abs(moved.face_areas - base.face_areas).max() <= \
             tol / base.scale * base.face_areas.max()
-        assert moved.adjacency() == base.adjacency()
+        assert _adjacency(moved.edges) == _adjacency(base.edges)
         assert vertex_sets_match(moved.translate(-t), base, tol)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -518,8 +518,8 @@ class TestIntersectionInvariance:
         assert mesh.cycles[0].tolist() == base.cycles[0][perm].tolist()
         inv = np.argsort(perm)
         moved = {tuple(sorted((int(inv[i]), int(inv[j]))))
-                 for i, j in base.adjacency()}
-        assert mesh.adjacency() == moved
+                 for i, j in _adjacency(base.edges)}
+        assert _adjacency(mesh.edges) == moved
 
     @pytest.mark.parametrize("lam", [1e-6, 3.7, 1e6])
     def test_scale(self, lam):
@@ -528,7 +528,7 @@ class TestIntersectionInvariance:
         mesh = intersect(dirs, lam * offsets)
         np.testing.assert_allclose(mesh.face_areas, lam ** 2 * base.face_areas,
                                    rtol=1e-9)
-        assert mesh.adjacency() == base.adjacency()
+        assert _adjacency(mesh.edges) == _adjacency(base.edges)
 
 
 class TestConvexHull:
@@ -555,6 +555,14 @@ class TestConvexHull:
                         [0.3, 0.4, 0]], float)
         with pytest.raises(DegenerateBody):
             convex_hull(pts)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, x):
+        pts = unit_cube().vertices.copy()
+        pts[2, 1] = x
+        with pytest.raises(DegenerateBody) as err:
+            convex_hull(pts)
+        assert str(err.value) == "non-finite point coordinates"
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_hull_of_vertices_idempotent(self, seed):

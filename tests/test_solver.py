@@ -15,7 +15,7 @@ from blaschke3d.errors import (DegenerateAngle, DegenerateBody,
                                StepSizeUnderflow, ToolkitError,
                                UnboundedRegion)
 from blaschke3d.fileio import parse_herisson_file
-from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
+from blaschke3d.geometry import (SupportPolyhedron, _adjacency, convex_hull,
                                  intersect_halfspaces, validate_mesh, volume)
 from blaschke3d.herisson import (Herisson, blaschke_add, blaschke_scale,
                                  herisson_of_mesh, random_herisson)
@@ -24,8 +24,8 @@ from blaschke3d.solver import (ContinuationConfig, _oracle_solve,
                                continuation_solve, initial_polyhedron,
                                oracle_solve_small)
 
-from helpers import (centered, count_deepest_point, intersect, mesh_of,
-                     random_tangent_mesh, vertex_sets_match)
+from helpers import (centered, count_deepest_point, diameter, intersect,
+                     mesh_of, random_tangent_mesh, vertex_sets_match)
 from test_geometry import UP, corner_cases
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
@@ -63,7 +63,7 @@ class TestInitialPolyhedron:
         start = intersect_halfspaces(sp)
         _, solved, _ = continuation_solve(h)
         assert start.face_count == solved.face_count == 10
-        assert start.adjacency() != solved.adjacency()
+        assert _adjacency(start.edges) != _adjacency(solved.edges)
 
 
 class TestAreaJacobian:
@@ -156,6 +156,15 @@ class TestSolveKernelFree:
         assert sol.shape == (6,) and not np.isfinite(sol).any()
 
 
+    def test_singular_pinned_sum_gives_nan(self):
+        # every row of -D D^T is nonzero, but the pinning term max|D D^T|
+        # D D^T = D D^T cancels it exactly: LU finds the sum singular
+        jac = -AXES @ AXES.T
+        assert jac.any(axis=1).all()
+        assert not (jac + np.abs(jac).max() * (AXES @ AXES.T)).any()
+        sol = _solve_kernel_free(jac, closed_rhs(AXES, 0), AXES)
+        assert sol.shape == (6,) and np.isnan(sol).all()
+
     @pytest.mark.parametrize("case", [0, 1, 3, 4])
     def test_absent_face_gives_nan(self, case):
         # a plane without a face has a zero Jacobian row, a fourth kernel
@@ -236,7 +245,7 @@ class TestContinuationSolve:
         assert trace.combinatorial_changes >= 1
         # the tilted triple forms a cap: its faces are pairwise adjacent,
         # unlike in the tangent starting body
-        adj = mesh.adjacency()
+        adj = _adjacency(mesh.edges)
         assert {(0, 1), (0, 2), (1, 2)} <= adj
         validate_mesh(mesh)
 
@@ -283,7 +292,7 @@ class TestContinuationSolve:
         oracle = _oracle_solve(h)
         assert abs(volume(oracle) - volume(mesh)) <= 1e-6 * volume(mesh)
         assert vertex_sets_match(centered(mesh), centered(oracle),
-                                 1e-5 * mesh.diameter())
+                                 1e-5 * diameter(mesh))
 
     def test_monotone_trace_residual(self):
         # every accepted step of length alpha lowers |F - A|_2 by 1 - alpha/2
@@ -332,6 +341,43 @@ class TestContinuationSolve:
         assert trace.intersections <= 1 + len(solver._LENGTHS)
         assert any(f"the last rejected as {cause}:" in str(err.value)
                    for cause, n in trace.rejections.items() if n)
+
+    def test_step_budget(self, monkeypatch):
+        # one accepted step leaves Gruenbaum's residual far above tolerance
+        import blaschke3d.solver as solver
+        monkeypatch.setattr(solver, "_MAX_STEPS", 1)
+        h = parse_herisson_file((DATA / "grunbaum.her").read_text())
+        with pytest.raises(StepSizeUnderflow) as err:
+            continuation_solve(h)
+        trace = err.value.trace
+        assert str(err.value).startswith(
+            "no convergence within the step budget: relative residual ")
+        assert str(err.value).endswith(" after 1 steps")
+        assert trace.steps_taken == len(trace.alpha_history) == 1
+        assert trace.final_residual > ContinuationConfig().newton_tol
+
+    def test_every_refused_cut_is_degenerate(self, monkeypatch):
+        # past the tangent body every cut raises UnboundedRegion, so each of
+        # the 31 step lengths of the first step is rejected as degenerate
+        import blaschke3d.solver as solver
+        calls, real = [], solver._polar_hull
+
+        def refused(*args):
+            calls.append(1)
+            if len(calls) > 1:
+                raise UnboundedRegion("forced refusal")
+            return real(*args)
+        monkeypatch.setattr(solver, "_polar_hull", refused)
+        h = parse_herisson_file((DATA / "grunbaum.her").read_text())
+        with pytest.raises(StepSizeUnderflow) as err:
+            continuation_solve(h)
+        trace = err.value.trace
+        assert str(err.value).startswith(
+            "step length below 2^-30, the last rejected as degenerate: ")
+        assert trace.rejections == {"diverged": 0, "stalled": 0,
+                                    "collapse": 0, "degenerate": 31}
+        assert trace.steps_taken == 0 and trace.jacobians == 1
+        assert trace.intersections == len(calls)
 
 
 # the shipped inputs and a random 48-face herisson, one solve each
@@ -644,7 +690,7 @@ class TestOracle:
         oracle = _oracle_solve(h)
         assert abs(volume(oracle) - volume(mesh)) <= 1e-6 * volume(mesh)
         assert vertex_sets_match(centered(mesh), centered(oracle),
-                                 1e-5 * mesh.diameter())
+                                 1e-5 * diameter(mesh))
 
     def test_independent_of_the_solver_under_test(self, monkeypatch):
         import blaschke3d.solver as solver
@@ -677,7 +723,7 @@ class TestOracle:
         assert len(calls) > 4
         assert abs(volume(oracle) - volume(mesh)) <= 1e-6 * volume(mesh)
         assert vertex_sets_match(centered(mesh), centered(oracle),
-                                 1e-5 * mesh.diameter())
+                                 1e-5 * diameter(mesh))
 
     def test_one_hull_and_one_mesh_after_the_minimisation(self,
                                                           monkeypatch):

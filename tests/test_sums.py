@@ -12,6 +12,7 @@ from blaschke3d.bodies import (cube_herisson, cube_mesh,
                                grunbaum_herisson, icosahedron_herisson,
                                icosphere_mesh, near_duplicate_herisson,
                                rotated_tetrahedron_pair)
+from blaschke3d.errors import DegenerateBody
 from blaschke3d.fileio import export_off, import_off, parse_herisson_file
 from blaschke3d.geometry import (convex_hull, support_value, validate_mesh,
                                  volume)
@@ -21,7 +22,8 @@ from blaschke3d.solver import continuation_solve
 from blaschke3d.sums import blaschke_sum_bodies, minkowski_sum
 
 from helpers import (assembly_checked, centered, deepest_point_checked,
-                     mesh_of, random_tangent_mesh, vertex_sets_match)
+                     diameter, mesh_of, random_tangent_mesh,
+                     vertex_sets_match)
 
 
 def sample_directions(n, seed=0):
@@ -48,6 +50,12 @@ class TestMinkowskiSum:
         s = minkowski_sum(mesh, t)
         assert vertex_sets_match(s, mesh.translate(t[0]), 1e-12 * mesh.scale)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, x):
+        with pytest.raises(DegenerateBody) as err:
+            minkowski_sum(cube_mesh(1.0), [[x, 0.0, 0.0]])
+        assert str(err.value) == "non-finite point coordinates"
+
     @pytest.mark.parametrize("seed", range(5))
     def test_support_additivity(self, seed):
         p = random_tangent_mesh(7, seed, jitter=0.05)
@@ -63,7 +71,7 @@ class TestMinkowskiSum:
         q = random_tangent_mesh(8, 3, jitter=0.05)
         a, b = minkowski_sum(p, q), minkowski_sum(q, p)
         assert vertex_sets_match(centered(a), centered(b),
-                                 1e-6 * a.diameter())
+                                 1e-6 * diameter(a))
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_face_normals_come_from_operands_or_edge_pairs(self, seed):
@@ -321,7 +329,7 @@ class TestBlaschkeSumBodies:
         a = blaschke_sum_bodies(p, q)
         b = blaschke_sum_bodies(q, p)
         assert vertex_sets_match(centered(a), centered(b),
-                                 1e-6 * a.diameter())
+                                 1e-6 * diameter(a))
 
     def test_blaschke_volume_never_beats_minkowski(self):
         t1, t2 = rotated_tetrahedron_pair(1.0)
