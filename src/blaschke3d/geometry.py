@@ -292,8 +292,12 @@ def _solid_scale(pts):
         raise DegenerateBody("non-finite point coordinates")
     if len(pts) < 4:
         raise DegenerateBody("need at least 4 points")
-    scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        centre = pts.mean(axis=0)
+    if not (np.isfinite(scale) and np.all(np.isfinite(centre))):
+        raise DegenerateBody("point coordinates overflow the float range")
+    sv = np.linalg.svd(pts - centre, compute_uv=False)
     if scale == 0.0 or sv[2] <= 1e-9 * sv[0]:
         raise DegenerateBody("points lie within 1e-9*scale of a plane")
     return scale

@@ -6,10 +6,16 @@ within the band is `equality`, above it `holds`, below it `fails`.  The
 checks and `fuzz_campaign`, which runs them over seeded random body pairs,
 share one report builder per inequality; failures are data, never raised.
 Vol(P+Q) comes from the operands by Minkowski's mixed-volume formula, so no
-check builds the body P+Q.
+check builds the body P+Q.  A campaign runs its trials in contiguous
+slices over the CPUs of the process's affinity set, the caller's slice
+in-process and the rest in forked workers; its summary is the same for any
+number of CPUs, and in-process monkeypatches and tracers see only the
+caller's slice.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -276,6 +282,56 @@ def _derived_seed(seed, trial, slot):
     return seed * 1000003 + trial * 17 + slot
 
 
+def _trial(cfg, trial):
+    """The reports on trial `trial`'s seeded pair, keyed by check in
+    `cfg.checks` order."""
+    rng = np.random.default_rng(_derived_seed(cfg.seed, trial, 0))
+    kp = int(rng.integers(cfg.faces_min, cfg.faces_max + 1))
+    kq = int(rng.integers(cfg.faces_min, cfg.faces_max + 1))
+    hp = random_herisson(kp, _derived_seed(cfg.seed, trial, 1))
+    if cfg.homothetic_pairs:
+        hq = blaschke_scale(hp, float(rng.uniform(0.5, 2.0)))
+    else:
+        hq = random_herisson(kq, _derived_seed(cfg.seed, trial, 2))
+    pair = _Pair(hp, hq)
+    return {name: _FUZZ_REPORTS[name](pair, cfg.a) for name in cfg.checks}
+
+
+def _trials(cfg, start, stop):
+    return [_trial(cfg, trial) for trial in range(start, stop)]
+
+
+def _cpu_count():
+    """CPUs in the process's affinity set, or 1 where workers cannot be
+    forked safely: no `fork` or affinity set, or other threads running."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _campaign_reports(cfg):
+    """Every trial's reports, in trial order.  The trials are cut into one
+    contiguous slice per CPU; the caller runs the first slice while forked
+    workers run the rest, and a trial that raises in any slice raises
+    here, the first in trial order winning."""
+    n = min(_cpu_count(), cfg.trials)
+    if n == 1:
+        return _trials(cfg, 0, cfg.trials)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [cfg.trials * i // n for i in range(n + 1)]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(n - 1, mp_context=fork) as pool:
+        rest = [pool.submit(_trials, cfg, start, stop)
+                for start, stop in zip(bounds[1:-1], bounds[2:])]
+        reports = _trials(cfg, 0, bounds[1])
+        for future in rest:
+            reports += future.result()
+    return reports
+
+
 def fuzz_campaign(cfg: FuzzConfig) -> dict:
     """Run the selected checks over `trials` seeded random pairs.
 
@@ -283,24 +339,23 @@ def fuzz_campaign(cfg: FuzzConfig) -> dict:
     tracks the worst relative residual, records the derived seeds of any
     failures, and counts trials where the Kneser-Suss equality verdict and
     the homothety detector disagree.
+
+    Each trial derives its pair from (seed, trial) alone, so the trials
+    run in contiguous slices, one per CPU of the process's affinity set:
+    the caller runs the first slice and forked worker processes the rest,
+    which exit before the call returns; with one CPU or one trial, without
+    `fork` or an affinity set, or while other threads run, the caller runs
+    every trial.  The summary is the same for any number of CPUs.
+    Monkeypatches and tracers installed in the calling process see only the
+    caller's slice.
     """
     stats = {name: {"holds": 0, "equality": 0, "fails": 0,
                     "worst_residual": np.inf, "failure_seeds": []}
              for name in cfg.checks}
     mismatches = 0
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng(_derived_seed(cfg.seed, trial, 0))
-        kp = int(rng.integers(cfg.faces_min, cfg.faces_max + 1))
-        kq = int(rng.integers(cfg.faces_min, cfg.faces_max + 1))
-        hp = random_herisson(kp, _derived_seed(cfg.seed, trial, 1))
-        if cfg.homothetic_pairs:
-            hq = blaschke_scale(hp, float(rng.uniform(0.5, 2.0)))
-        else:
-            hq = random_herisson(kq, _derived_seed(cfg.seed, trial, 2))
-
-        pair = _Pair(hp, hq)
+    for trial, reports in enumerate(_campaign_reports(cfg)):
         for name, entry in stats.items():
-            rep = _FUZZ_REPORTS[name](pair, cfg.a)
+            rep = reports[name]
             if name == "ks" and \
                     (rep.verdict == "equality") != rep.diagnosis["homothetic"]:
                 mismatches += 1

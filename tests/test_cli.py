@@ -440,3 +440,20 @@ def test_import_leaves_scipy_optimize_unloaded():
                           capture_output=True, text=True, check=True,
                           timeout=120)
     assert done.stdout.strip() == "[False, False, False, False]"
+
+
+def test_import_leaves_process_pools_unloaded():
+    # a campaign imports its worker pool when it first forks workers, so
+    # cold start does not pay for multiprocessing
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = """if True:
+        import sys
+        import blaschke3d
+        pools = ("multiprocessing", "concurrent.futures.process")
+        print([name for name in pools if name in sys.modules])
+    """
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout.strip() == "[]"

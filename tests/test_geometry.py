@@ -564,6 +564,21 @@ class TestConvexHull:
             convex_hull(pts)
         assert str(err.value) == "non-finite point coordinates"
 
+    @pytest.mark.parametrize("spread", [True, False],
+                             ids=["span", "centre"])
+    def test_overflowing_coordinates_rejected(self, spread):
+        # finite coordinates whose bounding box or centre overflows: the
+        # error names the overflow, and no RuntimeWarning (an error under
+        # the suite's filter) escapes on the way
+        pts = unit_cube().vertices.copy()
+        if spread:
+            pts[0, 1], pts[-1, 1] = -1e308, 1e308
+        else:
+            pts[:, 1] += 1e308
+        with pytest.raises(DegenerateBody) as err:
+            convex_hull(pts)
+        assert str(err.value) == "point coordinates overflow the float range"
+
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_hull_of_vertices_idempotent(self, seed):
         mesh = random_tangent_mesh(10, seed, jitter=0.05)

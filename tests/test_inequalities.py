@@ -1,3 +1,10 @@
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +16,7 @@ from blaschke3d.bodies import (box_herisson, box_mesh, cube_herisson,
                                icosahedron_herisson, icosphere_mesh,
                                rotated_tetrahedron_pair, tetrahedron_mesh)
 from blaschke3d import geometry, inequalities, sums
-from blaschke3d.errors import PremiseViolated
+from blaschke3d.errors import GenerationFailed, PremiseViolated
 from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
                                  intersect_halfspaces, support_value, unit,
                                  volume)
@@ -243,6 +250,57 @@ class TestFuzzCampaign:
         assert summary["checks"]["thm81"]["fails"] == 5
         assert summary["unexpected_failures"] == []
         assert len(summary["checks"]["thm81"]["failure_seeds"]) == 5
+
+    # homothetic pairs at a < 1 fail thm81 on every trial, so each slice
+    # of the campaign contributes failure seeds to the summary
+    SLICED = FuzzConfig(trials=12, seed=3, a=0.5, homothetic_pairs=True)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs a CPU affinity set")
+    def test_summary_independent_of_cpu_count(self, monkeypatch):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = """if True:
+            import json, os
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            from blaschke3d.inequalities import FuzzConfig, fuzz_campaign
+            cfg = FuzzConfig(trials=12, seed=3, a=0.5, homothetic_pairs=True)
+            print(json.dumps(fuzz_campaign(cfg), sort_keys=True))
+        """
+        pinned = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=300).stdout.strip()
+        monkeypatch.setattr(inequalities, "_cpu_count", lambda: 3)
+        summary = fuzz_campaign(self.SLICED)
+        assert summary["checks"]["thm81"]["failure_seeds"] == [
+            inequalities._derived_seed(3, trial, 0) for trial in range(12)]
+        assert json.loads(pinned) == summary
+        assert pinned == json.dumps(summary, sort_keys=True)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # the caller sees the patch's calls of its own slice only (trials
+        # 0-2 of 11); the 12-trial campaign raises in the last worker's
+        # slice, at trial 11
+        calls, real = [], random_herisson
+        last = inequalities._derived_seed(3, 11, 1)
+
+        def patched(k, seed):
+            calls.append(seed)
+            if seed == last:
+                raise GenerationFailed(f"no herisson for seed {seed}")
+            return real(k, seed)
+        monkeypatch.setattr(inequalities, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(inequalities, "random_herisson", patched)
+        cfg = FuzzConfig(trials=11, seed=3, a=0.5, homothetic_pairs=True)
+        assert fuzz_campaign(cfg)["trials"] == 11
+        assert calls == [inequalities._derived_seed(3, trial, 1)
+                         for trial in range(3)]
+        assert multiprocessing.active_children() == []
+        with pytest.raises(GenerationFailed) as err:
+            fuzz_campaign(self.SLICED)
+        assert type(err.value) is GenerationFailed
+        assert str(err.value) == f"no herisson for seed {last}"
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("a", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_invalid_exponent(self, a):
