@@ -12,8 +12,9 @@ a vertex of the body, lying on the three planes that span it.  One record,
 `_Cut`, holds what that hull gives: the bare edge list of the body
 (`EdgeList`: face pairs and lengths, from adjacent facets), its slack, its
 exact face areas (`_face_areas`), the hull and the corners.  The solver's
-Newton loop, its oracle and the face complex (`_hull_mesh`) all read that
-one record.  A mesh is its arrays: its flat face cycles and its edges (an
+Newton loop, its oracle, the checks (for the volume and the support points
+of a solved body) and the face complex (`_hull_mesh`) all read that one
+record.  A mesh is its arrays: its flat face cycles and its edges (an
 `EdgeList` too), which every measurement, check and file writer reads; its
 face area vectors come from one formula, `_area_vectors`.  Which faces meet
 is one rule, `_adjacency` (the edges longer than 1e-9 of the longest), which
@@ -414,7 +415,9 @@ class _Cut(NamedTuple):
     """A body read off the polar hull of its half-spaces (`_polar_hull`):
     its edge list, its slack h - D c (its support numbers about the centre
     c), its face areas 1/2 J slack (`_face_areas`), the hull, the body's
-    corners about c, one per facet, and c."""
+    corners about c, one per facet, and c.  Its volume is Minkowski's
+    1/3 sum F_j s_j, and its corners are points whose hull is the body, so
+    the volume and the support values of a solved body need no mesh."""
 
     edges: EdgeList
     slack: np.ndarray
@@ -422,6 +425,10 @@ class _Cut(NamedTuple):
     polar: object
     corners: np.ndarray
     c: np.ndarray
+
+    @property
+    def volume(self):
+        return float(self.areas @ self.slack) / 3.0
 
     def scaled(self, lam):
         """The body scaled by lam about c: edge lengths, slack and corners

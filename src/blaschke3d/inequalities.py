@@ -6,7 +6,11 @@ within the band is `equality`, above it `holds`, below it `fails`.  The
 checks and `fuzz_campaign`, which runs them over seeded random body pairs,
 share one report builder per inequality; failures are data, never raised.
 Vol(P+Q) comes from the operands by Minkowski's mixed-volume formula, so no
-check builds the body P+Q.  A campaign runs its trials in contiguous
+check builds the body P+Q.  A body given by face data is solved once, and
+its volume and support points are read off the solve's last cut
+(`geometry._Cut`); its mesh is built only when a caller reads one (`bsum`,
+`msum`, and the containment test of the monotonicity check), so a fuzz
+trial builds no mesh.  A campaign runs its trials in contiguous
 slices over the CPUs of the process's affinity set, the caller's slice
 in-process and the rest in forked workers; its summary is the same for any
 number of CPUs, and in-process monkeypatches and tracers see only the
@@ -26,7 +30,7 @@ from .geometry import (_support_values, contains_by_translation,
                        match_directions, volume)
 from .herisson import (Herisson, blaschke_add, blaschke_scale,
                        herisson_of_mesh, random_herisson)
-from .solver import ContinuationConfig, continuation_solve
+from .solver import ContinuationConfig, _finish, _newton_solve
 
 #: single relative tolerance for verdicts; the equality band equals it
 VERDICT_TOL = 1e-9
@@ -78,8 +82,11 @@ def _jsonable(v):
 
 class _Body:
     """A body given by its mesh or by its face data (a herisson).  The other
-    form and the volume are derived on first use: face data are read off
-    the mesh, a mesh is reconstructed with the solver config."""
+    form and the volume are derived on first use.  A mesh's face data are
+    read off it.  Face data are solved once, with the solver config:
+    `solve` keeps the tangent body, the last accepted `geometry._Cut` and
+    the `SolveTrace`, the volume and the support points are read off that
+    cut, and the mesh is built from it only when a caller reads `mesh`."""
 
     def __init__(self, body, cfg=None):
         self._body, self._cfg = body, cfg
@@ -90,14 +97,31 @@ class _Body:
         return b if isinstance(b, Herisson) else herisson_of_mesh(b)
 
     @cached_property
+    def solve(self):
+        return _newton_solve(self._body, self._cfg)
+
+    @cached_property
     def mesh(self):
         if isinstance(self._body, Herisson):
-            return continuation_solve(self._body, self._cfg)[1]
+            return _finish(*self.solve)[1]
         return self._body
 
     @cached_property
     def volume(self):
-        return volume(self.mesh)
+        if isinstance(self._body, Herisson):
+            return self.solve[1].volume
+        return volume(self._body)
+
+    @cached_property
+    def support_data(self):
+        """Face normals, face areas, and points whose hull is the body,
+        about an interior point: the cut's directions, areas and corners,
+        or the mesh's, with its vertices about their centroid."""
+        if isinstance(self._body, Herisson):
+            cut = self.solve[1]
+            return cut.edges.face_normals, cut.areas, cut.corners
+        m = self._body
+        return m.face_normals, m.face_areas, m.vertices - m.centroid
 
 
 class _Pair:
@@ -117,13 +141,15 @@ class _Pair:
         mixed-volume formula (Schneider, Convex Bodies, 5.1): 3V(A,A,B) sums
         A's face areas times B's support numbers in A's face normals.  A's
         area vectors sum to zero, so B's reference point does not change the
-        sum; taking B's vertex centroid keeps the terms small for bodies far
-        from the origin."""
+        sum; taking B's interior point of `_Body.support_data` (a mesh's
+        vertex centroid, a solved body's cut centre) keeps the terms small
+        for bodies far from the origin."""
         total = self.p.volume + self.q.volume
-        for a, b in ((self.p.mesh, self.q.mesh), (self.q.mesh, self.p.mesh)):
-            live = a.face_areas > 0
-            h = _support_values(b.vertices - b.centroid, a.face_normals[live])
-            total += float(a.face_areas[live] @ h)
+        p, q = self.p.support_data, self.q.support_data
+        for (normals, areas, _), (_, _, points) in ((p, q), (q, p)):
+            live = areas > 0
+            h = _support_values(points, normals[live])
+            total += float(areas[live] @ h)
         return total
 
     @cached_property

@@ -18,7 +18,10 @@ intersection, and the areas are A = 1/2 J (h - D c) for any point c
 polar hull's record (`geometry._Cut`: edge list, slack h - D c, areas,
 hull and corners); its slack is carried on as the support numbers, making
 the interior point c the origin, the next centre, and the returned mesh is
-built once, off that record (`geometry._hull_mesh`).
+built once, off that record (`geometry._hull_mesh`).  The Newton loop
+(`_newton_solve`) ends at that record; `continuation_solve` adds the mesh
+(`_finish`), while the checks' pair evaluator reads the volume and the
+support points off the record and builds the mesh only when asked for it.
 """
 from __future__ import annotations
 
@@ -218,6 +221,12 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     `_MAX_STEPS` steps, each naming the cause, the relative residual
     reached and the step count.
     """
+    return _finish(*_newton_solve(h, cfg))
+
+
+def _newton_solve(h, cfg=None):
+    """The Newton loop of `continuation_solve`, with its errors: the tangent
+    body, the `geometry._Cut` of the last accepted step and the trace."""
     if cfg is None:
         cfg = ContinuationConfig()
     directions, target, trace = h.directions, h.areas, SolveTrace()
@@ -249,7 +258,7 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     if resid > cfg.newton_tol:
         raise _failure("budget", resid, trace)
     trace.final_residual = float(resid)
-    return _finish(tangent, state, trace)
+    return tangent, state, trace
 
 
 def _finish(tangent, state, trace):
@@ -291,7 +300,7 @@ def _oracle_solve(h):
         except DegenerateBody:
             empty.append(x)
             return np.inf, np.zeros(h.k)
-        vol = cut.areas @ cut.slack / 3.0
+        vol = cut.volume
         return weights @ x - np.log(vol), weights - cut.areas / vol
 
     x = np.ones(h.k)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blaschke3d import cli, inequalities, solver, sums
+from blaschke3d import inequalities, solver, sums
 from blaschke3d.cli import main
 from blaschke3d.fileio import import_off
 
@@ -110,13 +110,15 @@ class TestSums:
         # the face data of the two files are added, not read back off
         # their reconstructions
         calls = []
-        real = solver.continuation_solve
+        real = solver._newton_solve
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
-        for module in (inequalities, cli):
-            monkeypatch.setattr(module, "continuation_solve", counted)
+        # every solve runs the Newton loop: `_Body`'s directly, and
+        # `continuation_solve`'s through the solver module
+        for module in (inequalities, solver):
+            monkeypatch.setattr(module, "_newton_solve", counted)
         code, _, _ = run(capsys, "bsum", DATA / "dodecahedron.her",
                          DATA / "icosahedron.her", "-o", tmp_path / "s.off")
         assert code == 0 and len(calls) == 1
@@ -288,6 +290,41 @@ class TestReportsVerbatim:
         want = sums.minkowski_sum(solver.continuation_solve(load(a))[1],
                                   load(b))
         assert code == 0 and out.read_text() == export_off(want)
+
+
+class TestMeshBuilds:
+    """A body given by face data is read off its solve's last cut: its mesh
+    is built only for a command that reads one."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = solver._hull_mesh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(solver, "_hull_mesh", counted)
+        return calls
+
+    def test_fuzz_trial_builds_none(self, builds):
+        inequalities.fuzz_campaign(inequalities.FuzzConfig(trials=1, seed=4))
+        assert len(builds) == 0
+
+    def test_check_ks_builds_none(self, capsys, builds):
+        code, _, _ = run(capsys, "check", "ks", DATA / "dodecahedron.her",
+                         DATA / "icosahedron.her")
+        assert code == 0 and len(builds) == 0
+
+    def test_bsum_builds_the_sum(self, tmp_path, capsys, builds):
+        code, _, _ = run(capsys, "bsum", DATA / "dodecahedron.her",
+                         DATA / "icosahedron.her", "-o", tmp_path / "s.off")
+        assert code == 0 and len(builds) == 1
+
+    def test_check_monotone_builds_both_for_containment(self, tmp_path,
+                                                        capsys, builds):
+        code, _, _ = run(capsys, "check", "monotone", *her_pair(tmp_path))
+        assert code == 0 and len(builds) == 2
 
 
 class TestFuzz:
