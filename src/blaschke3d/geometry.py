@@ -11,21 +11,27 @@ vertex lies on at least three faces (`_assemble_faces`).
 a vertex of the body, lying on the three planes that span it.  One record,
 `_Cut`, holds what that hull gives: the bare edge list of the body
 (`EdgeList`: face pairs and lengths, from adjacent facets), its slack, its
-exact face areas (`_face_areas`), the hull and the corners.  The solver's
-Newton loop, its oracle, the checks (for the volume and the support points
-of a solved body) and the face complex (`_hull_mesh`) all read that one
-record.  A mesh is its arrays: its flat face cycles and its edges (an
-`EdgeList` too), which every measurement, check and file writer reads; its
-face area vectors come from one formula, `_area_vectors`.  Which faces meet
-is one rule, `_adjacency` (the edges longer than 1e-9 of the longest), which
-the solve's combinatorial-change count reads.  Tolerances are relative to
-the body scale (bounding-box diagonal); inputs are assumed desk-scale, no
-exact predicates.
+exact face areas (`_face_areas`), the facets' plane triples and the
+corners.  The solver's Newton loop, its oracle, the checks (for the volume
+and the support points of a solved body) and the face complex
+(`_hull_mesh`) all read that one record.  A cut of a simple body also
+seeds the next: support numbers whose corners, solved on its
+triangulation, leave every edge a positive length lie in its type cone
+and are read off it with no Qhull run (`_polar_hull`'s `prev`).  A mesh
+is its arrays: its flat face cycles and its edges (an `EdgeList` too),
+which every measurement, check and file writer reads; its face area
+vectors come from one formula, `_area_vectors`.  Which faces meet is one
+rule, `_adjacency` (the edges longer than 1e-9 of the longest), which the
+solve's combinatorial-change count reads.  Tolerances are relative to
+the body scale (bounding-box diagonal); no exact predicates.  A point
+hull takes extents from 1e-150 to 1e150 (`_HULL_EXTENTS`), and Qhull sees
+the points scaled by a power of two to unit extent.
 """
 from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +52,9 @@ MERGE_TOL = 1e-9
 # linear program).  A small slack puts a polar point far out and costs
 # precision.
 _CENTRE_SLACK = 0.05
+# The extents of a point set that `convex_hull` takes: the squares of its
+# lengths (its face areas) stay normal floats.
+_HULL_EXTENTS = (1e-150, 1e150)
 # Pivot cap of `_deepest_point`, whose programs take 4 to 20 pivots.
 _PIVOTS = 500
 
@@ -286,18 +295,22 @@ def _assemble_faces(points, face, point, normals):
     return verts, (count, face, vid), (lo, hi, length)
 
 
-def _solid_scale(pts):
-    """Bounding-box diagonal of points that must be finite and span
-    3-space."""
+def _solid_scale(pts, extents=(0.0, np.inf)):
+    """Bounding-box diagonal of points that must be finite, span 3-space
+    and have a largest extent within `extents`."""
     if not np.all(np.isfinite(pts)):
         raise DegenerateBody("non-finite point coordinates")
     if len(pts) < 4:
         raise DegenerateBody("need at least 4 points")
     with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        span = pts.max(axis=0) - pts.min(axis=0)
+        scale = float(np.linalg.norm(span))
         centre = pts.mean(axis=0)
     if not (np.isfinite(scale) and np.all(np.isfinite(centre))):
         raise DegenerateBody("point coordinates overflow the float range")
+    if not extents[0] <= span.max() <= extents[1]:
+        raise DegenerateBody(f"point extent {span.max():.3g} is outside "
+                             f"{extents[0]:g} to {extents[1]:g}")
     sv = np.linalg.svd(pts - centre, compute_uv=False)
     if scale == 0.0 or sv[2] <= 1e-9 * sv[0]:
         raise DegenerateBody("points lie within 1e-9*scale of a plane")
@@ -414,17 +427,29 @@ def _interior_point(D, h):
 class _Cut(NamedTuple):
     """A body read off the polar hull of its half-spaces (`_polar_hull`):
     its edge list, its slack h - D c (its support numbers about the centre
-    c), its face areas 1/2 J slack (`_face_areas`), the hull, the body's
-    corners about c, one per facet, and c.  Its volume is Minkowski's
-    1/3 sum F_j s_j, and its corners are points whose hull is the body, so
-    the volume and the support values of a solved body need no mesh."""
+    c), its face areas 1/2 J slack (`_face_areas`), the plane triples of
+    the hull's facets, the body's corners about c, one per facet, and c.
+    Its volume is Minkowski's 1/3 sum F_j s_j, and its corners are points
+    whose hull is the body, so the volume and the support values of a
+    solved body need no mesh.
+
+    `warm` is None unless the body is simple (every polar edge has positive
+    length) and every plane is a face.  Then its type cone (McMullen 1973),
+    the support numbers with the same combinatorics, is the open cone where
+    every edge of this triangulation keeps a positive length, and `warm`
+    holds what reads a body of that cone off it (`_polar_hull`'s `prev`):
+    the inverses of D[simplices], the facets f, g at the two ends of each
+    edge and the unit edge directions from f to g.  `hulled` is False for
+    a cut read off another's triangulation, True for one that ran Qhull."""
 
     edges: EdgeList
     slack: np.ndarray
     areas: np.ndarray
-    polar: object
+    simplices: np.ndarray
     corners: np.ndarray
     c: np.ndarray
+    warm: tuple | None
+    hulled: bool
 
     @property
     def volume(self):
@@ -440,8 +465,17 @@ class _Cut(NamedTuple):
             corners=lam * self.corners)
 
 
-def _polar_hull(directions, offsets):
+def _polar_hull(directions, offsets, prev=None):
     """The `_Cut` of the half-spaces, about `_interior_point`'s c.
+
+    With `prev`, a cut of the same directions whose `warm` is set, and c
+    the origin (the centre a solver's state carries), each corner solves
+    its facet's three planes of `prev`'s triangulation, and each edge gets
+    a signed length along `prev`'s unit edge direction.  If every signed
+    length is positive, the support numbers lie in `prev`'s type cone (the
+    wall-crossing criterion), so that triangulation is the body's and the
+    cut keeps it, with `prev`'s edge pairs and their angles; otherwise
+    Qhull runs as below.
 
     The planes n_j . x = h_j become the polar points n_j / (h_j - n_j . c);
     each facet a . y + b = 0 of their convex hull is the polar of the corner
@@ -458,23 +492,37 @@ def _polar_hull(directions, offsets):
     if not np.all(np.isfinite(h)):
         raise DegenerateBody("non-finite support numbers")
     c, slack = _interior_point(D, h)
+    if prev is not None and prev.warm is not None and not c.any():
+        inverses, f, g, units = prev.warm
+        corners = (inverses @ slack[prev.simplices][:, :, None])[:, :, 0]
+        lengths = ((corners[g] - corners[f]) * units).sum(axis=1)
+        if lengths.min() > 0.0:
+            edges = prev.edges._replace(lengths=lengths)
+            return _Cut(edges, slack, _face_areas(edges, slack),
+                        prev.simplices, corners, c, prev.warm, False)
     try:
         polar = _Qhull(D / slack[:, None])
     except QhullError as exc:
         raise UnboundedRegion(
             "directions do not positively span 3-space") from exc
-    if np.any(polar.equations[:, 3] * slack[polar.simplices[:, 0]] > -1e-10):
+    simplices = polar.simplices
+    if np.any(polar.equations[:, 3] * slack[simplices[:, 0]] > -1e-10):
         raise UnboundedRegion(
             "origin is not strictly inside the hull of the directions")
     corners = -polar.equations[:, :3] / polar.equations[:, 3:]
     f, m = np.nonzero(polar.neighbors > np.arange(len(corners))[:, None])
     g = polar.neighbors[f, m]
-    a, b = polar.simplices[f, (m + 1) % 3], polar.simplices[f, (m + 2) % 3]
-    lengths = np.linalg.norm(corners[f] - corners[g], axis=1)
+    a, b = simplices[f, (m + 1) % 3], simplices[f, (m + 2) % 3]
+    run = corners[g] - corners[f]
+    lengths = np.linalg.norm(run, axis=1)
     keep = lengths > 0.0
     i, j = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
     edges = _edge_list(D, i, j, lengths[keep])
-    return _Cut(edges, slack, _face_areas(edges, slack), polar, corners, c)
+    warm = None
+    if keep.all() and len(polar.vertices) == len(D):
+        warm = (np.linalg.inv(D[simplices]), f, g, run / lengths[:, None])
+    return _Cut(edges, slack, _face_areas(edges, slack), simplices, corners,
+                c, warm, True)
 
 
 def _face_areas(edges, slack):
@@ -497,7 +545,7 @@ def _hull_mesh(cut):
     points, label = _merge_close(cut.corners,
                                  MERGE_TOL * _solid_scale(cut.corners))
     verts, cycles, edges = _assemble_faces(
-        points, cut.polar.simplices.ravel(), np.repeat(label, 3), D)
+        points, cut.simplices.ravel(), np.repeat(label, 3), D)
     areas = np.where(cycles[0] > 0, cut.areas, 0.0)
     return MeshPolyhedron(vertices=verts, cycles=cycles, face_normals=D,
                           face_areas=areas, edges=_edge_list(D, *edges))
@@ -520,20 +568,28 @@ def convex_hull(points) -> MeshPolyhedron:
     triangles whose plane rows (offsets over the scale) chain by gaps of at
     most 1e-9 are one face, numbered in lexsorted row order.  A plane left
     with fewer than 3 vertices touches the body in an edge: its slot stays
-    empty and keeps its normal."""
+    empty and keeps its normal.  Qhull sees the points times the power of
+    two 2^-e that brings their scale into [1/2, 1), and the plane offsets
+    and face areas are scaled back exactly, so the hull does not depend on
+    the unit of length, from an extent of 1e-150 to one of 1e150
+    (`_HULL_EXTENTS`)."""
     pts = np.atleast_2d(np.asarray(points, float))
-    scale = _solid_scale(pts)
+    scale = _solid_scale(pts, _HULL_EXTENTS)
+    e = math.frexp(scale)[1]
     try:
-        hull = _Qhull(pts)
+        hull = _Qhull(np.ldexp(pts, -e))
     except QhullError as exc:
         raise DegenerateBody("degenerate point set") from exc
-    order = np.lexsort(hull.equations.T[::-1])
+    equations = hull.equations
+    equations[:, 3] = np.ldexp(equations[:, 3], e)
+    order = np.lexsort(equations.T[::-1])
     planes, label = _merge_close(
-        hull.equations[order] / [1.0, 1.0, 1.0, max(1.0, scale)], 1e-9)
+        equations[order] / [1.0, 1.0, 1.0, max(1.0, scale)], 1e-9)
     verts, cycles, edges = _assemble_faces(
         pts, np.repeat(label, 3), hull.simplices[order].ravel(), planes[:, :3])
     area_vecs = _area_vectors(verts, cycles)
-    areas = np.linalg.norm(area_vecs, axis=1)
+    areas = np.ldexp(np.linalg.norm(np.ldexp(area_vecs, -2 * e), axis=1),
+                     2 * e)
     normals = planes[:, :3].copy()
     np.divide(area_vecs, areas[:, None], out=normals, where=areas[:, None] > 0)
     return MeshPolyhedron(vertices=verts, cycles=cycles,

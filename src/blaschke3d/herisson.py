@@ -8,6 +8,7 @@ weights, the rest are kept as is.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,19 +159,23 @@ def random_herisson(k: int, seed: int) -> Herisson:
 
 
 def _draw_directions(rng, k):
-    dirs = []
-    tries = 0
-    while len(dirs) < k:
-        if tries > 400:
-            return None
-        tries += 1
+    """k unit directions, each a normalised standard normal draw at least
+    `_MIN_SEPARATION` from those kept before it, or None when 401 draws do
+    not give k."""
+    dirs = np.empty((k, 3))
+    kept = 0
+    for _ in range(401):
         v = rng.standard_normal(3)
-        n = np.linalg.norm(v)
+        n = math.sqrt(v.dot(v))  # np.linalg.norm(v), without its overhead
         if n < 1e-12:
             continue
         v = v / n
-        if dirs and min(np.linalg.norm(np.array(dirs) - v, axis=1)) \
+        gap = dirs[:kept] - v
+        if kept and math.sqrt((gap * gap).sum(axis=1).min()) \
                 < _MIN_SEPARATION:
             continue
-        dirs.append(v)
-    return np.array(dirs)
+        dirs[kept] = v
+        kept += 1
+        if kept == k:
+            return dirs
+    return None

@@ -12,19 +12,26 @@ every face stays present and the kernel of J is exactly the translations
 that kernel gives the update orthogonal to it.  Within the Newton tolerance
 only full steps are tried, down to rounding level, and the first that
 fails ends the solve.  J needs only the edges (which faces meet, and how
-long the edge is), read off the polar hull of each half-space
-intersection, and the areas are A = 1/2 J (h - D c) for any point c
-(`geometry._face_areas`).  The state of the solve is the last accepted
-polar hull's record (`geometry._Cut`: edge list, slack h - D c, areas,
-hull and corners); its slack is carried on as the support numbers, making
-the interior point c the origin, the next centre, and the returned mesh is
-built once, off that record (`geometry._hull_mesh`).  The Newton loop
-(`_newton_solve`) ends at that record; `continuation_solve` adds the mesh
-(`_finish`), while the checks' pair evaluator reads the volume and the
-support points off the record and builds the mesh only when asked for it.
+long the edge is), read off each half-space intersection's cut
+(`geometry._polar_hull`), and the areas are A = 1/2 J (h - D c) for any
+point c (`geometry._face_areas`).  The state of the solve is the last
+accepted cut (`geometry._Cut`: edge list, slack h - D c, areas, the
+facets' plane triples and corners); its slack is carried on as the
+support numbers, making the interior point c the origin, the next centre,
+and the returned mesh is built once, off that record
+(`geometry._hull_mesh`).  Within one combinatorial type the corners are
+linear in the support numbers, so each cut tried is first read off the
+state's triangulation, and kept when every edge has a positive length
+there (the step stays in the state's type cone); only a step that crosses
+a wall of that cone, or starts from a body that is not simple, runs Qhull.
+The Newton loop (`_newton_solve`) ends at that record;
+`continuation_solve` adds the mesh (`_finish`), while the checks' pair
+evaluator reads the volume and the support points off the record and
+builds the mesh only when asked for it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,10 +75,14 @@ class SolveTrace:
     body, which its error reports.  `intersections` and `jacobians` count
     the half-space intersections and area Jacobians computed, over accepted
     and rejected steps alike; the returned mesh is read off the last accepted
-    intersection.  `combinatorial_changes` counts the accepted steps whose
-    face adjacency (`geometry._adjacency`) differs from the last; a full
-    step that crosses a vertex where four or more faces meet and a later
-    one that crosses back count as two, so `grunbaum.her` reports 4.
+    intersection.  `hulls` counts the intersections whose cut Qhull
+    computed; the others were read off the last accepted cut's
+    triangulation, and a cut refused with an error counts in
+    `intersections` only.  `combinatorial_changes` counts the accepted
+    steps whose face adjacency (`geometry._adjacency`) differs from the
+    last; a full step that crosses a vertex where four or more faces meet
+    and a later one that crosses back count as two, so `grunbaum.her`
+    reports 4.
     `rejections` counts the rejected step lengths by cause: "diverged" (a
     non-finite update), "stalled" (too small a fall of the residual),
     "collapse" (a face area below the floor) and "degenerate" (the last
@@ -84,15 +95,19 @@ class SolveTrace:
     final_residual: float = float("nan")
     combinatorial_changes: int = 0
     intersections: int = 0
+    hulls: int = 0
     jacobians: int = 0
     rejections: dict = field(default_factory=lambda: dict.fromkeys(
         ("diverged", "stalled", "collapse", "degenerate"), 0))
 
 
-def _hull_state(directions, h, trace):
-    """The `geometry._Cut` of the body with support numbers h, counted."""
+def _hull_state(directions, h, trace, prev=None):
+    """The `geometry._Cut` of the body with support numbers h, read off
+    `prev`'s triangulation where h lies in its type cone; counted."""
     trace.intersections += 1
-    return _polar_hull(directions, h)
+    cut = _polar_hull(directions, h, prev)
+    trace.hulls += cut.hulled
+    return cut
 
 
 def _tangent_state(directions, trace):
@@ -161,6 +176,13 @@ def _solve_kernel_free(jac, rhs, directions):
         return np.full(len(rhs), np.nan)
 
 
+def _area_norm(x, target):
+    """|x|_2 / 2^e, 2^e the power of two just above max(target): the bits of
+    np.linalg.norm(x) / 2^e, with no square under- or overflowing at any
+    unit of area."""
+    return float(np.linalg.norm(np.ldexp(x, -math.frexp(target.max())[1])))
+
+
 def _damped_step(directions, state, target, lengths, floor, trace):
     """One Newton step from `state` towards the face areas `target`.
 
@@ -178,18 +200,20 @@ def _damped_step(directions, state, target, lengths, floor, trace):
     if not np.all(np.isfinite(dh)):
         trace.rejections["diverged"] += 1
         return "diverged", None
-    norm = np.linalg.norm(gap)
+    norm = _area_norm(gap, target)
     for alpha in lengths:
         h = state.slack + alpha * dh
         try:
-            new = _hull_state(directions, h, trace) if h.min() > 0 else None
+            new = _hull_state(directions, h, trace, state) \
+                if h.min() > 0 else None
         except (DegenerateBody, UnboundedRegion):
             new = None
         if new is None:
             cause = "degenerate"
         elif new.areas.min() < floor:
             cause = "collapse"
-        elif np.linalg.norm(target - new.areas) > (1 - alpha / 2) * norm:
+        elif _area_norm(target - new.areas, target) > \
+                (1 - alpha / 2) * norm:
             cause = "stalled"
         else:
             return alpha, new
@@ -252,8 +276,9 @@ def _newton_solve(h, cfg=None):
         alpha, state, adjacency = outcome, new, adj
         trace.steps_taken += 1
         trace.alpha_history.append(alpha)
-        trace.residual_history.append(float(
-            np.linalg.norm(target - state.areas) / np.linalg.norm(target)))
+        trace.residual_history.append(
+            _area_norm(target - state.areas, target)
+            / _area_norm(target, target))
     resid = np.abs(target - state.areas).max() / target.max()
     if resid > cfg.newton_tol:
         raise _failure("budget", resid, trace)

@@ -12,7 +12,7 @@ from blaschke3d import geometry
 from blaschke3d.errors import DegenerateBody
 from blaschke3d.geometry import DIRECTION_TOL, MERGE_TOL, MeshPolyhedron, \
     SupportPolyhedron, _cross, _edge_list, _group_sums, intersect_halfspaces
-from blaschke3d.herisson import random_herisson
+from blaschke3d.herisson import _MIN_SEPARATION, random_herisson
 
 
 def mesh_of(vertices, faces, normals, areas, edge_lengths) -> MeshPolyhedron:
@@ -91,6 +91,27 @@ def positively_spanning_reference(directions) -> bool:
 def support_values_reference(points, normals):
     """`geometry._support_values` in one product, without row blocks."""
     return (points @ normals.T).max(axis=0)
+
+
+def draw_directions_reference(rng, k):
+    """`herisson._draw_directions` as a list loop: the array of every kept
+    direction rebuilt for each draw and the builtin `min` over it."""
+    dirs = []
+    tries = 0
+    while len(dirs) < k:
+        if tries > 400:
+            return None
+        tries += 1
+        v = rng.standard_normal(3)
+        n = np.linalg.norm(v)
+        if n < 1e-12:
+            continue
+        v = v / n
+        if dirs and min(np.linalg.norm(np.array(dirs) - v, axis=1)) \
+                < _MIN_SEPARATION:
+            continue
+        dirs.append(v)
+    return np.array(dirs)
 
 
 def random_tangent_mesh(k: int, seed: int, jitter=0.0):

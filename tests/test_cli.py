@@ -43,6 +43,7 @@ class TestConstruct:
         assert code == 0
         trace = json.loads(stdout)
         assert trace["intersections"] >= 1 + trace["steps_taken"]
+        assert trace["hulls"] == 1  # the tangent body's cut
         assert trace["jacobians"] >= trace["steps_taken"]
         assert trace["rejections"] == {"collapse": 0, "degenerate": 0,
                                        "diverged": 0, "stalled": 0}

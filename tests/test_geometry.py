@@ -475,6 +475,103 @@ class TestScaledCut:
         assert vertex_sets_match(mesh, ref_mesh, tol)
 
 
+def assert_same_cut(got, ref):
+    """Two cuts of one body about one centre: the same edge pairs, edge
+    lengths, areas and slack within 1e-12 relative, and the same corners
+    as sets."""
+    a, b = edge_dict(got.edges), edge_dict(ref.edges)
+    assert a.keys() == b.keys()
+    assert max(abs(a[e] - b[e]) for e in b) <= 1e-12 * max(b.values())
+    np.testing.assert_array_equal(got.c, ref.c)
+    assert np.abs(got.slack - ref.slack).max() <= 1e-12 * ref.slack.max()
+    assert np.abs(got.areas - ref.areas).max() <= 1e-12 * ref.areas.max()
+    gap = np.linalg.norm(got.corners[:, None] - ref.corners[None], axis=2)
+    tol = 1e-12 * np.ptp(ref.corners, axis=0).max()
+    assert gap.min(axis=0).max() <= tol and gap.min(axis=1).max() <= tol
+
+
+class TestWarmCut:
+    """A cut with `prev` is read off `prev`'s triangulation exactly when
+    every edge keeps a positive length there (h in `prev`'s type cone), and
+    is then the cold cut of the same support numbers; otherwise Qhull runs
+    as without `prev`."""
+
+    @pytest.mark.parametrize("k", [6, 12, 24, 48])
+    def test_random_steps_from_accepted_states(self, k):
+        from blaschke3d import solver
+        warm = 0
+        for s in range(3):
+            h = random_herisson(k, s)
+            D, target, trace = h.directions, h.areas, solver.SolveTrace()
+            state = solver._tangent_state(D, trace)[1]
+            state = state.scaled(np.sqrt(h.total_area / state.areas.sum()))
+            rng = np.random.default_rng([k, s])
+            for _ in range(6):
+                dh = solver._solve_kernel_free(
+                    area_jacobian(state), target - state.areas, D)
+                for alpha in [1.0, 0.5, *rng.uniform(0.0, 1.0, 4)]:
+                    step = state.slack + alpha * dh
+                    if step.min() <= 0:
+                        continue
+                    try:
+                        cold = _polar_hull(D, step)
+                    except (DegenerateBody, UnboundedRegion):
+                        continue
+                    got = _polar_hull(D, step, state)
+                    if not got.hulled:
+                        warm += 1
+                        assert got.simplices is state.simplices
+                        assert got.edges.lengths.min() > 0
+                        assert_same_cut(got, cold)
+                    elif state.warm is not None and not cold.c.any():
+                        # declined: the step crossed a wall of the type
+                        assert _adjacency(cold.edges) != \
+                            _adjacency(state.edges)
+                _, new = solver._damped_step(
+                    D, state, target, solver._LENGTHS, 0.0, trace)
+                if new is None:
+                    break
+                state = new
+        assert warm > 0
+
+    def test_declines_on_a_zero_length_edge(self):
+        # the icosahedron's tangent body has five faces at every vertex: its
+        # polar facets are split pentagons with inner edges of length zero
+        dirs = icosahedron_directions()
+        prev = _polar_hull(dirs, np.ones(20))
+        assert prev.warm is None and prev.edges.lengths.min() > 0
+        step = 1.0 + 0.01 * np.random.default_rng(3).uniform(-1, 1, 20)
+        got = _polar_hull(dirs, step, prev)
+        assert got.hulled
+        assert_same_cut(got, _polar_hull(dirs, step))
+
+    def test_declines_off_the_origin(self):
+        # one support number below _CENTRE_SLACK times the median: the
+        # centre is the Chebyshev centre, though the box keeps its type
+        prev = _polar_hull(AXES, np.ones(6))
+        assert prev.warm is not None
+        step = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.01])
+        got = _polar_hull(AXES, step, prev)
+        assert got.hulled and got.c.any()
+        assert_same_cut(got, _polar_hull(AXES, step))
+
+    def test_declines_across_a_wall(self):
+        # the cube [-1, 1]^3 with its corner (1, 1, 1) cut off by a plane
+        # at distance t: a triangle for 1/sqrt(3) < t < sqrt(3), a hexagon
+        # below, which is another type
+        dirs = np.vstack([AXES, np.full(3, 3 ** -0.5)])
+        prev = _polar_hull(dirs, np.r_[np.ones(6), 1.2])
+        assert prev.warm is not None
+        near = _polar_hull(dirs, np.r_[np.ones(6), 0.9], prev)
+        assert not near.hulled
+        step = np.r_[np.ones(6), 0.3]
+        got = _polar_hull(dirs, step, prev)
+        cold = _polar_hull(dirs, step)
+        assert got.hulled and not got.c.any()
+        assert _adjacency(cold.edges) != _adjacency(prev.edges)
+        assert_same_cut(got, cold)
+
+
 class TestIntersectionInvariance:
     @pytest.mark.parametrize("seed", range(6))
     def test_translation(self, seed):
@@ -563,6 +660,32 @@ class TestConvexHull:
         with pytest.raises(DegenerateBody) as err:
             convex_hull(pts)
         assert str(err.value) == "non-finite point coordinates"
+
+    @pytest.mark.parametrize("k", [-480, -100, -40, -8, 8, 40, 100, 480])
+    def test_a_power_of_two_scales_the_hull_bit_for_bit(self, k):
+        # Qhull sees the points at one scale whatever the unit of length
+        pts = icosphere_mesh(2).vertices * [1.0, 2.0, 0.5]
+        base, got = convex_hull(pts), convex_hull(np.ldexp(pts, k))
+        np.testing.assert_array_equal(got.vertices,
+                                      np.ldexp(base.vertices, k))
+        np.testing.assert_array_equal(got.face_areas,
+                                      np.ldexp(base.face_areas, 2 * k))
+        np.testing.assert_array_equal(got.face_normals, base.face_normals)
+        for a, b in zip(got.cycles, base.cycles):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("s", [1e-140, 1e-100, 1e80, 1e120])
+    def test_cube_at_extreme_scales(self, s):
+        mesh = convex_hull(unit_cube().vertices * s)
+        assert mesh.face_count == 6 and len(mesh.vertices) == 8
+        np.testing.assert_allclose(mesh.face_areas, s * s, rtol=1e-12)
+        np.testing.assert_allclose(mesh.edges.lengths, s, rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-160, 1e151, 1e153])
+    def test_extent_beyond_the_float_range_of_areas(self, s):
+        with pytest.raises(DegenerateBody, match="point extent .* is "
+                           "outside 1e-150 to 1e[+]150"):
+            convex_hull(unit_cube().vertices * s)
 
     @pytest.mark.parametrize("spread", [True, False],
                              ids=["span", "centre"])

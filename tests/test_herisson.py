@@ -10,11 +10,11 @@ from blaschke3d.errors import (ClosureViolation, DuplicateDirection,
                                NonPositiveArea, NonPositiveScale,
                                RankDeficient)
 from blaschke3d.geometry import unit
-from blaschke3d.herisson import (Herisson, blaschke_add, blaschke_scale,
-                                 herisson_of_mesh, random_herisson,
-                                 validate_herisson)
+from blaschke3d.herisson import (Herisson, _draw_directions, blaschke_add,
+                                 blaschke_scale, herisson_of_mesh,
+                                 random_herisson, validate_herisson)
 
-from helpers import random_tangent_mesh
+from helpers import draw_directions_reference, random_tangent_mesh
 
 AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
@@ -213,3 +213,18 @@ class TestRandomHerisson:
         validate_herisson(h.directions, h.areas)
         resid = np.linalg.norm(h.closure_residual())
         assert resid <= 1e-12 * h.total_area
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_draws_match_the_list_loop(self, seed):
+        # the same random stream, bit for bit: equal directions (or None
+        # after 401 draws, as at k = 300) and the generator left in the
+        # same state, over a chain of draws from one generator
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in (4, 5, 6, 12, 24, 48, 96, 150, 300, 7):
+            got, want = _draw_directions(rng, k), \
+                draw_directions_reference(ref, k)
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
