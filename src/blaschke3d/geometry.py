@@ -486,6 +486,10 @@ def _polar_hull(directions, offsets, prev=None):
     the body is bounded exactly when the origin is strictly inside the hull:
     UnboundedRegion if Qhull finds the polar points flat or a facet has
     -a . n_j = b s_j > -1e-10 at a vertex j (at unit slack, b itself).
+    Qhull sees the polar points times the power of two that brings the
+    largest, 1 / min slack, into (1, 2], and the corners are scaled back
+    exactly, so Qhull squares no coordinate near the float limit whatever
+    the unit of length.
     """
     D = np.asarray(directions, float)
     h = np.asarray(offsets, float)
@@ -500,16 +504,18 @@ def _polar_hull(directions, offsets, prev=None):
             edges = prev.edges._replace(lengths=lengths)
             return _Cut(edges, slack, _face_areas(edges, slack),
                         prev.simplices, corners, c, prev.warm, False)
+    e = math.frexp(slack.min())[1]
+    unit_slack = np.ldexp(slack, -e)
     try:
-        polar = _Qhull(D / slack[:, None])
+        polar = _Qhull(D / unit_slack[:, None])
     except QhullError as exc:
         raise UnboundedRegion(
             "directions do not positively span 3-space") from exc
     simplices = polar.simplices
-    if np.any(polar.equations[:, 3] * slack[simplices[:, 0]] > -1e-10):
+    if np.any(polar.equations[:, 3] * unit_slack[simplices[:, 0]] > -1e-10):
         raise UnboundedRegion(
             "origin is not strictly inside the hull of the directions")
-    corners = -polar.equations[:, :3] / polar.equations[:, 3:]
+    corners = np.ldexp(-polar.equations[:, :3] / polar.equations[:, 3:], e)
     f, m = np.nonzero(polar.neighbors > np.arange(len(corners))[:, None])
     g = polar.neighbors[f, m]
     a, b = simplices[f, (m + 1) % 3], simplices[f, (m + 2) % 3]

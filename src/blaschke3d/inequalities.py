@@ -12,13 +12,17 @@ its volume and support points are read off the solve's last cut
 `msum`, and the containment test of the monotonicity check), so a fuzz
 trial builds no mesh.  A campaign runs its trials in contiguous
 slices over the CPUs of the process's affinity set, the caller's slice
-in-process and the rest in forked workers; its summary is the same for any
+in-process and the rest in workers forked directly (`os.fork`, one pipe
+each), which leave by `os._exit` and are reaped, or killed and reaped,
+before the campaign returns or raises; its summary is the same for any
 number of CPUs, and in-process monkeypatches and tracers see only the
 caller's slice.
 """
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -336,25 +340,76 @@ def _cpu_count():
     return len(os.sched_getaffinity(0))
 
 
+def _fork_worker(cfg, start, stop):
+    """Fork a worker for trials start..stop-1 and return its pid and the
+    read end of its pipe.  The worker pickles (True, reports) or (False,
+    exception) into the pipe and leaves by `os._exit`, so it never returns
+    into the caller's code or flushes the caller's stdio; the write end is
+    closed here before the next worker is forked, so the pipe of a worker
+    that dies reads EOF."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                result = (True, _trials(cfg, start, stop))
+            except Exception as exc:
+                result = (False, exc)
+            with open(w, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
 def _campaign_reports(cfg):
     """Every trial's reports, in trial order.  The trials are cut into one
-    contiguous slice per CPU; the caller runs the first slice while forked
-    workers run the rest, and a trial that raises in any slice raises
-    here, the first in trial order winning."""
+    contiguous slice per CPU; the caller forks one worker per slice but the
+    first (`_fork_worker`), runs the first slice, then reads each worker's
+    pipe to EOF in slice order and reaps the workers.  If anything raises
+    before then, the caller's own slice included, every worker is killed
+    and reaped before the error propagates.  A trial that raises in any
+    slice raises here, and a worker that dies raises ChildProcessError, the
+    first in trial order winning."""
     n = min(_cpu_count(), cfg.trials)
-    if n == 1:
-        return _trials(cfg, 0, cfg.trials)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     bounds = [cfg.trials * i // n for i in range(n + 1)]
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(n - 1, mp_context=fork) as pool:
-        rest = [pool.submit(_trials, cfg, start, stop)
-                for start, stop in zip(bounds[1:-1], bounds[2:])]
+    slices = list(zip(bounds[1:-1], bounds[2:]))
+    pids, pipes, statuses = [], [], []
+    try:
+        for start, stop in slices:
+            pid, pipe = _fork_worker(cfg, start, stop)
+            pids.append(pid)
+            pipes.append(pipe)
         reports = _trials(cfg, 0, bounds[1])
-        for future in rest:
-            reports += future.result()
+        sent = [pipe.read() for pipe in pipes]
+        for pid in pids:
+            statuses.append(os.waitpid(pid, 0)[1])
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids[len(statuses):]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for (start, stop), data, status in zip(slices, sent, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or not data:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise ChildProcessError(
+                f"campaign worker for trials {start}-{stop - 1} died: "
+                f"{how}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        reports += value
     return reports
 
 
@@ -368,12 +423,15 @@ def fuzz_campaign(cfg: FuzzConfig) -> dict:
 
     Each trial derives its pair from (seed, trial) alone, so the trials
     run in contiguous slices, one per CPU of the process's affinity set:
-    the caller runs the first slice and forked worker processes the rest,
-    which exit before the call returns; with one CPU or one trial, without
-    `fork` or an affinity set, or while other threads run, the caller runs
-    every trial.  The summary is the same for any number of CPUs.
-    Monkeypatches and tracers installed in the calling process see only the
-    caller's slice.
+    the caller runs the first slice and worker processes forked directly
+    run the rest; they leave by `os._exit`, never flushing the caller's
+    stdio, and are reaped, or killed and reaped, before the call returns or
+    raises.  With one CPU or one trial, without `fork` or an affinity set,
+    or while other threads run, the caller runs every trial.  The summary
+    is the same for any number of CPUs.  A worker that dies raises
+    ChildProcessError naming its trials and how it ended.  Monkeypatches
+    and tracers installed in the calling process see only the caller's
+    slice.
     """
     stats = {name: {"holds": 0, "equality": 0, "fails": 0,
                     "worst_residual": np.inf, "failure_seeds": []}

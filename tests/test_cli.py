@@ -481,17 +481,22 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_import_leaves_process_pools_unloaded():
-    # a campaign imports its worker pool when it first forks workers, so
-    # cold start does not pay for multiprocessing
+    # a campaign forks its workers with os.fork, so neither import nor a
+    # campaign over 3 slices pays for multiprocessing
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = """if True:
         import sys
         import blaschke3d
+        from blaschke3d import inequalities
         pools = ("multiprocessing", "concurrent.futures.process")
-        print([name for name in pools if name in sys.modules])
+        loaded = [[name for name in pools if name in sys.modules]]
+        inequalities._cpu_count = lambda: 3
+        inequalities.fuzz_campaign(inequalities.FuzzConfig(trials=3))
+        loaded.append([name for name in pools if name in sys.modules])
+        print(loaded)
     """
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True,
                           timeout=120)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[[], []]"

@@ -1,8 +1,10 @@
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,29 @@ from blaschke3d.inequalities import (FuzzConfig, InequalityReport, _Pair,
                                      monotonicity_check, sum_comparison_check)
 from blaschke3d.solver import continuation_solve
 from blaschke3d.sums import minkowski_sum
+
+
+def assert_no_children():
+    """No child of this process is left, running or unreaped; unlike
+    `multiprocessing.active_children`, waitpid sees every child, however it
+    was started."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in this process if the block runs longer than
+    `seconds`; forked children do not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def shuffled(h, seed):
@@ -296,12 +321,81 @@ class TestFuzzCampaign:
         assert fuzz_campaign(cfg)["trials"] == 11
         assert calls == [inequalities._derived_seed(3, trial, 1)
                          for trial in range(3)]
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         with pytest.raises(GenerationFailed) as err:
             fuzz_campaign(self.SLICED)
         assert type(err.value) is GenerationFailed
         assert str(err.value) == f"no herisson for seed {last}"
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+    @pytest.mark.parametrize("die, how", [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9")],
+        ids=["exit", "sigkill"])
+    def test_dead_worker_is_named(self, monkeypatch, die, how):
+        # of 3 slices of 12 trials, the worker of the last (8-11) dies at
+        # trial 9; the caller reaps every worker, then names the slice
+        caller = os.getpid()
+
+        def patched(cfg, trial):
+            if trial == 9 and os.getpid() != caller:
+                die()
+            return trial
+        monkeypatch.setattr(inequalities, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(inequalities, "_trial", patched)
+        with pytest.raises(ChildProcessError) as err:
+            fuzz_campaign(self.SLICED)
+        assert str(err.value) == \
+            f"campaign worker for trials 8-11 died: {how}"
+        assert_no_children()
+
+    def test_caller_error_kills_the_workers(self, monkeypatch):
+        # the caller's slice raises at trial 0 while the workers would run
+        # for a minute: the error propagates at once, and the workers are
+        # killed and reaped on the way
+        caller = os.getpid()
+
+        def patched(cfg, trial):
+            if os.getpid() == caller:
+                raise GenerationFailed(f"no pair for trial {trial}")
+            time.sleep(60)
+        monkeypatch.setattr(inequalities, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(inequalities, "_trial", patched)
+        with time_limit(20), pytest.raises(GenerationFailed,
+                                           match="no pair for trial 0$"):
+            fuzz_campaign(self.SLICED)
+        assert_no_children()
+
+    def test_reports_larger_than_a_pipe_buffer(self, monkeypatch):
+        # 100 KiB a trial: the worker's 6 trials fill a 64 KiB pipe buffer
+        # several times over, and the caller reads it while it is written
+        monkeypatch.setattr(inequalities, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(inequalities, "_trial",
+                            lambda cfg, trial: bytes([trial]) * 102400)
+        with time_limit(60):
+            reports = inequalities._campaign_reports(self.SLICED)
+        assert reports == [bytes([trial]) * 102400 for trial in range(12)]
+        assert_no_children()
+
+    def test_unflushed_stdout_appears_once(self):
+        # a piped stdout is block-buffered (PYTHONUNBUFFERED unset), so
+        # "before" is still in the buffer when the workers are forked; they
+        # leave by os._exit and never flush the copy they inherit
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {name: value for name, value in os.environ.items()
+               if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        code = """if True:
+            from blaschke3d import inequalities
+            inequalities._cpu_count = lambda: 3
+            print("before")
+            cfg = inequalities.FuzzConfig(trials=3, seed=0)
+            print(inequalities.fuzz_campaign(cfg)["trials"])
+        """
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=300)
+        assert done.stdout == "before\n3\n"
 
     @pytest.mark.parametrize("a", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_invalid_exponent(self, a):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -557,6 +560,40 @@ class TestScaleFreeMarch:
         _, _, trace = continuation_solve(h)
         assert trace.steps_taken > 0 and trace.final_residual <= 1e-12
         assert np.all(np.isfinite(trace.residual_history))
+
+    @pytest.mark.parametrize("s", [1e-200, 1e290, 1e300])
+    def test_grunbaum_at_an_extreme_unit_of_area(self, s):
+        # the polar points, of magnitude 1/slack, reach Qhull scaled by a
+        # power of two to unit magnitude
+        _, mesh, trace = continuation_solve(
+            blaschke_scale(grunbaum_herisson(), s))
+        assert trace.final_residual <= 1e-12
+        assert mesh.face_count == grunbaum_herisson().k
+
+    def test_polar_points_near_the_float_limit(self):
+        # areas of 1e-310 give slack near 1e-155 and polar points near
+        # 1e155, whose squares overflowed inside Qhull and killed the
+        # process with SIGSEGV; run in a child so a crash fails this test
+        # only
+        code = """if True:
+            from blaschke3d.errors import ToolkitError
+            from blaschke3d.herisson import blaschke_scale, random_herisson
+            from blaschke3d.solver import continuation_solve
+            h = blaschke_scale(random_herisson(24, 1), 1e-310)
+            try:
+                print("solved", continuation_solve(h)[2].final_residual)
+            except ToolkitError as exc:
+                print("refused", type(exc).__name__, exc)
+        """
+        env = {**os.environ, "PYTHONPATH": str(DATA.parent / "src")}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        verdict, *rest = done.stdout.split()
+        assert verdict == "refused" or (
+            verdict == "solved"
+            and float(rest[0]) <= ContinuationConfig().newton_tol), rest
 
     @pytest.mark.parametrize("s", [1e-6, 16.0, 1e6])
     def test_scaled_cube_takes_one_intersection(self, s):
