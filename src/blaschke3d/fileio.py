@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvexInput, ParseError
-from .geometry import (MeshPolyhedron, _area_vectors, _group_sums,
-                       _support_values, convex_hull, validate_mesh)
+from .geometry import (MeshPolyhedron, _area_norms, _area_vectors,
+                       _group_sums, _support_values, convex_hull,
+                       validate_mesh)
 from .herisson import Herisson, validate_herisson
 from .spherical import SphericalPolygon
 
@@ -162,7 +163,7 @@ def _check_face_planes(verts, cycles):
     scale = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
     verts = verts - verts.mean(axis=0)
     area = _area_vectors(verts, cycles)
-    nn = np.linalg.norm(area, axis=1)
+    nn = _area_norms(area, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN cuts nothing
         normal = area / nn[:, None]
         offset = (_group_sums(face, verts[vid], len(count)) * normal).sum(1) \

@@ -20,16 +20,17 @@ triangulation, leave every edge a positive length lie in its type cone
 and are read off it with no Qhull run (`_polar_hull`'s `prev`).  A mesh
 is its arrays: its flat face cycles and its edges (an `EdgeList` too),
 which every measurement, check and file writer reads; its face area
-vectors come from one formula, `_area_vectors`.  Which faces meet is one
-rule, `_adjacency` (the edges longer than 1e-9 of the longest), which the
-solve's combinatorial-change count reads.  Tolerances are relative to
-the body scale (bounding-box diagonal); no exact predicates.  A point
-hull takes extents from 1e-150 to 1e150 (`_HULL_EXTENTS`), and Qhull sees
-the points scaled by a power of two to unit extent.
+vectors come from one formula, `_area_vectors`, and every 2-norm of area
+vectors from one, `_area_norms`, taken at a power of two.  Which faces
+meet is one rule, `_adjacency` (the edges longer than 1e-9 of the
+longest), which the solve's combinatorial-change count reads.
+Tolerances are relative to the body scale (bounding-box diagonal); no
+exact predicates.  A point hull takes extents from 1e-150 to 1e150
+(`_HULL_EXTENTS`), and Qhull sees the points scaled by a power of two to
+unit extent.
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -127,14 +128,6 @@ class SupportPolyhedron:
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "support_numbers", h)
 
-    def _with_support_numbers(self, h):
-        """The body with these directions, already checked, and support
-        numbers h."""
-        moved = copy.copy(self)
-        object.__setattr__(moved, "support_numbers",
-                           np.asarray(h, dtype=float).ravel())
-        return moved
-
 
 class EdgeList(NamedTuple):
     """The edges of a body as arrays: edge e joins faces i[e] < j[e], whose
@@ -222,6 +215,16 @@ def _row_blocks(rows, cols):
     holding about 2^17 values (1 MB of floats) whatever the sizes."""
     block = max(1, (1 << 17) // max(cols, 1))
     return [slice(s, s + block) for s in range(0, rows, block)]
+
+
+def _area_norms(vecs, axis=None):
+    """np.linalg.norm(vecs, axis=axis) taken in units of 2^e, the power of
+    two just above the largest |entry|, and scaled back exactly: the plain
+    norm's bits wherever its squares are normal floats, and no square
+    under- or overflows at any unit of area."""
+    vecs = np.asarray(vecs, float)
+    e = math.frexp(float(np.abs(vecs).max(initial=0.0)))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(vecs, -e), axis=axis), e)
 
 
 def _group_sums(group, values, n):
@@ -594,8 +597,7 @@ def convex_hull(points) -> MeshPolyhedron:
     verts, cycles, edges = _assemble_faces(
         pts, np.repeat(label, 3), hull.simplices[order].ravel(), planes[:, :3])
     area_vecs = _area_vectors(verts, cycles)
-    areas = np.ldexp(np.linalg.norm(np.ldexp(area_vecs, -2 * e), axis=1),
-                     2 * e)
+    areas = _area_norms(area_vecs, axis=1)
     normals = planes[:, :3].copy()
     np.divide(area_vecs, areas[:, None], out=normals, where=areas[:, None] > 0)
     return MeshPolyhedron(vertices=verts, cycles=cycles,
@@ -709,7 +711,7 @@ def validate_mesh(mesh: MeshPolyhedron) -> MeshPolyhedron:
     f = mesh.face_count
     if v - e + f != 2:
         raise ValueError(f"Euler characteristic V-E+F = {v - e + f} != 2")
-    resid = float(np.linalg.norm(vector_area_residual(mesh)))
+    resid = float(_area_norms(vector_area_residual(mesh)))
     if resid > 1e-9 * mesh.face_areas.sum():
         raise ValueError("vector area of the surface does not close up")
     _, i, j, lengths, _, _ = mesh.edges

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ClosureViolation, GenerationFailed, NonPositiveArea,
                      NonPositiveScale, RankDeficient)
-from .geometry import (MeshPolyhedron, as_unit_rows,
+from .geometry import (MeshPolyhedron, _area_norms, as_unit_rows,
                        check_distinct_directions, match_directions)
 
 # Residual above this fraction of the total area cannot be repaired.
@@ -80,21 +80,26 @@ def validate_herisson(directions, areas) -> Herisson:
     if sv[-1] <= 1e-9 * sv[0]:
         raise RankDeficient("all directions lie in a plane through the origin")
 
-    total = float(ars.sum())
-    residual = float(np.linalg.norm(ars @ dirs))
+    # the residual is compared with the total in units of 2^e, the power of
+    # two just above the largest area, where the total is a finite float
+    e = math.frexp(ars.max())[1]
+    total = float(np.ldexp(ars, -e).sum())
+    residual = float(_area_norms(ars @ dirs))
     correction = 0.0
-    if residual > CLOSURE_REPAIR_GATE * total:
+    if math.ldexp(residual, -e) > CLOSURE_REPAIR_GATE * total:
+        with np.errstate(over="ignore"):
+            whole = float(np.ldexp(total, e))
         raise ClosureViolation(
             f"closure residual {residual:.3e} exceeds "
-            f"{CLOSURE_REPAIR_GATE:g} of the total area {total:.3e}",
+            f"{CLOSURE_REPAIR_GATE:g} of the total area {whole:.3e}",
             residual=residual)
-    if residual > _NEGLIGIBLE_RESIDUAL * total:
+    if math.ldexp(residual, -e) > _NEGLIGIBLE_RESIDUAL * total:
         repaired = _project_closure(dirs, ars)
         if np.any(repaired <= 0):
             raise ClosureViolation(
                 "closure repair drives an area nonpositive",
                 residual=residual)
-        correction = float(np.linalg.norm(repaired - ars))
+        correction = float(_area_norms(repaired - ars))
         ars = repaired
     return Herisson(directions=dirs, areas=ars, correction=correction)
 
@@ -127,7 +132,13 @@ def blaschke_scale(h: Herisson, t: float) -> Herisson:
     if not 0 < t < np.inf:
         raise NonPositiveScale(
             f"scale factor must be positive and finite, got {t}")
-    return Herisson(directions=h.directions, areas=h.areas * t)
+    with np.errstate(over="ignore", under="ignore"):
+        areas = h.areas * t
+    if not (areas.max() < np.inf and areas.min() > 0):
+        raise NonPositiveScale(
+            f"scale factor {t} takes an area out of the float range: "
+            "it overflows to inf or underflows to 0")
+    return Herisson(directions=h.directions, areas=areas)
 
 
 # Random generation: pairwise separation keeps the reconstruction problem

@@ -88,9 +88,9 @@ class _Body:
     """A body given by its mesh or by its face data (a herisson).  The other
     form and the volume are derived on first use.  A mesh's face data are
     read off it.  Face data are solved once, with the solver config:
-    `solve` keeps the tangent body, the last accepted `geometry._Cut` and
-    the `SolveTrace`, the volume and the support points are read off that
-    cut, and the mesh is built from it only when a caller reads `mesh`."""
+    `solve` keeps the last accepted `geometry._Cut` and the `SolveTrace`,
+    the volume and the support points are read off that cut, and the mesh
+    is built from it only when a caller reads `mesh`."""
 
     def __init__(self, body, cfg=None):
         self._body, self._cfg = body, cfg
@@ -107,13 +107,13 @@ class _Body:
     @cached_property
     def mesh(self):
         if isinstance(self._body, Herisson):
-            return _finish(*self.solve)[1]
+            return _finish(self._body, *self.solve)[1]
         return self._body
 
     @cached_property
     def volume(self):
         if isinstance(self._body, Herisson):
-            return self.solve[1].volume
+            return self.solve[0].volume
         return volume(self._body)
 
     @cached_property
@@ -122,7 +122,7 @@ class _Body:
         about an interior point: the cut's directions, areas and corners,
         or the mesh's, with its vertices about their centroid."""
         if isinstance(self._body, Herisson):
-            cut = self.solve[1]
+            cut = self.solve[0]
             return cut.edges.face_normals, cut.areas, cut.corners
         m = self._body
         return m.face_normals, m.face_areas, m.vertices - m.centroid

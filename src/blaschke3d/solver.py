@@ -2,7 +2,11 @@
 
 Damped Newton steps on the face areas A(h) = F start from the tangent body
 (support numbers 1, circumscribing the unit sphere) scaled to the target's
-total area, so the solve is the same in any unit of area.  Each step solves
+total area.  The loop runs in units of 4^m, the power of four at or just
+below the largest target area, so no norm of an area vector squares an
+area near the float limits, and since floating point commutes with a
+power of two, every step and the result, scaled back exactly, are the same
+in any unit of area.  Each step solves
 J dh = F - A for the area Jacobian J and keeps the longest length alpha of
 1, 1/2, 1/4, ... (at most twice the last) at which every face keeps half
 the least start or target area and |F - A|_2 falls by 1 - alpha/2 (the rule
@@ -25,9 +29,10 @@ state's triangulation, and kept when every edge has a positive length
 there (the step stays in the state's type cone); only a step that crosses
 a wall of that cone, or starts from a body that is not simple, runs Qhull.
 The Newton loop (`_newton_solve`) ends at that record;
-`continuation_solve` adds the mesh (`_finish`), while the checks' pair
-evaluator reads the volume and the support points off the record and
-builds the mesh only when asked for it.
+`continuation_solve` adds the mesh and the support polyhedron, whose
+constructor checks the directions, once per solve (`_finish`), while the
+checks' pair evaluator reads the volume and the support points off the
+record and builds the mesh only when asked for it.
 """
 from __future__ import annotations
 
@@ -111,21 +116,20 @@ def _hull_state(directions, h, trace, prev=None):
 
 
 def _tangent_state(directions, trace):
-    """`initial_polyhedron`'s body and its `geometry._Cut`."""
-    sp = SupportPolyhedron(np.asarray(directions, float),
-                           np.ones(len(directions)))
-    state = _hull_state(sp.directions, sp.support_numbers, trace)
+    """The `geometry._Cut` of `initial_polyhedron`'s body."""
+    state = _hull_state(directions, np.ones(len(directions)), trace)
     if state.areas.min() <= 0:
         raise DegenerateBody("tangent body lost a face; directions too close")
-    return sp, state
+    return state
 
 
 def initial_polyhedron(directions):
     """Starting body of the solve: all support numbers 1, circumscribing the
     unit sphere, where every face has positive area.  Returns the body and
     its face areas."""
-    sp, state = _tangent_state(directions, SolveTrace())
-    return sp, state.areas
+    sp = SupportPolyhedron(np.asarray(directions, float),
+                           np.ones(len(directions)))
+    return sp, _tangent_state(sp.directions, SolveTrace()).areas
 
 
 def area_jacobian(body) -> np.ndarray:
@@ -176,13 +180,6 @@ def _solve_kernel_free(jac, rhs, directions):
         return np.full(len(rhs), np.nan)
 
 
-def _area_norm(x, target):
-    """|x|_2 / 2^e, 2^e the power of two just above max(target): the bits of
-    np.linalg.norm(x) / 2^e, with no square under- or overflowing at any
-    unit of area."""
-    return float(np.linalg.norm(np.ldexp(x, -math.frexp(target.max())[1])))
-
-
 def _damped_step(directions, state, target, lengths, floor, trace):
     """One Newton step from `state` towards the face areas `target`.
 
@@ -200,7 +197,7 @@ def _damped_step(directions, state, target, lengths, floor, trace):
     if not np.all(np.isfinite(dh)):
         trace.rejections["diverged"] += 1
         return "diverged", None
-    norm = _area_norm(gap, target)
+    norm = np.linalg.norm(gap)
     for alpha in lengths:
         h = state.slack + alpha * dh
         try:
@@ -212,8 +209,7 @@ def _damped_step(directions, state, target, lengths, floor, trace):
             cause = "degenerate"
         elif new.areas.min() < floor:
             cause = "collapse"
-        elif _area_norm(target - new.areas, target) > \
-                (1 - alpha / 2) * norm:
+        elif np.linalg.norm(target - new.areas) > (1 - alpha / 2) * norm:
             cause = "stalled"
         else:
             return alpha, new
@@ -245,17 +241,23 @@ def continuation_solve(h: Herisson, cfg: ContinuationConfig | None = None):
     `_MAX_STEPS` steps, each naming the cause, the relative residual
     reached and the step count.
     """
-    return _finish(*_newton_solve(h, cfg))
+    return _finish(h, *_newton_solve(h, cfg))
 
 
 def _newton_solve(h, cfg=None):
-    """The Newton loop of `continuation_solve`, with its errors: the tangent
-    body, the `geometry._Cut` of the last accepted step and the trace."""
+    """The Newton loop of `continuation_solve`, with its errors: the
+    `geometry._Cut` of the last accepted step and the trace.  The loop runs
+    in units of 4^m, the power of four at or just below max F, where no
+    norm of an area vector squares an area near the float limits, and the
+    cut is scaled back by 2^m: both scalings are exact, so each step is the
+    one taken at the caller's unit."""
     if cfg is None:
         cfg = ContinuationConfig()
-    directions, target, trace = h.directions, h.areas, SolveTrace()
-    tangent, state = _tangent_state(directions, trace)
-    state = state.scaled(np.sqrt(h.total_area / state.areas.sum()))
+    m = (math.frexp(h.areas.max())[1] - 1) // 2
+    directions, target = h.directions, np.ldexp(h.areas, -2 * m)
+    trace = SolveTrace()
+    state = _tangent_state(directions, trace)
+    state = state.scaled(np.sqrt(target.sum() / state.areas.sum()))
     floor = 0.5 * min(state.areas.min(), target.min())
     adjacency, alpha = _adjacency(state.edges), 1.0
     for _ in range(_MAX_STEPS):
@@ -276,24 +278,24 @@ def _newton_solve(h, cfg=None):
         alpha, state, adjacency = outcome, new, adj
         trace.steps_taken += 1
         trace.alpha_history.append(alpha)
-        trace.residual_history.append(
-            _area_norm(target - state.areas, target)
-            / _area_norm(target, target))
+        trace.residual_history.append(float(
+            np.linalg.norm(target - state.areas) / np.linalg.norm(target)))
     resid = np.abs(target - state.areas).max() / target.max()
     if resid > cfg.newton_tol:
         raise _failure("budget", resid, trace)
     trace.final_residual = float(resid)
-    return tangent, state, trace
+    return state.scaled(2.0 ** m), trace
 
 
-def _finish(tangent, state, trace):
+def _finish(h, state, trace):
     """The support polyhedron and mesh of `state`'s body, moved so that the
-    mesh's vertex centroid is the origin, and the trace; the directions are
-    the `tangent` body's, checked once."""
+    mesh's vertex centroid is the origin, and the trace.  The support
+    polyhedron is built with `h`'s directions by its own constructor, the
+    one check of the directions in a solve."""
     mesh = _hull_mesh(state)
     shift = mesh.centroid
-    h = state.slack - tangent.directions @ shift
-    return tangent._with_support_numbers(h), mesh.translate(-shift), trace
+    sp = SupportPolyhedron(h.directions, state.slack - h.directions @ shift)
+    return sp, mesh.translate(-shift), trace
 
 
 # -- independent oracle: Minkowski's variational problem --------------------

@@ -9,7 +9,7 @@ from blaschke3d.bodies import cube_mesh, icosahedron_herisson, icosphere_mesh
 from blaschke3d.errors import NonConvexInput, ParseError
 from blaschke3d.fileio import (export_off, format_herisson, import_off,
                                parse_herisson_file, parse_polygon_file)
-from blaschke3d.geometry import volume
+from blaschke3d.geometry import convex_hull, volume
 from blaschke3d.herisson import herisson_of_mesh, random_herisson
 from blaschke3d.solver import continuation_solve
 
@@ -151,6 +151,17 @@ class TestOff:
         lines = text.splitlines()
         assert lines[0] == "OFF"
         assert lines[1] == "8 6 12"
+
+    @pytest.mark.parametrize("s", [1e-150, 1e-100, 1e-80, 1e78, 1e90,
+                                   1e140])
+    def test_round_trip_at_an_extreme_extent(self, s):
+        # the face-plane check and the closure measure area vectors at a
+        # power of two, so every extent a hull takes reads back
+        mesh = convex_hull(icosphere_mesh(1).vertices * s)
+        again = import_off(export_off(mesh))
+        assert again.face_count == 80
+        assert again.face_areas.sum() == pytest.approx(
+            mesh.face_areas.sum(), rel=1e-12)
 
     def test_icosahedron_round_trip_volume(self):
         _, mesh, _ = continuation_solve(icosahedron_herisson())

@@ -11,7 +11,8 @@ from blaschke3d.bodies import (box_mesh, cube_mesh, grunbaum_herisson,
 from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
                                UnboundedRegion)
 from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
-                                 _adjacency, _deepest_point, _hull_mesh,
+                                 _adjacency, _area_norms, _deepest_point,
+                                 _hull_mesh,
                                  _interior_point, _median,
                                  _polar_hull, _row_blocks, _support_values,
                                  as_unit_rows, check_distinct_directions,
@@ -490,6 +491,29 @@ def assert_same_cut(got, ref):
     assert gap.min(axis=0).max() <= tol and gap.min(axis=1).max() <= tol
 
 
+class TestAreaNorms:
+    """`_area_norms` is np.linalg.norm taken at the power of two of the
+    largest entry: the same bits where the squares are normal floats, and
+    scaled exactly by any power of two beyond."""
+
+    def test_plain_norm_bits(self):
+        vecs = np.random.default_rng(3).standard_normal((40, 3)) * 7.5
+        assert _area_norms(vecs) == np.linalg.norm(vecs)
+        np.testing.assert_array_equal(_area_norms(vecs, axis=1),
+                                      np.linalg.norm(vecs, axis=1))
+
+    @pytest.mark.parametrize("j", [-1000, -600, 600, 1000])
+    def test_power_of_two_scales_exactly(self, j):
+        vecs = np.random.default_rng(4).standard_normal((40, 3))
+        got = _area_norms(np.ldexp(vecs, j), axis=1)
+        np.testing.assert_array_equal(
+            got, np.ldexp(np.linalg.norm(vecs, axis=1), j))
+
+    def test_zero_vectors(self):
+        assert _area_norms(np.zeros(3)) == 0.0
+        assert _area_norms(np.zeros((0, 3))) == 0.0
+
+
 class TestWarmCut:
     """A cut with `prev` is read off `prev`'s triangulation exactly when
     every edge keeps a positive length there (h in `prev`'s type cone), and
@@ -503,7 +527,7 @@ class TestWarmCut:
         for s in range(3):
             h = random_herisson(k, s)
             D, target, trace = h.directions, h.areas, solver.SolveTrace()
-            state = solver._tangent_state(D, trace)[1]
+            state = solver._tangent_state(D, trace)
             state = state.scaled(np.sqrt(h.total_area / state.areas.sum()))
             rng = np.random.default_rng([k, s])
             for _ in range(6):
@@ -680,6 +704,13 @@ class TestConvexHull:
         assert mesh.face_count == 6 and len(mesh.vertices) == 8
         np.testing.assert_allclose(mesh.face_areas, s * s, rtol=1e-12)
         np.testing.assert_allclose(mesh.edges.lengths, s, rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-150, 1e-100, 1e90, 1e140])
+    def test_hull_at_an_extreme_extent_validates(self, s):
+        # the closure of the vector area is a 2-norm of area vectors, whose
+        # squares overflowed from an extent of about 1e78
+        mesh = convex_hull(icosphere_mesh(1).vertices * s)
+        assert validate_mesh(mesh) is mesh and mesh.face_count == 80
 
     @pytest.mark.parametrize("s", [1e-200, 1e-160, 1e151, 1e153])
     def test_extent_beyond_the_float_range_of_areas(self, s):

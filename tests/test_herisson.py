@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,44 @@ class TestValidate:
         dirs = np.vstack([AXES, [[1, 0, 0]]])
         with pytest.raises(DuplicateDirection):
             validate_herisson(dirs, np.ones(7))
+
+
+class TestClosureAtAnyUnit:
+    """The closure residual and the repair's size are 2-norms of area
+    vectors, taken at a power of two, so the closure gate and `correction`
+    do not depend on the unit of area."""
+
+    @pytest.mark.parametrize("s", [1e-170, 1e-200, 1e-300])
+    def test_defect_refused_at_a_tiny_unit(self, s):
+        # the +x face has twice its area: a defect of 1/7 of the total,
+        # whose square underflowed to 0 at these units
+        areas = np.array([2.0, 1.0, 1.0, 1.0, 1.0, 1.0]) * s
+        with pytest.raises(ClosureViolation) as err:
+            validate_herisson(AXES, areas)
+        assert str(err.value) == (f"closure residual {s:.3e} exceeds 0.0001 "
+                                  f"of the total area {7 * s:.3e}")
+
+    @pytest.mark.parametrize("s", [1e170, 1e250, 1e306])
+    def test_valid_data_accepted_at_a_huge_unit(self, s):
+        h = random_herisson(24, 1)
+        got = validate_herisson(h.directions, h.areas * s)
+        assert np.array_equal(got.areas, h.areas * s)
+        assert got.correction == 0.0
+
+    def test_total_past_the_float_range(self):
+        # two opposite faces of 1e308 each: the total is no float, yet the
+        # data close exactly
+        areas = np.array([1e308, 1e308, 1.0, 1.0, 1.0, 1.0])
+        assert validate_herisson(AXES, areas).correction == 0.0
+
+    @pytest.mark.parametrize("j", [-250, -100, 1, 100, 250])
+    def test_correction_scales_exactly(self, j):
+        areas = np.array([1.0 + 1e-6, 1.0, 1.0, 1.0, 1.0, 1.0])
+        base = validate_herisson(AXES, areas)
+        got = validate_herisson(AXES, np.ldexp(areas, 2 * j))
+        assert base.correction > 0
+        assert got.correction == np.ldexp(base.correction, 2 * j)
+        assert np.array_equal(got.areas, np.ldexp(base.areas, 2 * j))
 
 
 class TestOfMesh:
@@ -183,6 +223,16 @@ class TestBlaschkeScale:
     def test_non_finite_scale(self, t):
         with pytest.raises(NonPositiveScale, match="positive and finite"):
             blaschke_scale(cube_herisson(), t)
+
+    @pytest.mark.parametrize("t", [1e308, 5e-324], ids=["over", "under"])
+    def test_scale_out_of_the_float_range(self, t):
+        # the product warns of no overflow (the suite's filter makes a
+        # RuntimeWarning an error) and is refused with its cause
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonPositiveScale, match="out of the float "
+                                                       "range"):
+                blaschke_scale(random_herisson(8, 1), t)
 
     def test_closure_scales_exactly(self):
         h = random_herisson(9, 12)

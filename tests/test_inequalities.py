@@ -438,6 +438,21 @@ class TestWorkPerPath:
         count(geometry, "convex_hull", "hull")
         return counts
 
+    def test_a_default_trial_checks_directions_twice(self, monkeypatch):
+        # once in each random body's validation; the three solves leave the
+        # check to the support polyhedron of `continuation_solve`, which a
+        # trial never builds, and P#Q's directions are distinct by
+        # construction
+        from blaschke3d import herisson
+        checks = []
+        for module in (geometry, herisson):
+            real = module.check_distinct_directions
+            monkeypatch.setattr(
+                module, "check_distinct_directions",
+                lambda d, _real=real: checks.append(1) or _real(d))
+        inequalities._trial(FuzzConfig(trials=1), 0)
+        assert len(checks) == 2
+
     def test_brunn_minkowski_on_meshes_solves_nothing(self, calls):
         brunn_minkowski_check(cube_mesh(1.0), box_mesh((1.0, 2.0, 0.5)))
         assert calls == {"solve": 0, "minkowski": 0, "hull": 0}
@@ -585,11 +600,11 @@ class TestSolvedBodies:
         for body, h in ((pair.p, hp), (pair.q, hq),
                         (pair.blaschke, blaschke_add(hp, hq))):
             mesh = continuation_solve(h)[1]
-            simple = len(mesh.vertices) == len(body.solve[1].corners)
+            simple = len(mesh.vertices) == len(body.solve[0].corners)
             assert body.volume == pytest.approx(
                 volume(mesh), rel=1e-13 if simple else 1e-11)
         # the hulls of the cuts' corners, for the same reason
-        hulls = [convex_hull(body.solve[1].corners)
+        hulls = [convex_hull(body.solve[0].corners)
                  for body in (pair.p, pair.q)]
         assert mixed == pytest.approx(volume(minkowski_sum(*hulls)),
                                       rel=1e-12)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,10 +23,10 @@ from blaschke3d.geometry import (SupportPolyhedron, _adjacency, convex_hull,
                                  intersect_halfspaces, validate_mesh, volume)
 from blaschke3d.herisson import (Herisson, blaschke_add, blaschke_scale,
                                  herisson_of_mesh, random_herisson)
-from blaschke3d.solver import (ContinuationConfig, _oracle_solve,
-                               _solve_kernel_free, area_jacobian,
-                               continuation_solve, initial_polyhedron,
-                               oracle_solve_small)
+from blaschke3d.solver import (ContinuationConfig, _newton_solve,
+                               _oracle_solve, _solve_kernel_free,
+                               area_jacobian, continuation_solve,
+                               initial_polyhedron, oracle_solve_small)
 
 from helpers import (centered, count_deepest_point, diameter, intersect,
                      mesh_of, random_tangent_mesh, vertex_sets_match)
@@ -464,10 +465,9 @@ class TestOneSolveState:
 
 
 class TestDirectionsCheckedOnce:
-    """A solve checks its directions for distinctness once, in its tangent
-    body, and the support polyhedron it returns reuses them; one built by
-    hand still runs the check.  The tangent body's cut decides that they
-    bound a body."""
+    """A solve checks its directions for distinctness once, in the support
+    polyhedron it returns, which reuses them; one built by hand still runs
+    the check.  The tangent body's cut decides that they bound a body."""
 
     CHECKS = ("check_distinct_directions",)
 
@@ -491,6 +491,19 @@ class TestDirectionsCheckedOnce:
         assert sp.directions is h.directions
         assert np.allclose(sp.support_numbers, mesh.face_support_numbers(),
                            rtol=0.0, atol=1e-12 * mesh.scale)
+
+    @pytest.mark.parametrize("row", [0, 5])
+    def test_a_duplicated_row_is_a_named_error(self, row):
+        # a `Herisson` built by hand is not validated: its duplicated
+        # direction ends the solve in a `ToolkitError` before the returned
+        # support polyhedron's check (the tangent body loses a face, or two
+        # neighbours are parallel)
+        h = random_herisson(8, 1)
+        d = np.vstack([h.directions, h.directions[row:row + 1]])
+        a = np.concatenate([h.areas, h.areas[row:row + 1]])
+        with pytest.raises(ToolkitError) as err:
+            continuation_solve(Herisson(d, a))
+        assert isinstance(err.value, (DegenerateBody, DegenerateAngle))
 
     def test_a_support_polyhedron_built_by_hand_runs_the_check(
             self, monkeypatch):
@@ -551,6 +564,29 @@ class TestScaleFreeMarch:
                       trace.intersections))
         assert len(work) == 1
         assert work.pop()[1] >= 1
+        # at a power-of-four unit every step scales exactly: the vertices
+        # by 2^j, the areas by 4^j, and the trace is the same
+        base = continuation_solve(grunbaum_herisson())
+        for j in (-250, -100, 1, 100, 250):
+            sp, mesh, trace = continuation_solve(
+                blaschke_scale(grunbaum_herisson(), 4.0 ** j))
+            np.testing.assert_array_equal(mesh.vertices,
+                                          np.ldexp(base[1].vertices, j))
+            np.testing.assert_array_equal(mesh.face_areas,
+                                          np.ldexp(base[1].face_areas, 2 * j))
+            np.testing.assert_array_equal(sp.support_numbers,
+                                          np.ldexp(base[0].support_numbers, j))
+            assert trace == base[2]
+
+    def test_total_area_near_the_float_limit(self):
+        # these areas sum to 2.7e308, past the float range; the solve
+        # divides them by a power of four once, at entry, and sums them there
+        h = blaschke_scale(random_herisson(24, 1), 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cut, trace = _newton_solve(h)
+        assert trace.final_residual <= ContinuationConfig().newton_tol
+        assert np.abs(cut.areas - h.areas).max() <= 1e-12 * h.areas.max()
 
     @pytest.mark.parametrize("s", [1e200, 1e280])
     def test_residual_norms_at_a_huge_unit_of_area(self, s):
