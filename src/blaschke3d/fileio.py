@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvexInput, ParseError
-from .geometry import (MeshPolyhedron, _area_norms, _area_vectors,
+from .geometry import (MeshPolyhedron, _area_norms, _area_vectors, _extent,
                        _group_sums, _support_values, convex_hull,
                        validate_mesh)
 from .herisson import Herisson, validate_herisson
@@ -156,12 +156,15 @@ def import_off(text: str) -> MeshPolyhedron:
 
 def _check_face_planes(verts, cycles):
     """Raise unless every stated face has 3 or more vertices, an area and a
-    plane supporting all the vertices, measured about the vertex centroid;
-    the lowest faulty face is named, as wound clockwise if its reversed
-    plane supports them.  Returns the faces' total area."""
+    plane supporting all the vertices, measured in units of 2^e, the power
+    of two just above their extent (`_extent`), about the vertex centroid:
+    each decision scales exactly, and no sum or product overflows.  The lowest
+    faulty face is named, as wound clockwise if its reversed plane supports
+    them.  Returns the faces' total area."""
     count, face, vid = cycles
-    scale = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
-    verts = verts - verts.mean(axis=0)
+    scale, e = np.frexp(_extent(verts))
+    verts = np.ldexp(verts, -e)
+    verts -= verts.mean(axis=0)
     area = _area_vectors(verts, cycles)
     nn = _area_norms(area, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN cuts nothing
@@ -179,7 +182,8 @@ def _check_face_planes(verts, cycles):
             raise NonConvexInput(
                 f"face {i} is wound clockwise seen from outside")
         raise NonConvexInput(f"face {i} plane cuts through the body")
-    return nn.sum()
+    with np.errstate(over="ignore"):
+        return np.ldexp(nn.sum(), 2 * e)
 
 
 def _edges_pair_up(cycles, nv):

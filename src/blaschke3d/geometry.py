@@ -24,10 +24,10 @@ vectors come from one formula, `_area_vectors`, and every 2-norm of area
 vectors from one, `_area_norms`, taken at a power of two.  Which faces
 meet is one rule, `_adjacency` (the edges longer than 1e-9 of the
 longest), which the solve's combinatorial-change count reads.
-Tolerances are relative to the body scale (bounding-box diagonal); no
-exact predicates.  A point hull takes extents from 1e-150 to 1e150
-(`_HULL_EXTENTS`), and Qhull sees the points scaled by a power of two to
-unit extent.
+Tolerances are relative to one reference length, the bounding-box
+diagonal `_extent`, a 2-norm by `_area_norms`; no exact predicates.  A
+point hull takes extents from 1e-150 to 1e150 (`_HULL_EXTENTS`), and Qhull
+and `_merge_close`'s k-d tree see points scaled by a power of two.
 """
 from __future__ import annotations
 
@@ -190,9 +190,8 @@ class MeshPolyhedron:
 
     @property
     def scale(self):
-        """Bounding-box diagonal; the reference length for tolerances."""
-        return float(np.linalg.norm(self.vertices.max(axis=0)
-                                    - self.vertices.min(axis=0)))
+        """Bounding-box diagonal (`_extent`), the tolerances' length."""
+        return _extent(self.vertices)
 
     @property
     def centroid(self):
@@ -225,6 +224,11 @@ def _area_norms(vecs, axis=None):
     vecs = np.asarray(vecs, float)
     e = math.frexp(float(np.abs(vecs).max(initial=0.0)))[1]
     return np.ldexp(np.linalg.norm(np.ldexp(vecs, -e), axis=axis), e)
+
+
+def _extent(pts):
+    """Bounding-box diagonal by `_area_norms`: finite where the span is."""
+    return float(_area_norms(pts.max(axis=0) - pts.min(axis=0)))
 
 
 def _group_sums(group, values, n):
@@ -294,38 +298,21 @@ def _assemble_faces(points, face, point, normals):
     pair = np.flatnonzero(key[srt[1:]] == key[srt[:-1]])
     p, q = srt[pair], srt[pair + 1]
     lo, hi = np.minimum(face[p], face[q]), np.maximum(face[p], face[q])
-    length = np.linalg.norm(verts[a[p]] - verts[b[p]], axis=1)
+    length = _area_norms(verts[a[p]] - verts[b[p]], axis=1)
     return verts, (count, face, vid), (lo, hi, length)
-
-
-def _solid_scale(pts, extents=(0.0, np.inf)):
-    """Bounding-box diagonal of points that must be finite, span 3-space
-    and have a largest extent within `extents`."""
-    if not np.all(np.isfinite(pts)):
-        raise DegenerateBody("non-finite point coordinates")
-    if len(pts) < 4:
-        raise DegenerateBody("need at least 4 points")
-    with np.errstate(over="ignore"):
-        span = pts.max(axis=0) - pts.min(axis=0)
-        scale = float(np.linalg.norm(span))
-        centre = pts.mean(axis=0)
-    if not (np.isfinite(scale) and np.all(np.isfinite(centre))):
-        raise DegenerateBody("point coordinates overflow the float range")
-    if not extents[0] <= span.max() <= extents[1]:
-        raise DegenerateBody(f"point extent {span.max():.3g} is outside "
-                             f"{extents[0]:g} to {extents[1]:g}")
-    sv = np.linalg.svd(pts - centre, compute_uv=False)
-    if scale == 0.0 or sv[2] <= 1e-9 * sv[0]:
-        raise DegenerateBody("points lie within 1e-9*scale of a plane")
-    return scale
 
 
 def _merge_close(points, tol):
     """Clusters of points chained by gaps of at most `tol`: their means and
-    the cluster label of every point."""
+    the cluster label of every point.  The k-d tree holds the points times
+    2^-e, the power of two that brings the largest |coordinate| into
+    [1/2, 1), and is queried at tol 2^-e, so no squared gap overflows and
+    the labels do not depend on the unit of length."""
     label = np.arange(len(points))
-    tree = cKDTree(points, balanced_tree=False)  # midpoint splits build fast
-    i, j = tree.query_pairs(tol, output_type="ndarray").T
+    e = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
+    # midpoint splits build fast
+    tree = cKDTree(np.ldexp(points, -e), balanced_tree=False)
+    i, j = tree.query_pairs(math.ldexp(tol, -e), output_type="ndarray").T
     while not np.array_equal(label[i], label[j]):
         low = np.minimum(label[i], label[j])
         np.minimum.at(label, i, low)
@@ -552,7 +539,7 @@ def _hull_mesh(cut):
     distinct vertices has no face and area 0."""
     D = cut.edges.face_normals.copy()
     points, label = _merge_close(cut.corners,
-                                 MERGE_TOL * _solid_scale(cut.corners))
+                                 MERGE_TOL * _extent(cut.corners))
     verts, cycles, edges = _assemble_faces(
         points, cut.simplices.ravel(), np.repeat(label, 3), D)
     areas = np.where(cycles[0] > 0, cut.areas, 0.0)
@@ -581,9 +568,25 @@ def convex_hull(points) -> MeshPolyhedron:
     two 2^-e that brings their scale into [1/2, 1), and the plane offsets
     and face areas are scaled back exactly, so the hull does not depend on
     the unit of length, from an extent of 1e-150 to one of 1e150
-    (`_HULL_EXTENTS`)."""
+    (`_HULL_EXTENTS`).  DegenerateBody names points that are not finite,
+    fewer than 4, overflowing, outside those extents or flat."""
     pts = np.atleast_2d(np.asarray(points, float))
-    scale = _solid_scale(pts, _HULL_EXTENTS)
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateBody("non-finite point coordinates")
+    if len(pts) < 4:
+        raise DegenerateBody("need at least 4 points")
+    with np.errstate(over="ignore"):
+        span = pts.max(axis=0) - pts.min(axis=0)
+        scale = _extent(pts)
+        centre = pts.mean(axis=0)
+    if not (np.isfinite(scale) and np.all(np.isfinite(centre))):
+        raise DegenerateBody("point coordinates overflow the float range")
+    if not _HULL_EXTENTS[0] <= span.max() <= _HULL_EXTENTS[1]:
+        raise DegenerateBody(f"point extent {span.max():.3g} is outside "
+                             f"{_HULL_EXTENTS[0]:g} to {_HULL_EXTENTS[1]:g}")
+    sv = np.linalg.svd(pts - centre, compute_uv=False)
+    if sv[2] <= 1e-9 * sv[0]:
+        raise DegenerateBody("points lie within 1e-9*scale of a plane")
     e = math.frexp(scale)[1]
     try:
         hull = _Qhull(np.ldexp(pts, -e))
@@ -712,7 +715,7 @@ def validate_mesh(mesh: MeshPolyhedron) -> MeshPolyhedron:
     if v - e + f != 2:
         raise ValueError(f"Euler characteristic V-E+F = {v - e + f} != 2")
     resid = float(_area_norms(vector_area_residual(mesh)))
-    if resid > 1e-9 * mesh.face_areas.sum():
+    if resid > (1e-9 * mesh.face_areas).sum():
         raise ValueError("vector area of the surface does not close up")
     _, i, j, lengths, _, _ = mesh.edges
     count = mesh.cycles[0]

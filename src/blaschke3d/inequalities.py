@@ -236,7 +236,7 @@ def monotonicity_check(hk, hl, cfg: ContinuationConfig | None = None):
     pair = _Pair(hk, hl, cfg)
     k, l = pair.p.herisson, pair.q.herisson
     hit = match_directions(k.directions, l.directions)
-    short = (hit < 0) | (l.areas[hit] < k.areas - 1e-9 * k.total_area)
+    short = (hit < 0) | (l.areas[hit] < k.areas - (1e-9 * k.areas).sum())
     if short.any():
         d = k.directions[int(np.argmax(short))]
         raise PremiseViolated(

@@ -12,8 +12,8 @@ from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
                                UnboundedRegion)
 from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
                                  _adjacency, _area_norms, _deepest_point,
-                                 _hull_mesh,
-                                 _interior_point, _median,
+                                 _extent, _hull_mesh,
+                                 _interior_point, _median, _merge_close,
                                  _polar_hull, _row_blocks, _support_values,
                                  as_unit_rows, check_distinct_directions,
                                  contains_by_translation, convex_hull,
@@ -512,6 +512,53 @@ class TestAreaNorms:
     def test_zero_vectors(self):
         assert _area_norms(np.zeros(3)) == 0.0
         assert _area_norms(np.zeros((0, 3))) == 0.0
+
+
+class TestExtent:
+    """`_extent`, the bounding-box diagonal every tolerance reads, is the
+    plain norm's bits where its squares are normal floats, and finite past
+    the square root of the float range."""
+
+    @pytest.mark.parametrize("s", [1e-100, 1e-20, 1.0, 3.0, 1e20, 1e100])
+    def test_plain_norm_bits(self, s):
+        pts = icosphere_mesh(1).vertices * [s, 2 * s, s / 3]
+        assert _extent(pts) == np.linalg.norm(pts.max(axis=0)
+                                              - pts.min(axis=0))
+
+    def test_mesh_scale_at_extent_1e200(self):
+        base = icosphere_mesh(1)
+        mesh = replace(base, vertices=np.ldexp(base.vertices, 664))
+        assert mesh.scale == np.ldexp(base.scale, 664) < np.inf
+
+
+class TestMergeClose:
+    """`_merge_close` builds its k-d tree at the power of two of the largest
+    coordinate: the clusters do not depend on the unit of length, and no
+    squared gap overflows."""
+
+    @staticmethod
+    def points():
+        # 200 points, 50 of them with a copy 1e-11 away
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((200, 3))
+        near = pts[:50] + 1e-11 * rng.standard_normal((50, 3))
+        return np.vstack([pts, near])
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_a_power_of_two_scales_the_clusters_exactly(self, k):
+        pts = self.points()
+        means, label = _merge_close(pts, 1e-9)
+        got, got_label = _merge_close(np.ldexp(pts, k), np.ldexp(1e-9, k))
+        assert len(means) == 200
+        np.testing.assert_array_equal(got_label, label)
+        np.testing.assert_array_equal(got, np.ldexp(means, k))
+
+    def test_points_near_the_square_root_of_the_float_range(self):
+        # SciPy's k-d tree squares the gaps, and refused points of 1e154
+        # with a ValueError of its own
+        pts = self.points()
+        np.testing.assert_array_equal(_merge_close(pts * 1e154, 1e145)[1],
+                                      _merge_close(pts, 1e-9)[1])
 
 
 class TestWarmCut:

@@ -179,6 +179,14 @@ class TestMonotonicity:
             monotonicity_check(hl, shuffled(hk, 4))
         assert err.value.direction is not None
 
+    def test_premise_tolerance_near_the_float_limit(self):
+        # the areas sum past the float range; the premise's tolerance sums
+        # them after scaling by 1e-9, so it stays finite and still bites
+        hk = blaschke_scale(random_herisson(24, 1), 1e307)
+        with pytest.raises(PremiseViolated) as err:
+            monotonicity_check(hk, blaschke_scale(hk, 0.5))
+        assert err.value.direction is not None
+
     def test_blaschke_construction_recipe(self):
         summary = fuzz_campaign(FuzzConfig(trials=15, seed=7,
                                            checks=("thm71",)))

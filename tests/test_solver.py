@@ -588,6 +588,17 @@ class TestScaleFreeMarch:
         assert trace.final_residual <= ContinuationConfig().newton_tol
         assert np.abs(cut.areas - h.areas).max() <= 1e-12 * h.areas.max()
 
+    def test_mesh_near_the_float_limit(self):
+        # corners near 1e153: the mesh's reference length and merge take no
+        # plain 2-norm, and its closure bound sums no total past the range
+        h = blaschke_scale(random_herisson(24, 1), 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, mesh, _ = continuation_solve(h)
+            assert validate_mesh(mesh) is mesh
+        tol = ContinuationConfig().newton_tol
+        assert np.abs(mesh.face_areas - h.areas).max() <= tol * h.areas.max()
+
     @pytest.mark.parametrize("s", [1e200, 1e280])
     def test_residual_norms_at_a_huge_unit_of_area(self, s):
         # the 2-norms of area vectors square no area: they are taken in
