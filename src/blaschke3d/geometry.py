@@ -25,9 +25,9 @@ vectors from one, `_area_norms`, taken at a power of two.  Which faces
 meet is one rule, `_adjacency` (the edges longer than 1e-9 of the
 longest), which the solve's combinatorial-change count reads.
 Tolerances are relative to one reference length, the bounding-box
-diagonal `_extent`, a 2-norm by `_area_norms`; no exact predicates.  A
-point hull takes extents from 1e-150 to 1e150 (`_HULL_EXTENTS`), and Qhull
-and `_merge_close`'s k-d tree see points scaled by a power of two.
+diagonal `_extent`, a 2-norm by `_area_norms`; no exact predicates.  Both
+hulls take extents from 1e-150 to 1e150 (`_HULL_EXTENTS`), and Qhull and
+`_merge_close`'s k-d tree see points scaled by a power of two.
 """
 from __future__ import annotations
 
@@ -53,8 +53,8 @@ MERGE_TOL = 1e-9
 # linear program).  A small slack puts a polar point far out and costs
 # precision.
 _CENTRE_SLACK = 0.05
-# The extents of a point set that `convex_hull` takes: the squares of its
-# lengths (its face areas) stay normal floats.
+# The extents a hull takes (`convex_hull`) or gives (`_polar_hull`): the
+# squares of its lengths (its face areas) stay normal floats.
 _HULL_EXTENTS = (1e-150, 1e150)
 # Pivot cap of `_deepest_point`, whose programs take 4 to 20 pivots.
 _PIVOTS = 500
@@ -443,7 +443,7 @@ class _Cut(NamedTuple):
 
     @property
     def volume(self):
-        return float(self.areas @ self.slack) / 3.0
+        return _volume(self.areas, self.slack)
 
     def scaled(self, lam):
         """The body scaled by lam about c: edge lengths, slack and corners
@@ -477,9 +477,10 @@ def _polar_hull(directions, offsets, prev=None):
     UnboundedRegion if Qhull finds the polar points flat or a facet has
     -a . n_j = b s_j > -1e-10 at a vertex j (at unit slack, b itself).
     Qhull sees the polar points times the power of two that brings the
-    largest, 1 / min slack, into (1, 2], and the corners are scaled back
-    exactly, so Qhull squares no coordinate near the float limit whatever
-    the unit of length.
+    largest, 1 / min slack, into (1, 2], and the corners and edge lengths
+    are taken at its unit and scaled back exactly, so no coordinate is
+    squared near the float limit.  DegenerateBody refuses a body whose
+    corners reach outside `_HULL_EXTENTS`, as `convex_hull` does.
     """
     D = np.asarray(directions, float)
     h = np.asarray(offsets, float)
@@ -505,7 +506,12 @@ def _polar_hull(directions, offsets, prev=None):
     if np.any(polar.equations[:, 3] * unit_slack[simplices[:, 0]] > -1e-10):
         raise UnboundedRegion(
             "origin is not strictly inside the hull of the directions")
-    corners = np.ldexp(-polar.equations[:, :3] / polar.equations[:, 3:], e)
+    corners = -polar.equations[:, :3] / polar.equations[:, 3:]
+    with np.errstate(over="ignore"):
+        size = np.ldexp(np.abs(corners).max(), e)
+    if not _HULL_EXTENTS[0] <= size <= _HULL_EXTENTS[1]:
+        raise DegenerateBody(f"body extent {size:.3g} is outside "
+                             f"{_HULL_EXTENTS[0]:g} to {_HULL_EXTENTS[1]:g}")
     f, m = np.nonzero(polar.neighbors > np.arange(len(corners))[:, None])
     g = polar.neighbors[f, m]
     a, b = simplices[f, (m + 1) % 3], simplices[f, (m + 2) % 3]
@@ -513,12 +519,12 @@ def _polar_hull(directions, offsets, prev=None):
     lengths = np.linalg.norm(run, axis=1)
     keep = lengths > 0.0
     i, j = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-    edges = _edge_list(D, i, j, lengths[keep])
+    edges = _edge_list(D, i, j, np.ldexp(lengths[keep], e))
     warm = None
     if keep.all() and len(polar.vertices) == len(D):
         warm = (np.linalg.inv(D[simplices]), f, g, run / lengths[:, None])
-    return _Cut(edges, slack, _face_areas(edges, slack), simplices, corners,
-                c, warm, True)
+    return _Cut(edges, slack, _face_areas(edges, slack), simplices,
+                np.ldexp(corners, e), c, warm, True)
 
 
 def _face_areas(edges, slack):
@@ -561,15 +567,14 @@ def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
 
 def convex_hull(points) -> MeshPolyhedron:
     """Convex hull with coplanar facets merged into geometric faces: hull
-    triangles whose plane rows (offsets over the scale) chain by gaps of at
-    most 1e-9 are one face, numbered in lexsorted row order.  A plane left
-    with fewer than 3 vertices touches the body in an edge: its slot stays
-    empty and keeps its normal.  Qhull sees the points times the power of
-    two 2^-e that brings their scale into [1/2, 1), and the plane offsets
-    and face areas are scaled back exactly, so the hull does not depend on
-    the unit of length, from an extent of 1e-150 to one of 1e150
-    (`_HULL_EXTENTS`).  DegenerateBody names points that are not finite,
-    fewer than 4, overflowing, outside those extents or flat."""
+    triangles whose plane rows chain by gaps of at most 1e-9 are one face,
+    numbered in lexsorted row order.  A plane left with fewer than 3 vertices
+    touches the body in an edge: its slot stays empty and keeps its normal.
+    Qhull sees the points times the power of two 2^-e that brings their
+    scale into [1/2, 1), and its plane rows are merged at that unit, so the
+    hull does not depend on the unit of length, from an extent of 1e-150 to
+    one of 1e150 (`_HULL_EXTENTS`).  DegenerateBody names points that are
+    not finite, fewer than 4, overflowing, outside those extents or flat."""
     pts = np.atleast_2d(np.asarray(points, float))
     if not np.all(np.isfinite(pts)):
         raise DegenerateBody("non-finite point coordinates")
@@ -592,11 +597,8 @@ def convex_hull(points) -> MeshPolyhedron:
         hull = _Qhull(np.ldexp(pts, -e))
     except QhullError as exc:
         raise DegenerateBody("degenerate point set") from exc
-    equations = hull.equations
-    equations[:, 3] = np.ldexp(equations[:, 3], e)
-    order = np.lexsort(equations.T[::-1])
-    planes, label = _merge_close(
-        equations[order] / [1.0, 1.0, 1.0, max(1.0, scale)], 1e-9)
+    order = np.lexsort(hull.equations.T[::-1])
+    planes, label = _merge_close(hull.equations[order], 1e-9)
     verts, cycles, edges = _assemble_faces(
         pts, np.repeat(label, 3), hull.simplices[order].ravel(), planes[:, :3])
     area_vecs = _area_vectors(verts, cycles)
@@ -615,7 +617,18 @@ def volume(p: MeshPolyhedron) -> float:
     h = p.face_support_numbers()
     live = ~np.isnan(h)
     dist = h[live] - p.face_normals[live] @ p.centroid
-    return float(p.face_areas[live] @ dist) / 3.0
+    return _volume(p.face_areas[live], dist)
+
+
+def _volume(areas, heights, base=0.0, per=3.0):
+    """base + areas . heights / per: Minkowski's volume (per 3, heights
+    about an interior point) or mixed terms (per 1); DegenerateBody if an
+    overflow or underflow leaves it outside the normal floats."""
+    with np.errstate(over="ignore", under="ignore"):
+        v = base + float(areas @ heights) / per
+    if not np.finfo(float).tiny <= v < np.inf:
+        raise DegenerateBody(f"volume {v:.3g} is outside the float range")
+    return v
 
 
 def _support_values(vertices, normals):

@@ -46,10 +46,6 @@ class Herisson:
     def k(self):
         return self.directions.shape[0]
 
-    @property
-    def total_area(self):
-        return float(self.areas.sum())
-
     def closure_residual(self):
         return self.areas @ self.directions
 

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PremiseViolated
-from .geometry import (_support_values, contains_by_translation,
+from .geometry import (_support_values, _volume, contains_by_translation,
                        match_directions, volume)
 from .herisson import (Herisson, blaschke_add, blaschke_scale,
                        herisson_of_mesh, random_herisson)
@@ -66,22 +66,14 @@ class InequalityReport:
         return self.verdict != "fails"
 
     def to_dict(self):
+        """JSON values; the diagnosis holds bools, floats and None as is."""
         out = {"name": self.name, "lhs": float(self.lhs),
                "rhs": float(self.rhs), "residual": float(self.residual),
                "verdict": self.verdict,
                "equality_tol": float(self.equality_tol)}
         if self.diagnosis:
-            out["diagnosis"] = {k: _jsonable(v)
-                                for k, v in self.diagnosis.items()}
+            out["diagnosis"] = dict(self.diagnosis)
         return out
-
-
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 class _Body:
@@ -153,7 +145,7 @@ class _Pair:
         for (normals, areas, _), (_, _, points) in ((p, q), (q, p)):
             live = areas > 0
             h = _support_values(points, normals[live])
-            total += float(areas[live] @ h)
+            total = _volume(areas[live], h, total, 1.0)
         return total
 
     @cached_property
@@ -188,6 +180,7 @@ class _Pair:
 
     def exponent(self, a):
         _check_exponent(a)
+        a = float(a)
         return (self._power(f"power_minkowski[a={a:g}]",
                             self.minkowski_volume, a / 3.0, a=a),
                 self._power(f"power_blaschke[a={a:g}]", self.blaschke.volume,

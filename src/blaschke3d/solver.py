@@ -313,12 +313,14 @@ def _oracle_solve(h):
     functional Phi(x) = F.x / sum(F) - log Vol(x) (Little 1983; Lachand-Robert
     & Oudet 2005), whose gradient F / sum(F) - A(x) / Vol(x) vanishes where
     the areas A are proportional to F: L-BFGS-B from x = 1, then one hull
-    at x scaled by sqrt(sum(F) / sum(A)) and its mesh.  An empty body counts
+    at x scaled by sqrt(sum(F) / sum(A)) and its mesh; sum(F) is read as
+    max(F) sum(r), r = F / max(F), so it never overflows.  An empty body counts
     as +inf, which ends L-BFGS-B's line search, so a run that met one and
     moved is followed by another from the last point it accepted.  Raises
     OracleFailed when the areas miss F by more than 1e-5 of the largest."""
     from scipy.optimize import minimize
-    weights = h.areas / h.total_area
+    rel = h.areas / h.areas.max()
+    weights = rel / rel.sum()
     empty = []
 
     def phi(x):
@@ -338,7 +340,8 @@ def _oracle_solve(h):
         if not empty or np.array_equal(x, start):
             break
     cut = _polar_hull(h.directions, x)
-    mesh = _hull_mesh(cut.scaled(np.sqrt(h.total_area / cut.areas.sum())))
+    lam = np.sqrt(h.areas.max()) * np.sqrt(rel.sum() / cut.areas.sum())
+    mesh = _hull_mesh(cut.scaled(lam))
     if np.abs(mesh.face_areas - h.areas).max() > 1e-5 * h.areas.max():
         raise OracleFailed(f"minimisation missed the areas for k={h.k}")
     return mesh.translate(-mesh.centroid)

@@ -76,6 +76,26 @@ class TestIntersectHalfspaces:
         with pytest.raises(DegenerateBody):
             intersect(AXES, np.zeros(6))
 
+    @pytest.mark.parametrize("j", [-480, 480])
+    def test_a_power_of_two_scales_the_body_exactly(self, j):
+        # the corners and edge lengths are taken at Qhull's unit
+        D = icosahedron_directions()
+        base = intersect_halfspaces(SupportPolyhedron(D, np.ones(20)))
+        got = intersect_halfspaces(SupportPolyhedron(D, np.full(20, 2.0 ** j)))
+        assert got.face_count == 20
+        np.testing.assert_array_equal(got.vertices,
+                                      np.ldexp(base.vertices, j))
+        np.testing.assert_array_equal(got.face_areas,
+                                      np.ldexp(base.face_areas, 2 * j))
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-165, 1e155, 1e200])
+    def test_a_body_outside_the_hull_extents_is_named(self, s):
+        # its face areas would be subnormal, zero or infinite
+        with pytest.raises(DegenerateBody,
+                           match=r"^body extent .* is outside 1e-150 to "):
+            intersect_halfspaces(
+                SupportPolyhedron(icosahedron_directions(), np.full(20, s)))
+
     def test_untouched_plane_keeps_its_index_slot(self):
         from blaschke3d.geometry import unit
         dirs = np.vstack([AXES[:3], [unit((1, 1, 1))], AXES[3:]])
@@ -575,7 +595,7 @@ class TestWarmCut:
             h = random_herisson(k, s)
             D, target, trace = h.directions, h.areas, solver.SolveTrace()
             state = solver._tangent_state(D, trace)
-            state = state.scaled(np.sqrt(h.total_area / state.areas.sum()))
+            state = state.scaled(np.sqrt(h.areas.sum() / state.areas.sum()))
             rng = np.random.default_rng([k, s])
             for _ in range(6):
                 dh = solver._solve_kernel_free(
@@ -869,6 +889,18 @@ class TestMeasurements:
 
     def test_long_box_volume(self):
         assert volume(box_mesh((1, 1, 50))) == pytest.approx(50.0, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-100, 1e100])
+    def test_volume_at_an_extreme_extent(self, s):
+        mesh = convex_hull(cube_mesh(1).vertices * s)
+        assert volume(mesh) == pytest.approx(s ** 3, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-120, 1e110])
+    def test_volume_outside_the_float_range_is_named(self, s):
+        mesh = convex_hull(cube_mesh(1).vertices * s)
+        with pytest.raises(DegenerateBody,
+                           match="^volume .* is outside the float range$"):
+            volume(mesh)
 
     def test_volume_translation_invariant(self):
         mesh = random_tangent_mesh(9, 5, jitter=0.05)

@@ -18,7 +18,8 @@ from blaschke3d.bodies import (box_herisson, box_mesh, cube_herisson,
                                icosahedron_herisson, icosphere_mesh,
                                rotated_tetrahedron_pair, tetrahedron_mesh)
 from blaschke3d import geometry, inequalities, sums
-from blaschke3d.errors import GenerationFailed, PremiseViolated
+from blaschke3d.errors import (DegenerateBody, GenerationFailed,
+                               PremiseViolated)
 from blaschke3d.fileio import parse_herisson_file
 from blaschke3d.geometry import (SupportPolyhedron, convex_hull,
                                  intersect_halfspaces, support_value, unit,
@@ -139,6 +140,30 @@ class TestKneserSuss:
         assert rep.verdict == "equality"
         assert rep.diagnosis["area_ratio"] == pytest.approx(4.0, rel=1e-15)
 
+    def test_same_verdict_at_a_tiny_unit_of_area(self):
+        h = random_herisson(24, 1)
+        small = blaschke_scale(h, 1e-200)
+        rep = kneser_suss_check(small, small)
+        assert rep.verdict == kneser_suss_check(h, h).verdict == "equality"
+
+    def test_volume_below_the_float_range_is_named(self):
+        # volume about 1e-450: it underflowed to 0, and the pair read as
+        # an equality
+        h = blaschke_scale(random_herisson(24, 1), 1e-300)
+        with pytest.raises(DegenerateBody, match="^volume 0 is outside"):
+            kneser_suss_check(h, h)
+
+    @pytest.mark.parametrize("check", [brunn_minkowski_check,
+                                       kneser_suss_check,
+                                       sum_comparison_check])
+    def test_volume_above_the_float_range_is_named(self, check):
+        # volumes about 1e460: the checks overflowed in a matmul and then
+        # failed to write their JSON
+        h = random_herisson(24, 1)
+        p, q = blaschke_scale(h, 1e307), blaschke_scale(h, 5e306)
+        with pytest.raises(DegenerateBody, match="^volume inf is outside"):
+            check(p, q)
+
     def test_equality_iff_homothety_on_random_pairs(self):
         summary = fuzz_campaign(FuzzConfig(trials=15, seed=6, checks=("ks",)))
         assert summary["checks"]["ks"]["fails"] == 0
@@ -242,6 +267,14 @@ class TestExponent:
         assert rep4.lhs == pytest.approx(np.sqrt(2.0), abs=1e-12)
         assert rep4.rhs == pytest.approx(2.0, abs=1e-12)
         assert rep5.verdict == "fails"
+
+    def test_a_numpy_exponent_gives_the_float_report(self):
+        # a float32 exponent once raised the volumes to a float32 power
+        p, q = cube_mesh(1.0), rotated_tetrahedron_pair(1.0)[0]
+        got = exponent_check(p, q, np.float32(0.5))
+        assert got == exponent_check(p, q, 0.5)
+        assert type(got[0].diagnosis["a"]) is float
+        json.dumps(got[0].to_dict(), allow_nan=False)
 
     def test_rejects_nonpositive_a(self):
         with pytest.raises(ValueError):

@@ -764,13 +764,22 @@ class TestHardInputs:
         gap = np.linalg.norm(d.directions[0] - d.directions[20])
         assert gap == pytest.approx(1e-8, rel=1e-6)
         assert d.areas[[0, 20]] == pytest.approx([4.95, 0.05], rel=1e-9)
-        assert np.abs(d.closure_residual()).max() <= 1e-12 * d.total_area
+        assert np.abs(d.closure_residual()).max() <= 1e-12 * d.areas.sum()
 
 
 class TestOracle:
     def test_cube(self):
         mesh = oracle_solve_small(cube_herisson(4.0))
         assert volume(mesh) == pytest.approx(8.0, rel=1e-8)
+
+    def test_areas_near_the_float_limit(self):
+        # these areas sum past the float range; the oracle weighs them
+        # relative to the largest
+        h = blaschke_scale(random_herisson(24, 1), 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mesh = _oracle_solve(h)
+        assert np.abs(mesh.face_areas - h.areas).max() <= 1e-5 * h.areas.max()
 
     def test_rejects_large_instances(self):
         with pytest.raises(ValueError):

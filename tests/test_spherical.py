@@ -165,6 +165,14 @@ class TestClosedForms:
         res = spherical_identity_residual(SphericalPolygon(np.eye(3)), 6)
         assert np.linalg.norm(res) <= 1e-6
 
+    def test_tiny_triangle_takes_its_apex_from_the_vertex_mean(self):
+        # circumradius 1e-5 rad: the winding vector is 2.6e-10, too short
+        # to give the fan apex
+        poly = SphericalPolygon(regular_cap_vertices(3, 1e-5))
+        res = spherical_identity_residual(poly, 4)
+        assert np.all(np.isfinite(res))
+        assert np.linalg.norm(res) <= 1e-12
+
     def test_whole_sphere(self):
         whole = SphericalPolygon(np.zeros((0, 3)))
         res = spherical_identity_residual(whole, 4)
