@@ -2,6 +2,7 @@
 """Write the outputs of a fixed set of command-line cases into a directory.
 
     python scripts/same_outputs.py OUT
+    python scripts/same_outputs.py --compare OUT1 OUT2
 
 Each case runs `python -m blaschke3d.cli` of this checkout in a subprocess,
 in OUT and on paths relative to it, and leaves its stdout, stderr and exit
@@ -9,6 +10,13 @@ code in OUT/<case>.out, .err and .code, next to the OFF file it writes, if
 any.  Its inputs, the shipped .her files and those the script makes, are in
 OUT/in.  Run it on two checkouts and compare them with `diff -r OUT1 OUT2`:
 a change that keeps every output shows no difference.
+
+`--compare OUT1 OUT2` reads two such trees line by line.  It names each
+file that differs and prints every difference that is not one of reals: a
+file in one tree only, a line count, text or an integer (a count, a face
+index, an exit code).  Reals, tokens with a point or an exponent, are
+compared by their relative difference, and the largest is printed with its
+file.  It exits 1 on any difference that is not one of reals.
 
 The cases: `construct --trace` of each data/*.her and `report` of the
 result; on each ordered pair of data/*.her, `bsum`, `msum`, `report` of the
@@ -20,6 +28,7 @@ from the origin; `sphere-check` of seeded cap polygons and of the whole
 sphere; and `report` of malformed OFFs.
 """
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +48,9 @@ HER = sorted(p.stem for p in (ROOT / "data").glob("*.her"))
 EXTENTS = ("1e-140", "1e-100", "1e-20", "0.37", "1", "3", "1e20", "1e90")
 FAR = ("1e3", "1e7", "1e12")
 CHECKS = ("bm", "ks", "sumcmp", "monotone")
+# split() on it alternates text with numbers: numbers at the odd indices
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+INTEGER = re.compile(r"[-+]?\d+")
 
 
 def off_text(verts, faces):
@@ -139,9 +151,61 @@ def run(out, case, *args):
     (out / f"{case}.code").write_text(f"{res.returncode}\n")
 
 
+def compare(a, b):
+    """Print how the trees a and b differ and the largest relative
+    difference between their reals; return 1 if they differ in anything
+    but reals, else 0."""
+    names = sorted({p.relative_to(root) for root in (a, b)
+                    for p in root.rglob("*") if p.is_file()})
+    other, worst = 0, (-1.0, None, None, None)
+    for name in names:
+        fa, fb = a / name, b / name
+        if not (fa.is_file() and fb.is_file()):
+            print(f"only in {a if fa.is_file() else b}: {name}")
+            other += 1
+            continue
+        ta, tb = fa.read_bytes(), fb.read_bytes()
+        if ta == tb:
+            continue
+        print(f"differs: {name}")
+        la = ta.decode(errors="replace").splitlines()
+        lb = tb.decode(errors="replace").splitlines()
+        if len(la) != len(lb):
+            print(f"  {len(la)} lines against {len(lb)}")
+            other += 1
+            continue
+        for n, (x, y) in enumerate(zip(la, lb), start=1):
+            sx, sy = NUMBER.split(x), NUMBER.split(y)
+            if len(sx) != len(sy):
+                print(f"  line {n}: {x!r} != {y!r}")
+                other += 1
+                continue
+            for k, (u, v) in enumerate(zip(sx, sy)):
+                if u == v:
+                    continue
+                if k % 2 == 0 or INTEGER.fullmatch(u) and INTEGER.fullmatch(v):
+                    print(f"  line {n}: {u!r} != {v!r}")
+                    other += 1
+                    continue
+                fu, fv = float(u), float(v)  # 0.0 and -0.0 differ by 0
+                rel = abs(fu - fv) / max(abs(fu), abs(fv)) if fu != fv else 0.0
+                if rel > worst[0]:
+                    worst = (rel, name, u, v)
+    rel, name, u, v = worst
+    if name is None:
+        print("no real differs")
+    else:
+        print(f"largest relative difference between reals: {rel:.3g} "
+              f"in {name} ({u} against {v})")
+    print(f"differences other than in reals: {other}")
+    return 1 if other else 0
+
+
 def main(argv):
+    if len(argv) == 4 and argv[1] == "--compare":
+        sys.exit(compare(Path(argv[2]), Path(argv[3])))
     if len(argv) != 2:
-        sys.exit(f"usage: {argv[0]} OUT")
+        sys.exit(f"usage: {argv[0]} OUT | --compare OUT1 OUT2")
     out = Path(argv[1]).resolve()
     inputs = make_inputs(out)
     her = {n: f"in/{n}.her" for n in HER}

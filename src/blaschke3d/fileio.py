@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonConvexInput, ParseError
+from .errors import DegenerateBody, NonConvexInput, ParseError
 from .geometry import (MeshPolyhedron, _area_norms, _area_vectors, _extent,
                        _group_sums, _support_values, convex_hull,
                        validate_mesh)
@@ -134,7 +134,7 @@ def import_off(text: str) -> MeshPolyhedron:
             ids += parts[1:]
     except ValueError:
         raise ParseError("malformed OFF body") from None
-    if verts.shape[1:] != (3,):
+    if nv and verts.shape[1:] != (3,):  # no vertex lines give shape (0,)
         raise ParseError("OFF vertices must be 3-D")
     count = np.array(count, dtype=np.intp)
     face = np.repeat(np.arange(nf), count)
@@ -143,6 +143,8 @@ def import_off(text: str) -> MeshPolyhedron:
     if out.any():
         raise ParseError(f"face {face[np.argmax(out)]} references a vertex "
                          "out of range")
+    if not nv:  # as `convex_hull` says, before `_extent` meets no vertices
+        raise DegenerateBody("need at least 4 points")
     cycles = (count, face, vid.astype(np.intp))
     area = _check_face_planes(verts, cycles)
     mesh = convex_hull(verts)

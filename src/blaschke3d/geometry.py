@@ -27,7 +27,9 @@ longest), which the solve's combinatorial-change count reads.
 Tolerances are relative to one reference length, the bounding-box
 diagonal `_extent`, a 2-norm by `_area_norms`; no exact predicates.  Both
 hulls take extents from 1e-150 to 1e150 (`_HULL_EXTENTS`), and Qhull and
-`_merge_close`'s k-d tree see points scaled by a power of two.
+`_merge_close`'s k-d tree see points scaled by a power of two.  SciPy
+loads `scipy.spatial` on the first hull or k-d tree, so code that builds
+neither, such as the spherical check, never pays for its import.
 """
 from __future__ import annotations
 
@@ -37,8 +39,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull as _Qhull
-from scipy.spatial import QhullError, cKDTree
+import scipy
 
 from .errors import (DegenerateBody, DuplicateDirection, LinearProgramFailed,
                      UnboundedRegion)
@@ -58,6 +59,11 @@ _CENTRE_SLACK = 0.05
 _HULL_EXTENTS = (1e-150, 1e150)
 # Pivot cap of `_deepest_point`, whose programs take 4 to 20 pivots.
 _PIVOTS = 500
+
+
+def _Qhull(points):
+    """Qhull's hull of the points, `scipy.spatial.ConvexHull`."""
+    return scipy.spatial.ConvexHull(points)
 
 
 def unit(v):
@@ -91,7 +97,7 @@ def as_unit_rows(directions):
 
 def match_directions(a, b):
     """Per row of `a`, the nearest row of `b` within DIRECTION_TOL, or -1."""
-    gap, hit = cKDTree(b).query(a)
+    gap, hit = scipy.spatial.cKDTree(b).query(a)
     return np.where(gap <= DIRECTION_TOL, hit, -1)
 
 
@@ -99,7 +105,8 @@ def check_distinct_directions(directions):
     """Raise DuplicateDirection if two rows are closer than DIRECTION_TOL
     radians."""
     d = np.asarray(directions, float)
-    i, j = cKDTree(d).query_pairs(DIRECTION_TOL, output_type="ndarray").T
+    i, j = scipy.spatial.cKDTree(d).query_pairs(
+        DIRECTION_TOL, output_type="ndarray").T
     gap = np.linalg.norm(d[i] - d[j], axis=1)
     if np.any(gap < DIRECTION_TOL):
         n = int(np.argmin(gap))
@@ -311,7 +318,7 @@ def _merge_close(points, tol):
     label = np.arange(len(points))
     e = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
     # midpoint splits build fast
-    tree = cKDTree(np.ldexp(points, -e), balanced_tree=False)
+    tree = scipy.spatial.cKDTree(np.ldexp(points, -e), balanced_tree=False)
     i, j = tree.query_pairs(math.ldexp(tol, -e), output_type="ndarray").T
     while not np.array_equal(label[i], label[j]):
         low = np.minimum(label[i], label[j])
@@ -499,7 +506,7 @@ def _polar_hull(directions, offsets, prev=None):
     unit_slack = np.ldexp(slack, -e)
     try:
         polar = _Qhull(D / unit_slack[:, None])
-    except QhullError as exc:
+    except scipy.spatial.QhullError as exc:
         raise UnboundedRegion(
             "directions do not positively span 3-space") from exc
     simplices = polar.simplices
@@ -595,7 +602,7 @@ def convex_hull(points) -> MeshPolyhedron:
     e = math.frexp(scale)[1]
     try:
         hull = _Qhull(np.ldexp(pts, -e))
-    except QhullError as exc:
+    except scipy.spatial.QhullError as exc:
         raise DegenerateBody("degenerate point set") from exc
     order = np.lexsort(hull.equations.T[::-1])
     planes, label = _merge_close(hull.equations[order], 1e-9)

@@ -377,6 +377,8 @@ def _campaign_reports(cfg):
     bounds = [cfg.trials * i // n for i in range(n + 1)]
     slices = list(zip(bounds[1:-1], bounds[2:]))
     pids, pipes, statuses = [], [], []
+    if slices:  # every trial hulls: load scipy.spatial once, not per worker
+        import scipy.spatial  # noqa: F401
     try:
         for start, stop in slices:
             pid, pipe = _fork_worker(cfg, start, stop)

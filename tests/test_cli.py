@@ -480,6 +480,42 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert done.stdout.strip() == "[False, False, False, False]"
 
 
+def test_cold_paths_leave_scipy_spatial_unloaded(tmp_path):
+    # SciPy loads scipy.spatial on the first hull or k-d tree: the import,
+    # a spherical check as a call and as a command, and a .her file that
+    # fails to parse build neither; a construct that solves builds both
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    poly, bad = tmp_path / "poly.txt", tmp_path / "zero.her"
+    poly.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    bad.write_text("4\n0 0 0 1\n1 -1 -1 1\n-1 1 -1 1\n-1 -1 1 1\n")
+    code = """if True:
+        import sys
+        import blaschke3d
+        from blaschke3d import cli
+        from blaschke3d.fileio import parse_polygon_file
+        from blaschke3d.spherical import spherical_identity_residual
+        poly, bad, cube, out = sys.argv[1:]
+        loaded = ["scipy.spatial" in sys.modules]
+        with open(poly) as fh:
+            spherical_identity_residual(parse_polygon_file(fh.read()), 1)
+        loaded.append("scipy.spatial" in sys.modules)
+        for argv in (["sphere-check", poly, "--refine", "1"],
+                     ["construct", bad, "-o", out],
+                     ["construct", cube, "-o", out]):
+            loaded.append((cli.main(argv), "scipy.spatial" in sys.modules))
+        print(loaded, file=sys.stderr)
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(poly), str(bad),
+         str(DATA / "cube.her"), str(tmp_path / "cube.off")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    *errors, loaded = done.stderr.strip().splitlines()
+    assert errors == ["error: line 2: zero normal"]
+    assert loaded == "[False, False, (0, False), (1, False), (0, True)]"
+
+
 def test_import_leaves_process_pools_unloaded():
     # a campaign forks its workers with os.fork, so neither import nor a
     # campaign over 3 slices pays for multiprocessing

@@ -310,6 +310,18 @@ class TestOffRejection:
         self.rejects(ParseError, "OFF vertices must be 3-D",
                      verts[:, :2], faces)
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("OFF\n0 0 0\n", DegenerateBody, "need at least 4 points"),
+        ("OFF\n0 1 0\n3 0 1 2\n", ParseError,
+         "face 0 references a vertex out of range")],
+        ids=["empty", "faces-only"])
+    def test_no_vertex_lines(self, text, error, message):
+        # no vertex lines are no 2-D vertices; an empty body is refused
+        # before the face-plane check takes the extent of no vertices
+        with pytest.raises(error) as err:
+            import_off(text)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("extra", ["3 0 1 2", "hello world"])
     def test_lines_after_the_faces(self, extra):
         text = off_text(*tetrahedron_faces())
