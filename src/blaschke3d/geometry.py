@@ -4,15 +4,18 @@ Bounded convex polyhedra appear in two forms: a half-space representation
 (`SupportPolyhedron`: outward unit directions plus support numbers) and an
 explicit boundary complex (`MeshPolyhedron`: vertices, face cycles, areas,
 edge lengths).  Each conversion is one Qhull hull (Barber, Dobkin &
-Huhdanpaa 1996).  `convex_hull` merges hull triangles whose planes lie
-within 1e-9 into faces, by the `_merge_close` that merges corners, and a
-vertex lies on at least three faces (`_assemble_faces`).
-`intersect_halfspaces` hulls the polar points of the planes: each facet is
-a vertex of the body, lying on the three planes that span it.  One record,
-`_Cut`, holds what that hull gives: the bare edge list of the body
-(`EdgeList`: face pairs and lengths, from adjacent facets), its slack, its
-exact face areas (`_face_areas`), the facets' plane triples and the
-corners.  The solver's Newton loop, its oracle, the checks (for the volume
+Huhdanpaa 1996), and each merges along the sides of Qhull's triangulation
+by one `_merge` over the facet pairs that the hull names, with no search
+over points.  `convex_hull` merges adjacent hull triangles whose planes
+lie within 1e-9 into faces, and a vertex lies on at least three faces
+(`_assemble_faces`).  `intersect_halfspaces` hulls the polar points of the
+planes: each facet is a vertex of the body, lying on the three planes that
+span it, and two facets that share a side and whose corners lie at most
+`MERGE_TOL` of the extent apart are one vertex.  One record, `_Cut`,
+holds what that hull gives: the bare edge list of the body (`EdgeList`:
+face pairs and lengths, from adjacent facets), its slack, its exact face
+areas (`_face_areas`), the facets' plane triples, the corners and the
+sides.  The solver's Newton loop, its oracle, the checks (for the volume
 and the support points of a solved body) and the face complex
 (`_hull_mesh`) all read that one record.  A cut of a simple body also
 seeds the next: support numbers whose corners, solved on its
@@ -26,9 +29,9 @@ meet is one rule, `_adjacency` (the edges longer than 1e-9 of the
 longest), which the solve's combinatorial-change count reads.
 Tolerances are relative to one reference length, the bounding-box
 diagonal `_extent`, a 2-norm by `_area_norms`; no exact predicates.  Both
-hulls take extents from 1e-150 to 1e150 (`_HULL_EXTENTS`), and Qhull and
-`_merge_close`'s k-d tree see points scaled by a power of two.  SciPy
-loads `scipy.spatial` on the first hull or k-d tree, so code that builds
+hulls take extents from 1e-150 to 1e150 (`_HULL_EXTENTS`), and Qhull sees
+points scaled by a power of two.  SciPy loads `scipy.spatial` on the first
+hull or k-d tree (the direction checks' `cKDTree`), so code that builds
 neither, such as the spherical check, never pays for its import.
 """
 from __future__ import annotations
@@ -309,17 +312,17 @@ def _assemble_faces(points, face, point, normals):
     return verts, (count, face, vid), (lo, hi, length)
 
 
-def _merge_close(points, tol):
-    """Clusters of points chained by gaps of at most `tol`: their means and
-    the cluster label of every point.  The k-d tree holds the points times
-    2^-e, the power of two that brings the largest |coordinate| into
-    [1/2, 1), and is queried at tol 2^-e, so no squared gap overflows and
-    the labels do not depend on the unit of length."""
+def _sides(hull):
+    """The sides of Qhull's triangulation, each once: facet f < g across
+    the side of f opposite its m-th point."""
+    f, m = np.nonzero(hull.neighbors > np.arange(len(hull.neighbors))[:, None])
+    return f, m, hull.neighbors[f, m]
+
+
+def _merge(points, i, j):
+    """Clusters of the points chained by the pairs i-j: their means and the
+    cluster label of every point, numbered in order of least index."""
     label = np.arange(len(points))
-    e = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
-    # midpoint splits build fast
-    tree = scipy.spatial.cKDTree(np.ldexp(points, -e), balanced_tree=False)
-    i, j = tree.query_pairs(math.ldexp(tol, -e), output_type="ndarray").T
     while not np.array_equal(label[i], label[j]):
         low = np.minimum(label[i], label[j])
         np.minimum.at(label, i, low)
@@ -428,16 +431,18 @@ class _Cut(NamedTuple):
     the hull's facets, the body's corners about c, one per facet, and c.
     Its volume is Minkowski's 1/3 sum F_j s_j, and its corners are points
     whose hull is the body, so the volume and the support values of a
-    solved body need no mesh.
+    solved body need no mesh.  `sides` holds the facet pairs f < g of the
+    triangulation's sides, every one, of zero length too: faces meet along
+    corners[f]-corners[g].
 
     `warm` is None unless the body is simple (every polar edge has positive
     length) and every plane is a face.  Then its type cone (McMullen 1973),
     the support numbers with the same combinatorics, is the open cone where
     every edge of this triangulation keeps a positive length, and `warm`
     holds what reads a body of that cone off it (`_polar_hull`'s `prev`):
-    the inverses of D[simplices], the facets f, g at the two ends of each
-    edge and the unit edge directions from f to g.  `hulled` is False for
-    a cut read off another's triangulation, True for one that ran Qhull."""
+    the inverses of D[simplices] and the unit directions from f to g of
+    the sides.  `hulled` is False for a cut read off another's
+    triangulation, True for one that ran Qhull."""
 
     edges: EdgeList
     slack: np.ndarray
@@ -445,6 +450,7 @@ class _Cut(NamedTuple):
     simplices: np.ndarray
     corners: np.ndarray
     c: np.ndarray
+    sides: tuple
     warm: tuple | None
     hulled: bool
 
@@ -468,7 +474,7 @@ def _polar_hull(directions, offsets, prev=None):
     With `prev`, a cut of the same directions whose `warm` is set, and c
     the origin (the centre a solver's state carries), each corner solves
     its facet's three planes of `prev`'s triangulation, and each edge gets
-    a signed length along `prev`'s unit edge direction.  If every signed
+    a signed length along `prev`'s unit side direction.  If every signed
     length is positive, the support numbers lie in `prev`'s type cone (the
     wall-crossing criterion), so that triangulation is the body's and the
     cut keeps it, with `prev`'s edge pairs and their angles; otherwise
@@ -478,11 +484,16 @@ def _polar_hull(directions, offsets, prev=None):
     each facet a . y + b = 0 of their convex hull is the polar of the corner
     -a / b (about c) of the body, which lies on the three planes spanning
     the facet.  Faces a and b meet between the corners of the facets
-    sharing the polar edge {a, b}; the edge list keeps those of positive
-    length, and the face areas come from it exactly.  With positive slack
-    the body is bounded exactly when the origin is strictly inside the hull:
-    UnboundedRegion if Qhull finds the polar points flat or a facet has
-    -a . n_j = b s_j > -1e-10 at a vertex j (at unit slack, b itself).
+    sharing the polar side {a, b}; the edge list keeps those of positive
+    length, and the face areas come from it exactly.  One cross product
+    n_a x n_b per facet side gives the edge's sine, its norm, and, divided
+    by det D[s] = n_s0 . (n_s1 x n_s2), a column of the inverse of D[s].
+    A triangulated sphere on k points has 2k - 4 facets (Euler's formula),
+    so every plane is a vertex of the hull exactly when it has that many.
+    With positive slack the body is bounded exactly when the origin is
+    strictly inside the hull: UnboundedRegion if Qhull finds the polar
+    points flat or a facet has -a . n_j = b s_j > -1e-10 at a vertex j (at
+    unit slack, b itself).
     Qhull sees the polar points times the power of two that brings the
     largest, 1 / min slack, into (1, 2], and the corners and edge lengths
     are taken at its unit and scaled back exactly, so no coordinate is
@@ -495,13 +506,14 @@ def _polar_hull(directions, offsets, prev=None):
         raise DegenerateBody("non-finite support numbers")
     c, slack = _interior_point(D, h)
     if prev is not None and prev.warm is not None and not c.any():
-        inverses, f, g, units = prev.warm
+        (f, g), (inverses, units) = prev.sides, prev.warm
         corners = (inverses @ slack[prev.simplices][:, :, None])[:, :, 0]
         lengths = ((corners[g] - corners[f]) * units).sum(axis=1)
         if lengths.min() > 0.0:
             edges = prev.edges._replace(lengths=lengths)
             return _Cut(edges, slack, _face_areas(edges, slack),
-                        prev.simplices, corners, c, prev.warm, False)
+                        prev.simplices, corners, c, prev.sides, prev.warm,
+                        False)
     e = math.frexp(slack.min())[1]
     unit_slack = np.ldexp(slack, -e)
     try:
@@ -519,19 +531,27 @@ def _polar_hull(directions, offsets, prev=None):
     if not _HULL_EXTENTS[0] <= size <= _HULL_EXTENTS[1]:
         raise DegenerateBody(f"body extent {size:.3g} is outside "
                              f"{_HULL_EXTENTS[0]:g} to {_HULL_EXTENTS[1]:g}")
-    f, m = np.nonzero(polar.neighbors > np.arange(len(corners))[:, None])
-    g = polar.neighbors[f, m]
+    f, m, g = _sides(polar)
+    # cross[s, m] = n_a x n_b for the planes a, b of the side opposite
+    # simplices[s, m]
+    n = D[simplices]
+    cross = _cross(n[:, [1, 2, 0]].reshape(-1, 3),
+                   n[:, [2, 0, 1]].reshape(-1, 3)).reshape(-1, 3, 3)
     a, b = simplices[f, (m + 1) % 3], simplices[f, (m + 2) % 3]
     run = corners[g] - corners[f]
     lengths = np.linalg.norm(run, axis=1)
     keep = lengths > 0.0
     i, j = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-    edges = _edge_list(D, i, j, np.ldexp(lengths[keep], e))
+    edges = EdgeList(D, i, j, np.ldexp(lengths[keep], e),
+                     np.linalg.norm(cross[f[keep], m[keep]], axis=1),
+                     (D[i] * D[j]).sum(axis=1))
     warm = None
-    if keep.all() and len(polar.vertices) == len(D):
-        warm = (np.linalg.inv(D[simplices]), f, g, run / lengths[:, None])
+    if keep.all() and len(simplices) == 2 * len(D) - 4:
+        det = (n[:, 0] * cross[:, 0]).sum(axis=1)
+        warm = (cross.transpose(0, 2, 1) / det[:, None, None],
+                run / lengths[:, None])
     return _Cut(edges, slack, _face_areas(edges, slack), simplices,
-                np.ldexp(corners, e), c, warm, True)
+                np.ldexp(corners, e), c, (f, g), warm, True)
 
 
 def _face_areas(edges, slack):
@@ -545,14 +565,17 @@ def _face_areas(edges, slack):
 
 
 def _hull_mesh(cut):
-    """The boundary complex of a `_Cut`'s body, about its centre c: corner
-    copies from coplanar polar points are merged into one vertex, and the
-    three planes of each facet are the faces through its vertex.  The face
-    areas are the cut's, except that a plane left with fewer than three
-    distinct vertices has no face and area 0."""
+    """The boundary complex of a `_Cut`'s body, about its centre c: the
+    corners of two facets that share a side and lie at most `MERGE_TOL`
+    times the extent apart, copies from coplanar polar points, are merged
+    into one vertex, and the three planes of each facet are the faces
+    through its vertex.  The face areas are the cut's, except that a plane
+    left with fewer than three distinct vertices has no face and area 0."""
     D = cut.edges.face_normals.copy()
-    points, label = _merge_close(cut.corners,
-                                 MERGE_TOL * _extent(cut.corners))
+    f, g = cut.sides
+    gap = _area_norms(cut.corners[g] - cut.corners[f], axis=1)
+    near = gap <= MERGE_TOL * _extent(cut.corners)
+    points, label = _merge(cut.corners, f[near], g[near])
     verts, cycles, edges = _assemble_faces(
         points, cut.simplices.ravel(), np.repeat(label, 3), D)
     areas = np.where(cycles[0] > 0, cut.areas, 0.0)
@@ -574,9 +597,10 @@ def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
 
 def convex_hull(points) -> MeshPolyhedron:
     """Convex hull with coplanar facets merged into geometric faces: hull
-    triangles whose plane rows chain by gaps of at most 1e-9 are one face,
-    numbered in lexsorted row order.  A plane left with fewer than 3 vertices
-    touches the body in an edge: its slot stays empty and keeps its normal.
+    triangles chained by sides between plane rows at most 1e-9 apart are
+    one face, numbered in lexsorted row order.  A plane left with fewer
+    than 3 vertices touches the body in an edge: its slot stays empty and
+    keeps its normal.
     Qhull sees the points times the power of two 2^-e that brings their
     scale into [1/2, 1), and its plane rows are merged at that unit, so the
     hull does not depend on the unit of length, from an extent of 1e-150 to
@@ -604,8 +628,13 @@ def convex_hull(points) -> MeshPolyhedron:
         hull = _Qhull(np.ldexp(pts, -e))
     except scipy.spatial.QhullError as exc:
         raise DegenerateBody("degenerate point set") from exc
-    order = np.lexsort(hull.equations.T[::-1])
-    planes, label = _merge_close(hull.equations[order], 1e-9)
+    rows = hull.equations
+    order = np.lexsort(rows.T[::-1])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    f, _, g = _sides(hull)
+    near = np.linalg.norm(rows[f] - rows[g], axis=1) <= 1e-9
+    planes, label = _merge(rows[order], rank[f[near]], rank[g[near]])
     verts, cycles, edges = _assemble_faces(
         pts, np.repeat(label, 3), hull.simplices[order].ravel(), planes[:, :3])
     area_vecs = _area_vectors(verts, cycles)
@@ -619,12 +648,12 @@ def convex_hull(points) -> MeshPolyhedron:
 
 def volume(p: MeshPolyhedron) -> float:
     """Volume as one third of the sum of face areas times their signed plane
-    distance from an interior reference point (the vertex centroid); the
-    choice of reference point does not matter."""
-    h = p.face_support_numbers()
+    distance from an interior reference point, the vertex centroid.  The
+    distances are the plane offsets of the mesh moved to that point, as in
+    `validate_mesh`, so a body far from the origin keeps its digits."""
+    h = p.translate(-p.centroid).face_support_numbers()
     live = ~np.isnan(h)
-    dist = h[live] - p.face_normals[live] @ p.centroid
-    return _volume(p.face_areas[live], dist)
+    return _volume(p.face_areas[live], h[live])
 
 
 def _volume(areas, heights, base=0.0, per=3.0):

@@ -1,11 +1,12 @@
 """Shared test utilities: independent oracles and random-body generators."""
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
 import scipy.optimize
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import cdist
 
 from blaschke3d import geometry
@@ -86,6 +87,23 @@ def positively_spanning_reference(directions) -> bool:
     except QhullError:
         return False
     return bool(np.all(hull.equations[:, 3] <= -1e-10))
+
+
+def merge_close_reference(points, tol):
+    """Cluster labels of the points chained by gaps of at most `tol`, found
+    among all pairs by a k-d tree (the rule that `geometry._merge`, over
+    the hull's sides, replaced) and numbered in order of least index.  The
+    tree holds the points times 2^-e, the power of two that brings the
+    largest |coordinate| into [1/2, 1), so no squared gap overflows."""
+    label = np.arange(len(points))
+    e = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
+    tree = cKDTree(np.ldexp(points, -e))
+    i, j = tree.query_pairs(math.ldexp(tol, -e), output_type="ndarray").T
+    while not np.array_equal(label[i], label[j]):
+        low = np.minimum(label[i], label[j])
+        np.minimum.at(label, i, low)
+        np.minimum.at(label, j, low)
+    return (np.cumsum(label == np.arange(len(label))) - 1)[label]
 
 
 def support_values_reference(points, normals):

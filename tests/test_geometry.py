@@ -1,19 +1,22 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
+from blaschke3d import geometry
 from blaschke3d.bodies import (box_mesh, cube_mesh, grunbaum_herisson,
                                icosahedron_directions, icosphere_mesh,
                                tetrahedron_mesh)
 from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
                                UnboundedRegion)
-from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
+from blaschke3d.geometry import (DIRECTION_TOL, MERGE_TOL, SupportPolyhedron,
                                  _adjacency, _area_norms, _deepest_point,
                                  _extent, _hull_mesh,
-                                 _interior_point, _median, _merge_close,
+                                 _interior_point, _median,
                                  _polar_hull, _row_blocks, _support_values,
                                  as_unit_rows, check_distinct_directions,
                                  contains_by_translation, convex_hull,
@@ -21,13 +24,15 @@ from blaschke3d.geometry import (DIRECTION_TOL, SupportPolyhedron,
                                  intersect_halfspaces, match_directions,
                                  support_value, unit, validate_mesh,
                                  vector_area_residual, volume)
-
+from blaschke3d.fileio import parse_herisson_file
 from blaschke3d.herisson import random_herisson
-from blaschke3d.solver import area_jacobian, continuation_solve
+from blaschke3d.solver import (_newton_solve, area_jacobian,
+                               continuation_solve)
 from blaschke3d.sums import minkowski_sum
 from helpers import (assembly_checked, centered, count_deepest_point,
                      cycle_arrays, deepest_point_checked, divergence_volume,
-                     edge_dict, enumerate_intersection, intersect, mesh_of,
+                     edge_dict, enumerate_intersection, intersect,
+                     merge_close_reference, mesh_of,
                      positively_spanning_reference, random_tangent_mesh,
                      support_values_reference, vertex_sets_match)
 
@@ -35,6 +40,7 @@ AXES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                  [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
 # four directions 27 degrees above the horizontal: they bound no body
 UP = np.array([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]])
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def unit_cube():
@@ -551,34 +557,76 @@ class TestExtent:
         assert mesh.scale == np.ldexp(base.scale, 664) < np.inf
 
 
-class TestMergeClose:
-    """`_merge_close` builds its k-d tree at the power of two of the largest
-    coordinate: the clusters do not depend on the unit of length, and no
-    squared gap overflows."""
+def shipped_herisson(name):
+    return parse_herisson_file((DATA / f"{name}.her").read_text())
+
+
+def msum_pair(depths, seed):
+    """The Minkowski sum of two icospheres, each rotated and scaled along
+    its axes by a seeded draw, like the pairs of the `msum` benchmark."""
+    rng = np.random.default_rng([seed, 1])
+    bodies = []
+    for d in depths:
+        turn = Rotation.from_euler("xyz", rng.uniform(-np.pi, np.pi, 3))
+        bodies.append(convex_hull(icosphere_mesh(d).vertices
+                                  @ np.diag(rng.uniform(0.5, 2.0, 3))
+                                  @ turn.as_matrix().T))
+    return minkowski_sum(*bodies)
+
+
+class TestMergeAlongSides:
+    """`convex_hull` merges its plane rows, and `_hull_mesh` its corners,
+    along the sides of Qhull's triangulation (`geometry._merge`), and both
+    give the labels of the k-d tree rule they replaced: every pair of rows
+    or corners within the tolerance, whether or not the hull joins them
+    (`merge_close_reference`)."""
 
     @staticmethod
-    def points():
-        # 200 points, 50 of them with a copy 1e-11 away
-        rng = np.random.default_rng(5)
-        pts = rng.standard_normal((200, 3))
-        near = pts[:50] + 1e-11 * rng.standard_normal((50, 3))
-        return np.vstack([pts, near])
+    def merged(monkeypatch, build):
+        """The points and labels of the one `_merge` that `build` runs."""
+        seen, merge = [], geometry._merge
+        def spy(points, i, j):
+            out = merge(points, i, j)
+            seen.append((points, out[1]))
+            return out
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_merge", spy)
+            build()
+        (points, label), = seen
+        return points, label
 
-    @pytest.mark.parametrize("k", [-500, 500])
-    def test_a_power_of_two_scales_the_clusters_exactly(self, k):
-        pts = self.points()
-        means, label = _merge_close(pts, 1e-9)
-        got, got_label = _merge_close(np.ldexp(pts, k), np.ldexp(1e-9, k))
-        assert len(means) == 200
-        np.testing.assert_array_equal(got_label, label)
-        np.testing.assert_array_equal(got, np.ldexp(means, k))
+    HULLS = {
+        "cube": lambda: cube_mesh(1.0).vertices,
+        "box": lambda: box_mesh((1.0, 2.5, 0.3)).vertices,
+        "tetrahedron": lambda: tetrahedron_mesh(1.0).vertices,
+        "icosphere-3": lambda: icosphere_mesh(3).vertices,
+        **{f"{name}.her": lambda name=name: continuation_solve(
+            shipped_herisson(name))[1].vertices
+           for name in ("cube", "dodecahedron", "grunbaum", "icosahedron")},
+        "msum-1-2": lambda: msum_pair((1, 2), 0).vertices,
+        "msum-2-2": lambda: msum_pair((2, 2), 1).vertices,
+        "msum-1-3": lambda: msum_pair((1, 3), 2).vertices,
+        "cloud": lambda: np.random.default_rng(8).standard_normal((500, 3))}
 
-    def test_points_near_the_square_root_of_the_float_range(self):
-        # SciPy's k-d tree squares the gaps, and refused points of 1e154
-        # with a ValueError of its own
-        pts = self.points()
-        np.testing.assert_array_equal(_merge_close(pts * 1e154, 1e145)[1],
-                                      _merge_close(pts, 1e-9)[1])
+    @pytest.mark.parametrize("case", sorted(HULLS))
+    @pytest.mark.parametrize("k", [0, -480, 480])
+    def test_hull_rows(self, monkeypatch, case, k):
+        pts = np.ldexp(self.HULLS[case](), k)
+        rows, label = self.merged(monkeypatch, lambda: convex_hull(pts))
+        np.testing.assert_array_equal(label,
+                                      merge_close_reference(rows, 1e-9))
+
+    @pytest.mark.parametrize("name", ["icosahedron", "grunbaum"])
+    @pytest.mark.parametrize("k", [0, -500, 500])
+    def test_solved_cut_corners(self, monkeypatch, name, k):
+        cut = _newton_solve(shipped_herisson(name))[0].scaled(2.0 ** k)
+        corners, label = self.merged(monkeypatch, lambda: _hull_mesh(cut))
+        assert corners is cut.corners
+        np.testing.assert_array_equal(label, merge_close_reference(
+            corners, MERGE_TOL * _extent(corners)))
+        # the icosahedron's five faces at every vertex make three facets
+        if name == "icosahedron":
+            assert (len(corners), label.max() + 1) == (36, 12)
 
 
 class TestWarmCut:
@@ -624,6 +672,59 @@ class TestWarmCut:
                     break
                 state = new
         assert warm > 0
+
+    @staticmethod
+    def cold_cases():
+        """Jittered bodies, and random herissons' tangent bodies with their
+        support numbers as they are and jittered by up to 30%."""
+        cases = [jittered_case(seed) for seed in range(30)]
+        for k in (6, 12, 24, 48):
+            for s in range(3):
+                D = random_herisson(k, s).directions
+                rng = np.random.default_rng([k, s])
+                cases += [(D, np.ones(k)), (D, rng.uniform(0.7, 1.3, k))]
+        return cases
+
+    def test_inverses_invert_the_facet_matrices(self):
+        # the side crosses over det D[s] are the columns of D[s]'s inverse
+        simple = 0
+        for D, h in self.cold_cases():
+            cut = _polar_hull(D, h)
+            if cut.warm is None:
+                continue
+            simple += 1
+            inverses, units = cut.warm
+            assert np.abs(inverses @ D[cut.simplices] - np.eye(3)).max() \
+                <= 1e-12
+            np.testing.assert_allclose(np.linalg.norm(units, axis=1), 1.0,
+                                       rtol=1e-15)
+        assert simple >= 15
+
+    @staticmethod
+    def facet_count_cases():
+        rng = np.random.default_rng(11)
+        cases = [(icosahedron_directions(), np.ones(20)), corner_cases()[0]]
+        for s in range(12):
+            cases.append((random_herisson(24, s).directions,
+                          rng.uniform(0.6, 1.4, 24)))
+        return cases
+
+    def test_facet_count_tells_whether_every_plane_is_a_vertex(self):
+        # a triangulated sphere on k points has 2k - 4 facets: the count
+        # agrees with the vertex set on the icosahedron's tangent body (not
+        # simple), on a plane that misses the cube, and on random support
+        # numbers, some of which miss a plane
+        every_seen = set()
+        for D, h in self.facet_count_cases():
+            cut = _polar_hull(D, h)
+            every = len(np.unique(cut.simplices)) == len(D)
+            assert (len(cut.simplices) == 2 * len(D) - 4) == every
+            simple = len(cut.edges.i) == len(cut.sides[0])
+            assert (cut.warm is not None) == (simple and every)
+            every_seen.add(every)
+        assert every_seen == {True, False}
+        assert _polar_hull(*corner_cases()[0]).warm is None
+        assert _polar_hull(icosahedron_directions(), np.ones(20)).warm is None
 
     def test_declines_on_a_zero_length_edge(self):
         # the icosahedron's tangent body has five faces at every vertex: its
@@ -906,6 +1007,14 @@ class TestMeasurements:
         mesh = random_tangent_mesh(9, 5, jitter=0.05)
         shifted = mesh.translate([13.0, -7.5, 2.25])
         assert volume(shifted) == pytest.approx(volume(mesh), rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1e7, 1e12])
+    def test_volume_far_from_the_origin(self, d):
+        # the face heights are taken about the vertex centroid, not as
+        # offsets in the caller's frame minus n . centroid, which cancel
+        far = icosphere_mesh(2).translate(d * np.array([1.0, -0.7, 0.3]))
+        assert volume(far) == pytest.approx(
+            volume(far.translate(-far.centroid)), rel=1e-12)
 
     def test_support_cube_axis(self):
         assert support_value(unit_cube(), [1, 0, 0]) == pytest.approx(0.5)
