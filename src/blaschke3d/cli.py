@@ -118,7 +118,7 @@ def _cmd_report(args):
     _dump({
         "volume": volume(mesh),
         "total_area": float(mesh.face_areas.sum()),
-        "face_areas": [float(a) for a in mesh.face_areas],
+        "face_areas": [float(a) for a in np.sort(mesh.face_areas)],
         "integral_mean_curvature": integral_mean_curvature(mesh),
         "vector_area_residual_norm": float(_area_norms(residual)),
         "euler": {"vertices": v, "edges": e, "faces": f,
@@ -130,7 +130,7 @@ def _cmd_report(args):
 def _cmd_sphere_check(args):
     poly = fileio.parse_polygon_file(Path(args.polygon).read_text())
     res = spherical_identity_residual(poly, args.refine)
-    _dump({"residual": [float(x) for x in res],
+    _dump({"area": poly.area, "residual": [float(x) for x in res],
            "norm": float(np.linalg.norm(res)),
            "refinement": args.refine})
     return 0

@@ -440,8 +440,8 @@ class _Cut(NamedTuple):
     the support numbers with the same combinatorics, is the open cone where
     every edge of this triangulation keeps a positive length, and `warm`
     holds what reads a body of that cone off it (`_polar_hull`'s `prev`):
-    the inverses of D[simplices] and the unit directions from f to g of
-    the sides.  `hulled` is False for a cut read off another's
+    the inverses of D[simplices], the unit directions from f to g of the
+    sides, and D[simplices].  `hulled` is False for a cut read off another's
     triangulation, True for one that ran Qhull."""
 
     edges: EdgeList
@@ -473,7 +473,8 @@ def _polar_hull(directions, offsets, prev=None):
 
     With `prev`, a cut of the same directions whose `warm` is set, and c
     the origin (the centre a solver's state carries), each corner solves
-    its facet's three planes of `prev`'s triangulation, and each edge gets
+    its facet's three planes of `prev`'s triangulation by `prev`'s inverse
+    and one step of iterative refinement, and each edge gets
     a signed length along `prev`'s unit side direction.  If every signed
     length is positive, the support numbers lie in `prev`'s type cone (the
     wall-crossing criterion), so that triangulation is the body's and the
@@ -506,9 +507,16 @@ def _polar_hull(directions, offsets, prev=None):
         raise DegenerateBody("non-finite support numbers")
     c, slack = _interior_point(D, h)
     if prev is not None and prev.warm is not None and not c.any():
-        (f, g), (inverses, units) = prev.sides, prev.warm
-        corners = (inverses @ slack[prev.simplices][:, :, None])[:, :, 0]
-        lengths = ((corners[g] - corners[f]) * units).sum(axis=1)
+        (f, g), (inverses, units, planes) = prev.sides, prev.warm
+        b = slack.take(prev.simplices)[:, :, None]
+        corners = inverses @ b
+        # the inverse is only as good as the facet's conditioning: one step
+        # of iterative refinement (Higham, ch. 12), x += inv (b - D x)
+        corners += inverses @ (b - planes @ corners)
+        corners = corners[:, :, 0]
+        run = corners.take(g, axis=0) - corners.take(f, axis=0)
+        run *= units
+        lengths = run.sum(axis=1)
         if lengths.min() > 0.0:
             edges = prev.edges._replace(lengths=lengths)
             return _Cut(edges, slack, _face_areas(edges, slack),
@@ -549,7 +557,7 @@ def _polar_hull(directions, offsets, prev=None):
     if keep.all() and len(simplices) == 2 * len(D) - 4:
         det = (n[:, 0] * cross[:, 0]).sum(axis=1)
         warm = (cross.transpose(0, 2, 1) / det[:, None, None],
-                run / lengths[:, None])
+                run / lengths[:, None], n)
     return _Cut(edges, slack, _face_areas(edges, slack), simplices,
                 np.ldexp(corners, e), c, (f, g), warm, True)
 

@@ -81,6 +81,15 @@ class SphericalPolygon:
     def n(self):
         return len(self.vertices)
 
+    @property
+    def area(self):
+        """The area of D, the sum of the signed fan triangles' spherical
+        excesses E: tan(E/2) = a.(b x c) / (1 + a.b + b.c + c.a)."""
+        a, b, c = _fan_triangles(self)
+        dots = 1.0 + ((a * b) + (b * c) + (c * a)).sum(axis=1)
+        return float(2.0 * np.arctan2((a * np.cross(b, c)).sum(axis=1),
+                                      dots).sum())
+
 
 def _check_simple(v, nxt):
     """Reject polygons where two non-adjacent arcs cross or touch, naming

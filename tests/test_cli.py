@@ -104,6 +104,8 @@ class TestSums:
         rep = json.loads(stdout)
         assert rep["euler"]["faces"] == 32
         assert rep["euler"]["ok"]
+        # in increasing order, as the rebuilt mesh's face order is Qhull's
+        assert rep["face_areas"] == sorted(rep["face_areas"])
         assert rep["vector_area_residual_norm"] <= 1e-9 * rep["total_area"]
 
     def test_bsum_of_her_inputs_solves_once(self, tmp_path, capsys,
@@ -367,6 +369,7 @@ class TestSphereCheck:
         assert code == 0
         out = json.loads(stdout)
         assert out["norm"] <= 1e-6
+        assert out["area"] == pytest.approx(np.pi / 2, rel=1e-15)
 
     def test_bad_vertex_exits_one(self, tmp_path, capsys):
         poly = tmp_path / "bad.txt"

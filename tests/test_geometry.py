@@ -693,9 +693,9 @@ class TestWarmCut:
             if cut.warm is None:
                 continue
             simple += 1
-            inverses, units = cut.warm
-            assert np.abs(inverses @ D[cut.simplices] - np.eye(3)).max() \
-                <= 1e-12
+            inverses, units, planes = cut.warm
+            np.testing.assert_array_equal(planes, D[cut.simplices])
+            assert np.abs(inverses @ planes - np.eye(3)).max() <= 1e-12
             np.testing.assert_allclose(np.linalg.norm(units, axis=1), 1.0,
                                        rtol=1e-15)
         assert simple >= 15

@@ -735,7 +735,7 @@ class TestHardInputs:
         (elongated_herisson(1e4, 7), False),
         (elongated_herisson(1e5, 7), False),
         (near_duplicate_herisson(1e-7), True),
-        (near_duplicate_herisson(1e-8), False),
+        (near_duplicate_herisson(1e-8), True),
         (near_duplicate_herisson(1.5e-9), False)],
         ids=["r1e2", "r1e3", "r1e4", "r1e5", "eps1e-7", "eps1e-8",
              "eps1.5e-9"])

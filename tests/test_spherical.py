@@ -173,6 +173,13 @@ class TestClosedForms:
         assert np.all(np.isfinite(res))
         assert np.linalg.norm(res) <= 1e-12
 
+    @pytest.mark.parametrize("vertices, area", [
+        (np.zeros((0, 3)), 4 * np.pi), (np.eye(3), np.pi / 2),
+        (equator_polygon().vertices, 2 * np.pi)])
+    def test_area(self, vertices, area):
+        assert SphericalPolygon(vertices).area == pytest.approx(area,
+                                                                rel=1e-15)
+
     def test_whole_sphere(self):
         whole = SphericalPolygon(np.zeros((0, 3)))
         res = spherical_identity_residual(whole, 4)
