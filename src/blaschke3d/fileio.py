@@ -6,15 +6,21 @@ A `.her` file starts with the face count k, followed by k lines of
 Blank lines and `#` comments are allowed.  Floats are printed with 17
 significant digits, so print/parse round trips are exact.  Every parser
 rejects a number that is not finite (`nan`, `inf`), naming its line.
+
+An OFF file is read as the mesh of its vertices' convex hull.  A file whose
+own faces certify their convexity (`geometry._certify_convex`) becomes that
+mesh with no hull: its fan triangles go through the hull's own step from
+triangles to faces.  Any other file is checked face by face and hulled.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DegenerateBody, NonConvexInput, ParseError
-from .geometry import (MeshPolyhedron, _area_norms, _area_vectors, _extent,
-                       _group_sums, _support_values, convex_hull,
-                       validate_mesh)
+from .geometry import (MeshPolyhedron, _area_norms, _area_vectors,
+                       _certify_convex, _cross, _extent, _group_sums,
+                       _hull_unit, _support_values, _triangle_mesh, _twins,
+                       convex_hull, validate_mesh)
 from .herisson import Herisson, validate_herisson
 from .spherical import SphericalPolygon
 
@@ -106,7 +112,12 @@ def export_off(p: MeshPolyhedron) -> str:
 def import_off(text: str) -> MeshPolyhedron:
     """Parse OFF text (counts not negative, exactly the announced lines),
     reject non-convex input and face lists that do not close the surface,
-    and rebuild the mesh (face merge, areas, edge lengths) by `convex_hull`."""
+    and return the mesh (face merge, areas, edge lengths) that `convex_hull`
+    gives for the vertices.  A file whose fan triangles give that mesh with
+    a certificate of convexity (`_fan_mesh`) builds no hull; any other file
+    is checked face by face, naming the lowest faulty face
+    (`_check_face_planes`), then hulled and checked for closure and
+    extreme points."""
     numbered = list(_content_lines(text))
     lines = [line for _, line in numbered]
     if not lines or lines[0] != "OFF":
@@ -146,14 +157,92 @@ def import_off(text: str) -> MeshPolyhedron:
     if not nv:  # as `convex_hull` says, before `_extent` meets no vertices
         raise DegenerateBody("need at least 4 points")
     cycles = (count, face, vid.astype(np.intp))
+    mesh = _fan_mesh(verts, cycles)
+    if mesh is not None:
+        return validate_mesh(mesh)
     area = _check_face_planes(verts, cycles)
     mesh = convex_hull(verts)
     total = mesh.face_areas.sum()
-    if not _edges_pair_up(cycles, nv) or abs(area - total) > 1e-9 * total:
+    if _twins(count, cycles[2], nv) is None \
+            or abs(area - total) > 1e-9 * total:
         raise NonConvexInput("faces do not close the surface")
     if len(mesh.vertices) != len(verts):
         raise NonConvexInput("some vertices are not extreme points")
     return validate_mesh(mesh)
+
+
+def _fan_mesh(verts, cycles):
+    """The mesh that `convex_hull` gives for the vertices of a file whose
+    faces bound a convex body, built from the file's own faces with no
+    hull: their fan triangles (each face fanned about its first vertex, as
+    `_area_vectors` does), with their planes at the hull's unit and their
+    sides across the fans and the edges, go through the hull's own step,
+    `_triangle_mesh`, and the result must pass `_certify_convex`.  None
+    wherever the hull could decide otherwise or refuse the file: a face
+    the hull's checks may refuse (fewer than 3 vertices, an area below
+    1e-13 at the unit of `_check_face_planes`, a plane that may cut the
+    body by 1e-8 of the extent there), a side whose planes lie within
+    1e-11 c (c as in `_certify_convex`) of the 1e-9 merge rule, a face
+    whose fan does not merge, a point that is no vertex, a total area off
+    by 1e-9, or any refusal of `_hull_unit` or the certificate."""
+    count, face, vid = cycles
+    twins = _twins(count, vid, len(verts)) if (count >= 3).all() else None
+    if twins is None:
+        return None
+    try:
+        pts, e = _hull_unit(verts)
+    except DegenerateBody:
+        return None
+    succ, twin = twins
+    at = np.ldexp(pts, -e)
+    c = max(1.0, float(np.abs(at).max()))
+    # triangle k of a face joins its first vertex to positions k, k + 1
+    start = np.cumsum(count) - count
+    local = np.arange(len(vid)) - start[face]
+    mid = np.flatnonzero((local >= 1) & (local <= count[face] - 2))
+    tris = np.column_stack([vid[start[face[mid]]], vid[mid], vid[mid + 1]])
+    normal = _cross(at[tris[:, 1]] - at[tris[:, 0]],
+                    at[tris[:, 2]] - at[tris[:, 0]])
+    norm = np.linalg.norm(normal, axis=1)
+    if not norm.min() > 0.0:
+        return None
+    normal /= norm[:, None]
+    rows = np.column_stack([normal, -(normal * at[tris[:, 0]]).sum(axis=1)])
+    # sides: between a face's consecutive fan triangles, and across edges
+    first = np.cumsum(count - 2) - (count - 2)
+    tri = first[face] + np.clip(local, 1, count[face] - 2) - 1
+    diag = np.flatnonzero(face[mid[1:]] == face[mid[:-1]])
+    edge = np.flatnonzero(vid < vid[succ])
+    f = np.concatenate([diag, tri[edge]])
+    g = np.concatenate([diag + 1, tri[twin[edge]]])
+    gap = np.linalg.norm(rows[f] - rows[g], axis=1)
+    if (np.abs(gap - 1e-9) <= 1e-11 * c).any() \
+            or (gap[:len(diag)] > 1e-9).any():
+        return None
+    mesh, label = _triangle_mesh(pts, tris, rows, f, g)
+    if len(mesh.vertices) != len(verts) or not _certify_convex(
+            mesh.vertices, mesh.cycles, mesh.face_normals):
+        return None
+    # the hull's checks of the stated faces, at the unit and about the
+    # centroid of `_check_face_planes`: areas, planes and their total
+    scale = np.frexp(_extent(verts))[0]
+    u = at - at.mean(axis=0)
+    area = _area_vectors(u, cycles)
+    nn = _area_norms(area, axis=1)
+    if not nn.min() >= 1e-13:
+        return None
+    # no vertex is beyond a face plane of the certified mesh by more than
+    # about 1e-12, nor off it on its own face, so a stated plane tilted
+    # by d from its face of the mesh is above none by more than 2 r d + that
+    tilt = np.linalg.norm(area / nn[:, None]
+                          - mesh.face_normals[label[first]], axis=1)
+    above = 2 * float(np.linalg.norm(u, axis=1).max()) * tilt + 1e-11
+    total = mesh.face_areas.sum()
+    with np.errstate(over="ignore"):
+        if not (above <= 0.25e-8 * scale).all() or abs(
+                np.ldexp(nn.sum(), 2 * e) - total) > 1e-9 * total:
+            return None
+    return mesh
 
 
 def _check_face_planes(verts, cycles):
@@ -186,18 +275,6 @@ def _check_face_planes(verts, cycles):
         raise NonConvexInput(f"face {i} plane cuts through the body")
     with np.errstate(over="ignore"):
         return np.ldexp(nn.sum(), 2 * e)
-
-
-def _edges_pair_up(cycles, nv):
-    """Whether every directed edge of the face cycles (each of 3 or more
-    vertices) appears exactly once, and so does its reverse."""
-    count, _, vid = cycles
-    ends = np.cumsum(count)
-    succ = np.arange(1, len(vid) + 1)
-    succ[ends - 1] = ends - count
-    key = np.sort(vid * nv + vid[succ])
-    back = np.sort(vid[succ] * nv + vid)
-    return bool((np.diff(key) > 0).all() and (key == back).all())
 
 
 def parse_polygon_file(text: str) -> SphericalPolygon:

@@ -8,7 +8,13 @@ Huhdanpaa 1996), and each merges along the sides of Qhull's triangulation
 by one `_merge` over the facet pairs that the hull names, with no search
 over points.  `convex_hull` merges adjacent hull triangles whose planes
 lie within 1e-9 into faces, and a vertex lies on at least three faces
-(`_assemble_faces`).  `intersect_halfspaces` hulls the polar points of the
+(`_assemble_faces`); that step from triangles to a mesh,
+`_triangle_mesh`, also takes the fan triangles of an OFF file's own faces.
+A boundary complex that already bounds a convex body needs no hull: one
+linear pass, `_certify_convex` (planar faces, convex edges, the centroid
+inside every face plane, one ray), proves it, and `validate_mesh` measures
+every vertex against every face plane only where that pass gives no
+verdict.  `intersect_halfspaces` hulls the polar points of the
 planes: each facet is a vertex of the body, lying on the three planes that
 span it, and two facets that share a side and whose corners lie at most
 `MERGE_TOL` of the extent apart are one vertex.  One record, `_Cut`,
@@ -159,10 +165,15 @@ def _edge_list(normals, i, j, lengths):
     return EdgeList(normals, i, j, lengths, sin, (ni * nj).sum(axis=1))
 
 
+def _kept(edges):
+    """Which edges are longer than `MERGE_TOL` times the longest, the edges
+    a mesh keeps after merging its close vertices."""
+    return edges.lengths > MERGE_TOL * edges.lengths.max()
+
+
 def _adjacency(edges):
-    """The face pairs of the edges longer than `MERGE_TOL` times the
-    longest, the edges a mesh keeps after merging its close vertices."""
-    keep = edges.lengths > MERGE_TOL * edges.lengths.max()
+    """The face pairs of the edges that `_kept` keeps."""
+    keep = _kept(edges)
     return frozenset(zip(edges.i[keep].tolist(), edges.j[keep].tolist()))
 
 
@@ -603,17 +614,31 @@ def intersect_halfspaces(p: SupportPolyhedron) -> MeshPolyhedron:
     return _hull_mesh(cut).translate(cut.c)
 
 
-def convex_hull(points) -> MeshPolyhedron:
-    """Convex hull with coplanar facets merged into geometric faces: hull
-    triangles chained by sides between plane rows at most 1e-9 apart are
-    one face, numbered in lexsorted row order.  A plane left with fewer
-    than 3 vertices touches the body in an edge: its slot stays empty and
-    keeps its normal.
-    Qhull sees the points times the power of two 2^-e that brings their
-    scale into [1/2, 1), and its plane rows are merged at that unit, so the
-    hull does not depend on the unit of length, from an extent of 1e-150 to
-    one of 1e150 (`_HULL_EXTENTS`).  DegenerateBody names points that are
-    not finite, fewer than 4, overflowing, outside those extents or flat."""
+def _row_order(rows):
+    """np.lexsort(rows.T[::-1]), the rows in lexicographic order with ties
+    in index order: one stable sort of the first entries, and a lexsort
+    only over the runs of equal first entries whose rows differ."""
+    if np.isnan(rows).any():  # a NaN ties with a NaN in lexsort alone
+        return np.lexsort(rows.T[::-1])
+    order = np.argsort(rows[:, 0], kind="stable")
+    srt = rows[order]
+    tie = srt[1:, 0] == srt[:-1, 0]
+    differ = tie & (srt[1:] != srt[:-1]).any(axis=1)
+    if not differ.any():
+        return order
+    run = np.concatenate([[0], np.cumsum(~tie)])
+    pos = np.flatnonzero(np.isin(run, run[1:][differ]))
+    sub = srt[pos]
+    order[pos] = order[pos][np.lexsort(
+        (sub[:, 3], sub[:, 2], sub[:, 1], run[pos]))]
+    return order
+
+
+def _hull_unit(points):
+    """The points as an (n, 3) float array and the exponent e of the power
+    of two 2^-e that brings their extent into [1/2, 1), the unit a hull
+    sees them at.  DegenerateBody names points that are not finite, fewer
+    than 4, overflowing, outside `_HULL_EXTENTS` or flat."""
     pts = np.atleast_2d(np.asarray(points, float))
     if not np.all(np.isfinite(pts)):
         raise DegenerateBody("non-finite point coordinates")
@@ -631,27 +656,141 @@ def convex_hull(points) -> MeshPolyhedron:
     sv = np.linalg.svd(pts - centre, compute_uv=False)
     if sv[2] <= 1e-9 * sv[0]:
         raise DegenerateBody("points lie within 1e-9*scale of a plane")
-    e = math.frexp(scale)[1]
-    try:
-        hull = _Qhull(np.ldexp(pts, -e))
-    except scipy.spatial.QhullError as exc:
-        raise DegenerateBody("degenerate point set") from exc
-    rows = hull.equations
-    order = np.lexsort(rows.T[::-1])
+    return pts, math.frexp(scale)[1]
+
+
+def _triangle_mesh(points, simplices, rows, f, g):
+    """The mesh of a closed surface of outward triangles of `points`:
+    `rows` holds each triangle's plane (unit normal, offset) at the unit
+    the hull sees, and triangles f-g share a side.  Triangles chained by
+    sides between rows at most 1e-9 apart are one face, numbered in
+    lexsorted row order (`_row_order`), and a point on fewer than 3 faces
+    is no vertex (`_assemble_faces`).  A plane left with fewer than 3
+    vertices touches the body in an edge: its slot stays empty and keeps
+    its normal.  Returns the mesh and every triangle's face."""
+    order = _row_order(rows)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    f, _, g = _sides(hull)
     near = np.linalg.norm(rows[f] - rows[g], axis=1) <= 1e-9
     planes, label = _merge(rows[order], rank[f[near]], rank[g[near]])
     verts, cycles, edges = _assemble_faces(
-        pts, np.repeat(label, 3), hull.simplices[order].ravel(), planes[:, :3])
+        points, np.repeat(label, 3), simplices[order].ravel(), planes[:, :3])
     area_vecs = _area_vectors(verts, cycles)
     areas = _area_norms(area_vecs, axis=1)
     normals = planes[:, :3].copy()
     np.divide(area_vecs, areas[:, None], out=normals, where=areas[:, None] > 0)
-    return MeshPolyhedron(vertices=verts, cycles=cycles,
-                          face_normals=normals, face_areas=areas,
-                          edges=_edge_list(normals, *edges))
+    mesh = MeshPolyhedron(vertices=verts, cycles=cycles, face_normals=normals,
+                          face_areas=areas, edges=_edge_list(normals, *edges))
+    return mesh, label[rank]
+
+
+def convex_hull(points) -> MeshPolyhedron:
+    """Convex hull with coplanar facets merged into geometric faces: the
+    `_triangle_mesh` of Qhull's triangles.
+    Qhull sees the points times the power of two 2^-e that brings their
+    scale into [1/2, 1), and its plane rows are merged at that unit, so the
+    hull does not depend on the unit of length, from an extent of 1e-150 to
+    one of 1e150 (`_HULL_EXTENTS`).  DegenerateBody names points that are
+    not finite, fewer than 4, overflowing, outside those extents or flat
+    (`_hull_unit`)."""
+    pts, e = _hull_unit(points)
+    try:
+        hull = _Qhull(np.ldexp(pts, -e))
+    except scipy.spatial.QhullError as exc:
+        raise DegenerateBody("degenerate point set") from exc
+    f, _, g = _sides(hull)
+    return _triangle_mesh(pts, hull.simplices, hull.equations, f, g)[0]
+
+
+def _twins(count, vid, nv):
+    """The successor of every cycle position and the position of its
+    directed edge's reverse, or None unless every directed edge of the
+    cycles (with no empty ones) appears exactly once, and so does its
+    reverse."""
+    ends = np.cumsum(count)
+    succ = np.arange(1, len(vid) + 1)
+    succ[ends - 1] = ends - count
+    key = vid * nv + vid[succ]
+    srt = np.argsort(key)
+    ordered = key[srt]
+    if len(vid) == 0 or not (np.diff(ordered) > 0).all():
+        return None
+    at = np.minimum(np.searchsorted(ordered, vid[succ] * nv + vid),
+                    len(vid) - 1)
+    if not (ordered[at] == vid[succ] * nv + vid).all():
+        return None
+    return succ, srt[at]
+
+
+def _certify_convex(verts, cycles, normals):
+    """Whether the face cycles bound a convex body with each face in the
+    plane of its normal, the vertices its extreme points, decided in one
+    pass over the cycle positions (the checker of Mehlhorn, Näher, Seel,
+    Seidel, Schilz, Schirra & Uhrig, Comput. Geom. 12, 1999, which rests on
+    the Tietze-Nakajima theorem that a closed, connected, locally convex
+    set is convex).  The premise is a closed surface: every directed edge
+    pairs up with its reverse (`_twins`), every vertex is on a face, and
+    V - E + F = 2.  Then:
+    - every face is planar: its vertices lie within t of the plane of its
+      normal through their mean, and every corner turns left by more than
+      m from the chord of its neighbours, once around (no corner near pi);
+    - every edge is locally convex: the next vertex of the neighbouring
+      face lies more than m below this face's plane;
+    - the vertex centroid o lies more than m inside every face plane;
+    - the ray from o through the centroid of the largest face passes
+      through no other face: the faces, all seen from o from inside, cover
+      the sphere of directions once, so the surface is one sheet about o.
+    It is measured about o in units of 2^e, the power of two just above
+    the extent, as `fileio._check_face_planes` is, with t = 1e-12 and
+    m = 1e-10 c, c the largest |coordinate| at that unit or 1 if less: the
+    margin grows with the rounding of coordinates far from the origin.
+    True proves no vertex lies beyond a face plane by more than about t;
+    False is no verdict."""
+    count, face, vid = cycles
+    nv, live = len(verts), count > 0
+    extent = _extent(verts) if nv else 0.0
+    if (count[live] < 3).any() or not len(vid) or not 0 < extent < np.inf:
+        return False
+    twins = _twins(count[live], vid, nv)
+    if twins is None or np.bincount(vid, minlength=nv).min() == 0 \
+            or nv - len(vid) // 2 + live.sum() != 2:
+        return False
+    succ, twin = twins
+    e = math.frexp(extent)[1]
+    u = np.ldexp(verts, -e)
+    c = max(1.0, float(np.abs(u).max()))
+    u -= u.mean(axis=0)
+    t, m = 1e-12, 1e-10 * c
+    x, n = u[vid], normals[face]
+    dots = (x * n).sum(axis=1)
+    h = (np.bincount(face, dots, len(count))[live] / count[live])
+    h = np.repeat(h, count[live])  # every position's plane offset
+    if not (np.abs(dots - h) <= t).all() or not (h > m).all():
+        return False
+    nxt = u[vid[succ]]
+    prv = np.empty_like(x)
+    prv[succ] = x
+    ein, eout = x - prv, nxt - x
+    turn = (_cross(ein, eout) * n).sum(axis=1)
+    if not (turn > m * np.linalg.norm(nxt - prv, axis=1)).all():
+        return False
+    angle = np.bincount(face, np.arctan2(turn, (ein * eout).sum(axis=1)),
+                        len(count))[live]
+    if not (np.abs(angle - 2 * np.pi) < 1).all():
+        return False
+    beyond = u[vid[succ[succ[twin]]]]
+    if not ((beyond * n).sum(axis=1) - h < -m).all():
+        return False
+    start = (np.cumsum(count) - count)[live]
+    big = np.argmax(_area_norms(_area_vectors(u, cycles)[live], axis=1))
+    ray = x[start[big]:start[big] + count[live][big]].mean(axis=0)
+    side = _cross(x, nxt)
+    with np.errstate(invalid="ignore"):
+        sine = (side @ ray) / (np.linalg.norm(side, axis=1)
+                               * np.linalg.norm(ray))
+    least = np.minimum.reduceat(sine, start)
+    return bool((least < -1e-10).sum() == len(least) - 1
+                and least[big] > 1e-10)
 
 
 def volume(p: MeshPolyhedron) -> float:
@@ -756,16 +895,20 @@ def validate_mesh(mesh: MeshPolyhedron) -> MeshPolyhedron:
     about the vertex centroid so that the check does not depend on where
     the body sits), the Euler characteristic, closure of the vector area,
     and that positive edge lengths appear exactly for adjacent positive
-    faces.  Returns `mesh`.
+    faces.  Convex support is read off `_certify_convex`, one pass over the
+    cycles; only where that gives no verdict is every vertex measured
+    against every face plane.  Returns `mesh`.
     """
     tol = 1e-9 * mesh.scale
-    about = mesh.translate(-mesh.centroid)
-    h = about.face_support_numbers()
-    live = np.flatnonzero(~np.isnan(h))
-    gap = _support_values(about.vertices, about.face_normals[live]) - h[live]
-    if np.any(gap > tol):
-        j = live[int(np.argmax(gap > tol))]
-        raise ValueError(f"vertex beyond plane of face {j}")
+    if not _certify_convex(mesh.vertices, mesh.cycles, mesh.face_normals):
+        about = mesh.translate(-mesh.centroid)
+        h = about.face_support_numbers()
+        live = np.flatnonzero(~np.isnan(h))
+        gap = _support_values(about.vertices,
+                              about.face_normals[live]) - h[live]
+        if np.any(gap > tol):
+            j = live[int(np.argmax(gap > tol))]
+            raise ValueError(f"vertex beyond plane of face {j}")
     v = len(mesh.vertices)
     e = len(mesh.edges.i)
     f = mesh.face_count

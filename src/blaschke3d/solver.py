@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (DegenerateAngle, DegenerateBody, NewtonDivergence,
                      OracleFailed, StepSizeUnderflow, UnboundedRegion)
 from .geometry import (MeshPolyhedron, SupportPolyhedron, _adjacency,
-                       _hull_mesh, _polar_hull)
+                       _hull_mesh, _kept, _polar_hull)
 from .herisson import Herisson
 
 # The step lengths tried, 1 down to 2^-30, and the number of accepted
@@ -259,7 +259,7 @@ def _newton_solve(h, cfg=None):
     state = _tangent_state(directions, trace)
     state = state.scaled(np.sqrt(target.sum() / state.areas.sum()))
     floor = 0.5 * min(state.areas.min(), target.min())
-    adjacency, alpha = _adjacency(state.edges), 1.0
+    alpha = 1.0
     for _ in range(_MAX_STEPS):
         resid = np.abs(target - state.areas).max() / target.max()
         polishing = resid <= cfg.newton_tol
@@ -273,9 +273,8 @@ def _newton_solve(h, cfg=None):
             break
         if new is None:
             raise _failure(outcome, resid, trace)
-        adj = _adjacency(new.edges)
-        trace.combinatorial_changes += adj != adjacency
-        alpha, state, adjacency = outcome, new, adj
+        trace.combinatorial_changes += _adjacency_changed(state, new)
+        alpha, state = outcome, new
         trace.steps_taken += 1
         trace.alpha_history.append(alpha)
         trace.residual_history.append(float(
@@ -285,6 +284,16 @@ def _newton_solve(h, cfg=None):
         raise _failure("budget", resid, trace)
     trace.final_residual = float(resid)
     return state.scaled(2.0 ** m), trace
+
+
+def _adjacency_changed(state, new):
+    """Whether the face adjacency (`geometry._adjacency`) of the cut `new`
+    differs from `state`'s.  A cut read off `state`'s triangulation keeps
+    its face pairs, so only the edges kept by the length rule can differ;
+    the pair sets are compared only after a Qhull run."""
+    if new.hulled:
+        return _adjacency(new.edges) != _adjacency(state.edges)
+    return not np.array_equal(_kept(new.edges), _kept(state.edges))
 
 
 def _finish(h, state, trace):

@@ -9,8 +9,8 @@ import scipy.optimize
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import cdist
 
-from blaschke3d import geometry
-from blaschke3d.errors import DegenerateBody
+from blaschke3d import fileio, geometry
+from blaschke3d.errors import DegenerateBody, ToolkitError
 from blaschke3d.geometry import DIRECTION_TOL, MERGE_TOL, MeshPolyhedron, \
     SupportPolyhedron, _cross, _edge_list, _group_sums, intersect_halfspaces
 from blaschke3d.herisson import _MIN_SEPARATION, random_herisson
@@ -393,3 +393,68 @@ def assembly_checked():
         yield calls
     finally:
         geometry._assemble_faces = real
+
+
+def import_both(text):
+    """`fileio.import_off(text)` twice: as it runs, and with its certified
+    path (`fileio._fan_mesh`) giving no verdict, so that the hull decides.
+    Both must give the same verdict and message; an accepted file must give
+    the same vertices, the same face cycles (each from any start) and face
+    areas within 1e-14 relative.  Returns the first run's mesh (or raises
+    its error) and whether the certified path built it."""
+    real, built = fileio._fan_mesh, []
+
+    def recorded(verts, cycles):
+        mesh = real(verts, cycles)
+        built.append(mesh is not None)
+        return mesh
+
+    outcomes = []
+    for fan in (recorded, lambda verts, cycles: None):
+        fileio._fan_mesh = fan
+        try:
+            outcomes.append(fileio.import_off(text))
+        except (ToolkitError, ValueError) as exc:
+            outcomes.append(exc)
+        finally:
+            fileio._fan_mesh = real
+    fast, hull = outcomes
+    if isinstance(fast, Exception) or isinstance(hull, Exception):
+        assert (type(fast), str(fast)) == (type(hull), str(hull))
+        raise fast
+    np.testing.assert_array_equal(fast.vertices, hull.vertices)
+    faces = [face_cycles(mesh) for mesh in (fast, hull)]
+    assert faces[0].keys() == faces[1].keys()
+    for cycle, j in faces[0].items():
+        k = faces[1][cycle]
+        assert abs(fast.face_areas[j] - hull.face_areas[k]) \
+            <= 1e-14 * hull.face_areas[k]
+    return fast, bool(built and built[0])
+
+
+def face_cycles(mesh):
+    """The face index of every face cycle, keyed by the cycle read from its
+    least vertex."""
+    out = {}
+    for j, cycle in enumerate(cycle_arrays(mesh)):
+        if len(cycle):
+            k = int(np.argmin(cycle))
+            out[tuple(np.roll(cycle, -k).tolist())] = j
+    return out
+
+
+def double_octahedron():
+    """Two octahedra on the same poles, one turned by 45 degrees about
+    their axis, as one surface: it closes, V - E + F = 2, every face is
+    planar and every edge convex, and the centroid is inside every face
+    plane, but it winds twice about the centroid (the pole has 8 faces)."""
+    ring = np.arange(8) * np.pi / 4
+    verts = np.vstack([[[0, 0, 1], [0, 0, -1]],
+                       np.column_stack([np.cos(ring), np.sin(ring),
+                                        np.zeros(8)])])
+    faces = []
+    for turn in (0, 1):
+        for k in range(4):
+            a, b = 2 + turn + 2 * k, 2 + turn + (2 * k + 2) % 8
+            faces += [[0, a, b], [1, b, a]]
+    return verts, faces

@@ -519,6 +519,28 @@ def test_cold_paths_leave_scipy_spatial_unloaded(tmp_path):
     assert loaded == "[False, False, (0, False), (1, False), (0, True)]"
 
 
+def test_report_of_a_convex_off_leaves_scipy_spatial_unloaded(tmp_path):
+    # a file whose faces certify their convexity builds no hull, so a cold
+    # `report` imports no scipy.spatial module
+    from blaschke3d.bodies import icosphere_mesh
+    from blaschke3d.fileio import export_off
+    src = Path(__file__).resolve().parent.parent / "src"
+    off = tmp_path / "body.off"
+    off.write_text(export_off(icosphere_mesh(3).translate([0.3, -0.2, 0.1])))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "blaschke3d.cli",
+         "report", str(off)], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["euler"]["faces"] == 1280
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "blaschke3d.fileio" in imported
+    assert not [m for m in imported if m.split(".")[:2] == ["scipy",
+                                                            "spatial"]]
+
+
 def test_import_leaves_process_pools_unloaded():
     # a campaign forks its workers with os.fork, so neither import nor a
     # campaign over 3 slices pays for multiprocessing

@@ -1,11 +1,16 @@
+import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
-from blaschke3d.bodies import cube_mesh, icosahedron_herisson, icosphere_mesh
+from blaschke3d import geometry
+from blaschke3d.bodies import (box_mesh, cube_mesh, icosahedron_herisson,
+                               icosphere_mesh)
 from blaschke3d.errors import DegenerateBody, NonConvexInput, ParseError
 from blaschke3d.fileio import (export_off, format_herisson, import_off,
                                parse_herisson_file, parse_polygon_file)
@@ -13,10 +18,13 @@ from blaschke3d.geometry import convex_hull, volume
 from blaschke3d.herisson import (blaschke_scale, herisson_of_mesh,
                                  random_herisson)
 from blaschke3d.solver import continuation_solve
+from blaschke3d.sums import minkowski_sum
 
-from helpers import cycle_arrays, export_off_reference, intersect, \
-    random_tangent_mesh, vertex_sets_match
+from helpers import cycle_arrays, double_octahedron, \
+    export_off_reference, import_both, intersect, random_tangent_mesh, \
+    vertex_sets_match
 from test_geometry import corner_cases, summed_mesh
+from test_same_outputs import SAME_OUTPUTS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 # spellings that float() reads as numbers that are not finite
@@ -31,6 +39,14 @@ def off_text(verts, faces):
     lines += [" ".join(str(x) for x in v) for v in verts]
     lines += [" ".join(str(i) for i in [len(f), *f]) for f in faces]
     return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def both_paths(monkeypatch):
+    """Every `import_off` call of the test runs by the certified path and
+    by the hull path, which must agree (`import_both`)."""
+    monkeypatch.setattr(sys.modules[__name__], "import_off",
+                        lambda text: import_both(text)[0])
 
 
 def cube_faces():
@@ -134,6 +150,7 @@ class TestHerissonRejection:
                      "4\n0 0 0 1\n1 -1 -1 1\n-1 1 -1 1\n-1 -1 1 1\n")
 
 
+@pytest.mark.usefixtures("both_paths")
 class TestOff:
     @pytest.mark.parametrize("make", [
         lambda: cube_mesh(1.0),
@@ -198,16 +215,34 @@ class TestOff:
         with pytest.raises(NonConvexInput, match="face 4 plane cuts"):
             import_off("\n".join(lines))
 
-    def test_one_convex_hull_per_file(self, monkeypatch):
+    def test_a_certified_file_builds_no_hull(self, monkeypatch):
+        # the hull runs only where the certificate gives no verdict, and at
+        # most once: a corner pushed out by 1e-9 of the scale splits its
+        # faces, a clockwise face is refused before the hull and a point
+        # inside a face after it
         import blaschke3d.fileio as fileio
-        calls, real = [], fileio.convex_hull
+        calls, real = [], geometry._Qhull
 
         def counted(points):
             calls.append(1)
             return real(points)
-        monkeypatch.setattr(fileio, "convex_hull", counted)
-        import_off(export_off(cube_mesh(1.0)))
-        assert len(calls) == 1
+        monkeypatch.setattr(geometry, "_Qhull", counted)
+        verts, faces = cube_faces()
+        pushed = verts.copy()
+        pushed[0] *= 1 + 1e-9
+        inside = np.vstack([verts, verts[faces[0]].mean(axis=0)])
+        clockwise = tetrahedron_faces()
+        clockwise[1][2] = clockwise[1][2][::-1]
+        for text, hulls in ((export_off(cube_mesh(1.0)), 0),
+                            (off_text(pushed, faces), 1),
+                            (off_text(*clockwise), 0),
+                            (off_text(inside, faces), 1)):
+            calls.clear()
+            try:
+                fileio.import_off(text)
+            except NonConvexInput:
+                pass
+            assert len(calls) == hulls
 
     def test_vertex_inside_a_face_rejected(self):
         # every stated face plane supports the vertex set, but the centre of
@@ -252,6 +287,7 @@ class TestOff:
         assert volume(again) == pytest.approx(volume(base), rel=1e-6)
 
 
+@pytest.mark.usefixtures("both_paths")
 class TestOffRejection:
     """Every `import_off` rejection, with its message; of several faulty
     faces the lowest is named."""
@@ -435,6 +471,85 @@ class TestOffRejection:
             "cut": (NonConvexInput, "face 2 plane cuts through the body"),
         }[first]
         self.rejects(error, message, verts, faces)
+
+
+TURN = Rotation.from_euler("xyz", [0.3, -0.5, 0.7]).as_matrix()
+LIBRARY = ["cube", "box", "icosphere-1", "icosphere-2", "icosphere-3"]
+CONSTRUCTED = sorted(f"construct-{p.stem}" for p in DATA.glob("*.her"))
+PUSHES = [1e-12, 1e-10, 1e-8, 1e-6]
+
+
+@cache
+def library_mesh(name):
+    """A library mesh by name: the bodies of `LIBRARY`, each also as its
+    Minkowski sum with a turned copy ("+turned"), and the solved bodies of
+    `data/*.her` ("construct-<stem>")."""
+    base, turned, _ = name.partition("+turned")
+    if turned:
+        mesh = library_mesh(base)
+        return minkowski_sum(mesh, convex_hull(1.3 * mesh.vertices @ TURN.T))
+    if base.startswith("construct-"):
+        her = DATA / f"{base.removeprefix('construct-')}.her"
+        return continuation_solve(parse_herisson_file(her.read_text()))[1]
+    if base.startswith("icosphere-"):
+        return icosphere_mesh(int(base[-1]))
+    return cube_mesh(1.0) if base == "cube" else box_mesh((0.3, 1.0, 7.0))
+
+
+def perturbed(name, how):
+    """The OFF text of a library mesh with one fault: vertex 0 pushed away
+    from the centroid ("out") or toward it ("in") by a share of the scale,
+    face 0 flipped, or the surface listed twice, the second time over a
+    copy of its vertices: a closed surface with V - E + F = 4, which the
+    certificate's Euler count refuses.  (A surface that winds twice with
+    V - E + F = 2 is `double_octahedron`.)"""
+    mesh = library_mesh(name)
+    verts, faces = mesh.vertices.copy(), [c.tolist()
+                                          for c in cycle_arrays(mesh)]
+    if how == "flip":
+        faces[0] = faces[0][::-1]
+    elif how == "twice":
+        n = len(verts)
+        verts = np.vstack([verts, verts])
+        faces += [[i + n for i in face] for face in faces]
+    else:
+        share = float(how[-5:]) * (1 if how.startswith("out") else -1)
+        ray = verts[0] - verts.mean(axis=0)
+        verts[0] += share * mesh.scale * ray / np.linalg.norm(ray)
+    return off_text(verts, [face for face in faces if face])
+
+
+class TestCertifiedImport:
+    """`import_off` by its certified path against the hull path
+    (`import_both`): the same verdict and message, and for an accepted
+    file the same vertices, cycles and areas within 1e-14."""
+
+    @pytest.mark.parametrize("name", [
+        *LIBRARY, *(f"{n}+turned" for n in LIBRARY), *CONSTRUCTED])
+    def test_library_meshes_are_certified(self, name):
+        mesh, certified = import_both(export_off(library_mesh(name)))
+        assert certified
+        assert mesh.face_count == library_mesh(name).face_count
+
+    @pytest.mark.parametrize("name", sorted(SAME_OUTPUTS.malformed_offs()))
+    def test_malformed_file(self, name):
+        with pytest.raises((NonConvexInput, DegenerateBody, ParseError)):
+            import_both(SAME_OUTPUTS.malformed_offs()[name])
+
+    @pytest.mark.parametrize("how", [
+        *(f"{side}{d:.0e}" for d in PUSHES for side in ("out", "in")),
+        "flip", "twice"])
+    @pytest.mark.parametrize("name", ["cube", "icosphere-2", "cube+turned"])
+    def test_perturbed_file(self, name, how):
+        try:
+            import_both(perturbed(name, how))
+        except NonConvexInput:
+            assert how not in ("out1e-12", "in1e-12")
+
+    def test_a_surface_winding_twice_is_refused(self):
+        verts, faces = double_octahedron()
+        with pytest.raises(NonConvexInput, match="face 0 plane cuts"):
+            import_both(off_text(verts, faces))
 
 
 class TestPolygonFormat:

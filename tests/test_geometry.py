@@ -14,10 +14,11 @@ from blaschke3d.bodies import (box_mesh, cube_mesh, grunbaum_herisson,
 from blaschke3d.errors import (DegenerateBody, DuplicateDirection,
                                UnboundedRegion)
 from blaschke3d.geometry import (DIRECTION_TOL, MERGE_TOL, SupportPolyhedron,
-                                 _adjacency, _area_norms, _deepest_point,
-                                 _extent, _hull_mesh,
-                                 _interior_point, _median,
-                                 _polar_hull, _row_blocks, _support_values,
+                                 _adjacency, _area_norms, _area_vectors,
+                                 _certify_convex, _deepest_point, _extent,
+                                 _hull_mesh, _interior_point, _median,
+                                 _polar_hull, _row_blocks, _row_order,
+                                 _support_values,
                                  as_unit_rows, check_distinct_directions,
                                  contains_by_translation, convex_hull,
                                  integral_mean_curvature,
@@ -31,8 +32,8 @@ from blaschke3d.solver import (_newton_solve, area_jacobian,
 from blaschke3d.sums import minkowski_sum
 from helpers import (assembly_checked, centered, count_deepest_point,
                      cycle_arrays, deepest_point_checked, divergence_volume,
-                     edge_dict, enumerate_intersection, intersect,
-                     merge_close_reference, mesh_of,
+                     double_octahedron, edge_dict, enumerate_intersection,
+                     intersect, merge_close_reference, mesh_of,
                      positively_spanning_reference, random_tangent_mesh,
                      support_values_reference, vertex_sets_match)
 
@@ -910,6 +911,72 @@ class TestConvexHull:
         cycles = {frozenset(c.tolist()) for c in cycle_arrays(mesh) if len(c)}
         cycles2 = {frozenset(c.tolist()) for c in cycle_arrays(again)}
         assert cycles == cycles2
+
+
+class TestRowOrder:
+    """`_row_order` is the lexsort of the plane rows, ties in index order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lexsort(self, seed):
+        # few distinct entries, so first entries tie in runs whose rows
+        # differ, rows repeat, and -0.0 ties with 0.0
+        rng = np.random.default_rng(seed)
+        rows = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(200, 4))
+        rows[rng.integers(0, 200, 40)] = rows[rng.integers(0, 200, 40)]
+        np.testing.assert_array_equal(_row_order(rows),
+                                      np.lexsort(rows.T[::-1]))
+
+    def test_distinct_first_entries_need_one_sort(self):
+        rows = np.random.default_rng(1).normal(size=(300, 4))
+        np.testing.assert_array_equal(_row_order(rows),
+                                      np.lexsort(rows.T[::-1]))
+
+    def test_nan_rows(self):
+        rows = np.array([[np.nan, 1, 0, 0], [0, 1, 0, 0], [np.nan, 0, 0, 0],
+                         [0, 0, 0, 0]])
+        np.testing.assert_array_equal(_row_order(rows),
+                                      np.lexsort(rows.T[::-1]))
+
+
+def certified(mesh):
+    return _certify_convex(mesh.vertices, mesh.cycles, mesh.face_normals)
+
+
+class TestCertifyConvex:
+    @pytest.mark.parametrize("make", [
+        cube_mesh, lambda: icosphere_mesh(2), lambda: box_mesh((0.3, 1, 7)),
+        lambda: convex_hull(icosphere_mesh(1).vertices * 1e-150),
+        lambda: solved_mesh(), lambda: summed_mesh()],
+        ids=["cube", "icosphere", "box", "tiny", "solver", "minkowski"])
+    def test_convex_meshes_are_certified(self, make):
+        assert certified(make())
+
+    def test_a_cube_with_a_corner_pulled_out_is_not(self):
+        # the certificate reads the vertices and cycles alone: the edge
+        # and area faults are left to `validate_mesh`'s other checks
+        assert not certified(broken_cube("vertex"))
+
+    def test_a_surface_winding_twice_is_not(self):
+        verts, faces = double_octahedron()
+        count = np.full(len(faces), 3)
+        cycles = (count, np.repeat(np.arange(len(faces)), 3),
+                  np.concatenate(faces))
+        area = _area_vectors(verts, cycles)
+        normals = area / _area_norms(area, axis=1)[:, None]
+        assert not _certify_convex(verts, cycles, normals)
+
+    def test_a_certified_mesh_skips_the_support_pass(self, monkeypatch):
+        calls, real = [], geometry._support_values
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(geometry, "_support_values", counted)
+        validate_mesh(icosphere_mesh(2))
+        assert not calls
+        with pytest.raises(ValueError):
+            validate_mesh(broken_cube("vertex"))
+        assert calls
 
 
 class TestFaceAssembly:
