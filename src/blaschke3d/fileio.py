@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import DegenerateBody, NonConvexInput, ParseError
 from .geometry import (MeshPolyhedron, _area_norms, _area_vectors,
-                       _certify_convex, _cross, _extent, _group_sums,
-                       _hull_unit, _support_values, _triangle_mesh, _twins,
-                       convex_hull, validate_mesh)
+                       _certify_convex, _check_complex, _cross, _extent,
+                       _group_sums, _hull_unit, _support_values,
+                       _triangle_mesh, _twins, convex_hull, validate_mesh)
 from .herisson import Herisson, validate_herisson
 from .spherical import SphericalPolygon
 
@@ -114,10 +114,11 @@ def import_off(text: str) -> MeshPolyhedron:
     reject non-convex input and face lists that do not close the surface,
     and return the mesh (face merge, areas, edge lengths) that `convex_hull`
     gives for the vertices.  A file whose fan triangles give that mesh with
-    a certificate of convexity (`_fan_mesh`) builds no hull; any other file
-    is checked face by face, naming the lowest faulty face
-    (`_check_face_planes`), then hulled and checked for closure and
-    extreme points."""
+    a certificate of convexity (`_fan_mesh`) builds no hull, and of
+    `validate_mesh` takes only the checks that follow convex support
+    (`_check_complex`); any other file is checked face by face, naming the
+    lowest faulty face (`_check_face_planes`), then hulled, checked for
+    closure and extreme points, and validated."""
     numbered = list(_content_lines(text))
     lines = [line for _, line in numbered]
     if not lines or lines[0] != "OFF":
@@ -158,8 +159,8 @@ def import_off(text: str) -> MeshPolyhedron:
         raise DegenerateBody("need at least 4 points")
     cycles = (count, face, vid.astype(np.intp))
     mesh = _fan_mesh(verts, cycles)
-    if mesh is not None:
-        return validate_mesh(mesh)
+    if mesh is not None:  # its convex support is certified
+        return _check_complex(mesh)
     area = _check_face_planes(verts, cycles)
     mesh = convex_hull(verts)
     total = mesh.face_areas.sum()
@@ -175,16 +176,19 @@ def _fan_mesh(verts, cycles):
     """The mesh that `convex_hull` gives for the vertices of a file whose
     faces bound a convex body, built from the file's own faces with no
     hull: their fan triangles (each face fanned about its first vertex, as
-    `_area_vectors` does), with their planes at the hull's unit and their
-    sides across the fans and the edges, go through the hull's own step,
-    `_triangle_mesh`, and the result must pass `_certify_convex`.  None
-    wherever the hull could decide otherwise or refuse the file: a face
-    the hull's checks may refuse (fewer than 3 vertices, an area below
-    1e-13 at the unit of `_check_face_planes`, a plane that may cut the
-    body by 1e-8 of the extent there), a side whose planes lie within
-    1e-11 c (c as in `_certify_convex`) of the 1e-9 merge rule, a face
-    whose fan does not merge, a point that is no vertex, a total area off
-    by 1e-9, or any refusal of `_hull_unit` or the certificate."""
+    `_area_vectors` does), each with the plane of its face at the hull's
+    unit, and their sides across the fans and the edges, go through the
+    hull's own step, `_triangle_mesh`, and the result must pass
+    `_certify_convex`.  A face's plane comes from its area vector, as a
+    merged facet of the hull has one plane, so a thin fan triangle does not
+    tilt it.  None wherever the hull could decide otherwise or refuse the
+    file: a face the hull's checks may refuse (fewer than 3 vertices, an
+    area below 1e-13 at the unit of `_check_face_planes`, a plane that may
+    cut the body by 1e-8 of the extent there), a face whose fan triangles'
+    own planes lie more than 1e-9 apart, an edge whose faces' planes lie
+    within 1e-11 c (c as in `_certify_convex`) and their rounding of the
+    1e-9 merge rule, a point that is no vertex, a total area off by 1e-9,
+    or any refusal of `_hull_unit` or the certificate."""
     count, face, vid = cycles
     twins = _twins(count, vid, len(verts)) if (count >= 3).all() else None
     if twins is None:
@@ -196,46 +200,55 @@ def _fan_mesh(verts, cycles):
     succ, twin = twins
     at = np.ldexp(pts, -e)
     c = max(1.0, float(np.abs(at).max()))
-    # triangle k of a face joins its first vertex to positions k, k + 1
-    start = np.cumsum(count) - count
-    local = np.arange(len(vid)) - start[face]
-    mid = np.flatnonzero((local >= 1) & (local <= count[face] - 2))
-    tris = np.column_stack([vid[start[face[mid]]], vid[mid], vid[mid + 1]])
-    normal = _cross(at[tris[:, 1]] - at[tris[:, 0]],
-                    at[tris[:, 2]] - at[tris[:, 0]])
-    norm = np.linalg.norm(normal, axis=1)
-    if not norm.min() > 0.0:
-        return None
-    normal /= norm[:, None]
-    rows = np.column_stack([normal, -(normal * at[tris[:, 0]]).sum(axis=1)])
-    # sides: between a face's consecutive fan triangles, and across edges
-    first = np.cumsum(count - 2) - (count - 2)
-    tri = first[face] + np.clip(local, 1, count[face] - 2) - 1
-    diag = np.flatnonzero(face[mid[1:]] == face[mid[:-1]])
-    edge = np.flatnonzero(vid < vid[succ])
-    f = np.concatenate([diag, tri[edge]])
-    g = np.concatenate([diag + 1, tri[twin[edge]]])
-    gap = np.linalg.norm(rows[f] - rows[g], axis=1)
-    if (np.abs(gap - 1e-9) <= 1e-11 * c).any() \
-            or (gap[:len(diag)] > 1e-9).any():
-        return None
-    mesh, label = _triangle_mesh(pts, tris, rows, f, g)
-    if len(mesh.vertices) != len(verts) or not _certify_convex(
-            mesh.vertices, mesh.cycles, mesh.face_normals):
-        return None
-    # the hull's checks of the stated faces, at the unit and about the
-    # centroid of `_check_face_planes`: areas, planes and their total
-    scale = np.frexp(_extent(verts))[0]
+    # the stated faces at the unit and about the centroid of
+    # `_check_face_planes`, and their planes at the hull's unit
     u = at - at.mean(axis=0)
     area = _area_vectors(u, cycles)
     nn = _area_norms(area, axis=1)
     if not nn.min() >= 1e-13:
         return None
+    normal = area / nn[:, None]
+    centre = _group_sums(face, at[vid], len(count)) / count[:, None]
+    plane = np.column_stack([normal, -(normal * centre).sum(axis=1)])
+    # triangle k of a face joins its first vertex to positions k, k + 1
+    start = np.cumsum(count) - count
+    local = np.arange(len(vid)) - start[face]
+    mid = np.flatnonzero((local >= 1) & (local <= count[face] - 2))
+    tris = np.column_stack([vid[start[face[mid]]], vid[mid], vid[mid + 1]])
+    fan = _cross(at[tris[:, 1]] - at[tris[:, 0]],
+                 at[tris[:, 2]] - at[tris[:, 0]])
+    norm = np.linalg.norm(fan, axis=1)
+    if not norm.min() > 0.0:
+        return None
+    fan /= norm[:, None]
+    fan = np.column_stack([fan, -(fan * at[tris[:, 0]]).sum(axis=1)])
+    diag = np.flatnonzero(face[mid[1:]] == face[mid[:-1]])
+    if (np.linalg.norm(fan[diag] - fan[diag + 1], axis=1) > 1e-9).any():
+        return None
+    # a face's normal turns by rounding of about k eps c l / |A| (k its
+    # vertices, l its perimeter, |A| its area), its offset by c times more
+    edge = np.flatnonzero(vid < vid[succ])
+    a, b = face[edge], face[twin[edge]]
+    perim = np.bincount(face, np.linalg.norm(u[vid[succ]] - u[vid], axis=1),
+                        len(count))
+    err = 1e-15 * c * (1 + c) * count * perim / nn
+    gap = np.linalg.norm(plane[a] - plane[b], axis=1)
+    if (np.abs(gap - 1e-9) <= 1e-11 * c + err[a] + err[b]).any():
+        return None
+    # sides: between a face's consecutive fan triangles, and across edges
+    first = np.cumsum(count - 2) - (count - 2)
+    tri = first[face] + np.clip(local, 1, count[face] - 2) - 1
+    mesh, label = _triangle_mesh(pts, tris, plane[face[mid]],
+                                 np.concatenate([diag, tri[edge]]),
+                                 np.concatenate([diag + 1, tri[twin[edge]]]))
+    if len(mesh.vertices) != len(verts) or not _certify_convex(
+            mesh.vertices, mesh.cycles, mesh.face_normals):
+        return None
     # no vertex is beyond a face plane of the certified mesh by more than
     # about 1e-12, nor off it on its own face, so a stated plane tilted
     # by d from its face of the mesh is above none by more than 2 r d + that
-    tilt = np.linalg.norm(area / nn[:, None]
-                          - mesh.face_normals[label[first]], axis=1)
+    scale = np.frexp(_extent(verts))[0]
+    tilt = np.linalg.norm(normal - mesh.face_normals[label[first]], axis=1)
     above = 2 * float(np.linalg.norm(u, axis=1).max()) * tilt + 1e-11
     total = mesh.face_areas.sum()
     with np.errstate(over="ignore"):

@@ -618,8 +618,6 @@ def _row_order(rows):
     """np.lexsort(rows.T[::-1]), the rows in lexicographic order with ties
     in index order: one stable sort of the first entries, and a lexsort
     only over the runs of equal first entries whose rows differ."""
-    if np.isnan(rows).any():  # a NaN ties with a NaN in lexsort alone
-        return np.lexsort(rows.T[::-1])
     order = np.argsort(rows[:, 0], kind="stable")
     srt = rows[order]
     tie = srt[1:, 0] == srt[:-1, 0]
@@ -899,8 +897,8 @@ def validate_mesh(mesh: MeshPolyhedron) -> MeshPolyhedron:
     cycles; only where that gives no verdict is every vertex measured
     against every face plane.  Returns `mesh`.
     """
-    tol = 1e-9 * mesh.scale
     if not _certify_convex(mesh.vertices, mesh.cycles, mesh.face_normals):
+        tol = 1e-9 * mesh.scale
         about = mesh.translate(-mesh.centroid)
         h = about.face_support_numbers()
         live = np.flatnonzero(~np.isnan(h))
@@ -909,6 +907,13 @@ def validate_mesh(mesh: MeshPolyhedron) -> MeshPolyhedron:
         if np.any(gap > tol):
             j = live[int(np.argmax(gap > tol))]
             raise ValueError(f"vertex beyond plane of face {j}")
+    return _check_complex(mesh)
+
+
+def _check_complex(mesh: MeshPolyhedron) -> MeshPolyhedron:
+    """`validate_mesh` but for convex support, for a mesh whose support is
+    already certified (`_certify_convex`): the Euler characteristic, the
+    closure of the vector area and the edges.  Returns `mesh`."""
     v = len(mesh.vertices)
     e = len(mesh.edges.i)
     f = mesh.face_count

@@ -519,6 +519,26 @@ def perturbed(name, how):
     return off_text(verts, [face for face in faces if face])
 
 
+def bent_slab(theta, w):
+    """The OFF text of a slab whose top is two faces at the dihedral angle
+    theta along the edge x = 0 from (0, -0.15) to (0, 0.15), the bent one
+    over x > 0 with a corner at (w, 0.15 - w / 100) next to that edge's
+    end.  The bent face's cycle starts at that corner, so that its fan
+    triangle over the edge has height w."""
+    z = 0.15 - theta * np.array([0, w, 0.9, 0.9])
+    top = np.array([[-0.9, -0.15, 0.15], [-0.9, 0.15, 0.15], [0, -0.15, z[0]],
+                    [0, 0.15, z[0]], [w, 0.15 - w / 100, z[1]],
+                    [0.9, -0.15, z[2]], [0.9, 0.1, z[3]]])
+    base = np.array([[x, y, 0] for x in (-0.9, 0.9) for y in (-0.15, 0.15)])
+    mesh = convex_hull(np.vstack([top, base]))
+    faces = [c.tolist() for c in cycle_arrays(mesh) if len(c)]
+    for face in faces:
+        if {2, 3, 4} <= set(face):
+            k = face.index(4)
+            face[:] = face[k:] + face[:k]
+    return off_text(mesh.vertices, faces)
+
+
 class TestCertifiedImport:
     """`import_off` by its certified path against the hull path
     (`import_both`): the same verdict and message, and for an accepted
@@ -550,6 +570,15 @@ class TestCertifiedImport:
         verts, faces = double_octahedron()
         with pytest.raises(NonConvexInput, match="face 0 plane cuts"):
             import_both(off_text(verts, faces))
+
+    @pytest.mark.parametrize("w", [1e-6, 1e-7])
+    def test_faces_at_the_merge_rule_with_a_thin_fan_triangle(self, w):
+        # the top faces' planes lie from 0.98e-9 to 1.02e-9 apart: the
+        # hull merges them below 1e-9, and above it the certified path
+        # builds the two faces, each from its area vector's plane
+        certified = [import_both(bent_slab(r * 1e-9, w))[1]
+                     for r in np.linspace(0.98, 1.02, 41)]
+        assert any(certified) and not all(certified)
 
 
 class TestPolygonFormat:

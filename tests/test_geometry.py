@@ -931,12 +931,6 @@ class TestRowOrder:
         np.testing.assert_array_equal(_row_order(rows),
                                       np.lexsort(rows.T[::-1]))
 
-    def test_nan_rows(self):
-        rows = np.array([[np.nan, 1, 0, 0], [0, 1, 0, 0], [np.nan, 0, 0, 0],
-                         [0, 0, 0, 0]])
-        np.testing.assert_array_equal(_row_order(rows),
-                                      np.lexsort(rows.T[::-1]))
-
 
 def certified(mesh):
     return _certify_convex(mesh.vertices, mesh.cycles, mesh.face_normals)
